@@ -19,6 +19,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -293,14 +294,18 @@ func (r *Registry) Help(name, help string) {
 	}
 }
 
-// snapshotFamilies copies the family table so exposition can run without
-// holding the registry lock while formatting (metric reads are atomic).
+// snapshotFamilies copies the family table, each family with its own copy
+// of the series map, so exposition can run without holding the registry
+// lock while formatting: lookup inserts first-seen label series into the
+// live maps at any time, and metric reads themselves are atomic.
 func (r *Registry) snapshotFamilies() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]*family, 0, len(r.families))
 	for _, name := range r.order {
-		out = append(out, r.families[name])
+		f := *r.families[name]
+		f.series = maps.Clone(f.series)
+		out = append(out, &f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -202,62 +203,62 @@ func TestHandlerAndVars(t *testing.T) {
 }
 
 // TestConcurrentObserveScrape drives writers against scrapers; run under
-// -race -count=3 this is the registry's data-race certification.
+// -race -count=3 this is the registry's data-race certification. Every
+// observation carries label values nobody has used before, so series are
+// being inserted into their families for as long as the scrapers run.
 func TestConcurrentObserveScrape(t *testing.T) {
 	r := NewRegistry()
 	tr := NewMetricsTracer(r)
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var observers, scrapers sync.WaitGroup
 
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+		observers.Add(1)
+		go func(w int) {
+			defer observers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
 			kinds := []Kind{KindSetup, KindHopCheck, KindTeardown, KindShed, KindJournalAppend, KindRequest, KindReadmit}
 			outcomes := []string{OutcomeAccepted, OutcomeRejected, OutcomeError, OutcomeOK}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 60; i++ {
+				fresh := fmt.Sprintf("%d-%d", w, i)
 				tr.Trace(Event{
 					Kind:     kinds[rng.Intn(len(kinds))],
 					Outcome:  outcomes[rng.Intn(len(outcomes))],
-					Code:     fmt.Sprintf("code-%d", rng.Intn(5)),
-					Op:       fmt.Sprintf("op-%d", rng.Intn(3)),
-					Class:    "setup-low",
+					Code:     "code-" + fresh,
+					Op:       "op-" + fresh,
+					Class:    "class-" + fresh,
 					Duration: time.Duration(rng.Intn(1000)) * time.Microsecond,
 					Slack:    rng.Float64() * 100,
 					Bytes:    int64(rng.Intn(512)),
 					Retries:  rng.Intn(2),
 				})
+				runtime.Gosched() // let a scraper in between two insertions, whatever GOMAXPROCS is
 			}
-		}(int64(w))
+		}(w)
 	}
 	for s := 0; s < 2; s++ {
-		wg.Add(1)
+		scrapers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer scrapers.Done()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				var buf bytes.Buffer
 				if err := r.WritePrometheus(&buf); err != nil {
 					t.Errorf("scrape: %v", err)
 					return
 				}
 				_ = r.Snapshot()
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
+	observers.Wait()
 	close(stop)
-	wg.Wait()
+	scrapers.Wait()
 
 	// Internal consistency after the dust settles: setup outcomes sum to
 	// the setup latency histogram count.
