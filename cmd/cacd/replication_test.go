@@ -180,6 +180,7 @@ func TestStandbyAutoFailover(t *testing.T) {
 	psrv.SetDurable(dur)
 	prim := replica.NewPrimary(psrv, replica.PrimaryConfig{Mode: replica.ModeSync, HeartbeatEvery: 50 * time.Millisecond})
 	psrv.SetShipper(prim)
+	psrv.SetReplicationStatus(replica.Status(prim, nil))
 	replLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +209,11 @@ func TestStandbyAutoFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The standby calls itself connected once it has dialled; a sync-mode
+	// primary refuses writes until its own side has accepted that stream.
+	waitReplication(t, pc, func(rep *wire.ReplicationReport) bool {
+		return rep.Role == "primary" && rep.Connected
+	})
 	if err := setupConn(pc, "pre-failover"); err != nil {
 		t.Fatalf("primary setup: %v", err)
 	}
