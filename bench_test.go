@@ -270,11 +270,55 @@ func BenchmarkSwitchAdmit(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmitResident measures one admit + one release against a switch
+// already carrying N connections, at a fixed port fan-in. The switch is
+// shaped like a cacbench ring node: one loaded output port fed by 16
+// incoming links at both priorities, every resident cacbench's
+// VBR(0.0004, 0.00001, 4), arriving within each cell with the CDV of 0 to 4
+// upstream hops in turn. Even at 1k every cell already holds all five
+// envelopes, so N changes how many members a cell has and nothing else, and
+// a flat ns/op across the sub-benchmarks is the claim that admission does
+// not scan residents.
+func BenchmarkAdmitResident(b *testing.B) {
+	spec := atmcac.VBR(0.0004, 0.00001, 4)
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
+		b.Run(fmt.Sprintf("%dk", n>>10), func(b *testing.B) {
+			sw, err := atmcac.NewSwitch(atmcac.SwitchConfig{
+				Name: "sw", QueueCells: map[atmcac.Priority]float64{1: 1e6, 2: 2e6},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := sw.Install(atmcac.HopRequest{
+					Conn: atmcac.ConnID(fmt.Sprintf("r%06d", i)), Spec: spec,
+					In: atmcac.PortID(i % 16), Out: 0,
+					Priority: atmcac.Priority(1 + i/16%2), CDV: float64(4096 * (i / 32 % 5)),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sw.Admit(atmcac.HopRequest{
+					Conn: "probe", Spec: spec, In: 5, Out: 0, Priority: 1, CDV: 8192,
+				}); err != nil {
+					b.Fatal(err)
+				}
+				if err := sw.Release("probe"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParallelAdmit measures concurrent end-to-end admissions on a
 // 16-node RTnet: each worker repeatedly sets up and tears down a 3-hop
 // segment connection starting at its own ring node, so workers touch
-// mostly disjoint switches and the two-phase admit path (lock-free bound
-// evaluation, short commit sections) can scale with -cpu. Queues are
+// mostly disjoint switches and admission (check + commit under each
+// switch's own writer lock) can scale with -cpu. Queues are
 // sized so every admission must succeed — any rejection would be a
 // divergence from the serial decision and fails the benchmark.
 func BenchmarkParallelAdmit(b *testing.B) {

@@ -2,15 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"atmcac/internal/traffic"
 )
 
-// TestCacheInvalidationOnMutations: repeated bound queries hit the memo,
-// and every mutation (admit, install, release) invalidates it so results
-// always reflect the current connection set.
+// TestCacheInvalidationOnMutations: the per-port cells are the only copy of
+// the aggregates, so repeated bound queries read the same streams, every
+// mutation (admit, install, release) publishes re-summed ones, and a release
+// brings back the earlier value bit for bit.
 func TestCacheInvalidationOnMutations(t *testing.T) {
 	sw := newTestSwitch(t, map[Priority]float64{1: 1e6})
 	admit := func(i int) {
@@ -27,7 +27,7 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeated query: identical (memoized) result.
+	// Repeated query: identical result.
 	d1again, err := sw.ComputedBound(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -35,16 +35,16 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if d1 != d1again {
 		t.Fatalf("repeated bound differs: %g vs %g", d1, d1again)
 	}
-	// Admit invalidates.
+	// Admit re-sums.
 	admit(2)
 	d2, err := sw.ComputedBound(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2 <= d1 {
-		t.Fatalf("bound after second admission %g not above %g (stale cache?)", d2, d1)
+		t.Fatalf("bound after second admission %g not above %g (stale cell?)", d2, d1)
 	}
-	// Install invalidates.
+	// Install re-sums.
 	if err := sw.Install(HopRequest{
 		Conn: "inst", Spec: traffic.VBR(0.4, 0.01, 8),
 		In: 7, Out: 0, Priority: 1, CDV: 32,
@@ -56,9 +56,9 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d3 <= d2 {
-		t.Fatalf("bound after install %g not above %g (stale cache?)", d3, d2)
+		t.Fatalf("bound after install %g not above %g (stale cell?)", d3, d2)
 	}
-	// Release invalidates and restores the earlier value.
+	// Release re-sums and restores the earlier value exactly.
 	if err := sw.Release("inst"); err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,13 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d4-d2) > 1e-9 {
+	if d4 != d2 {
 		t.Fatalf("bound after release %g, want %g", d4, d2)
 	}
 }
 
-// TestCacheNotPoisonedByCheck: Check (and the candidate-including admission
-// path) must not populate the memo with candidate-augmented aggregates.
+// TestCacheNotPoisonedByCheck: Check builds the candidate's successor state
+// but never publishes it, so the cells readers see stay candidate-free.
 func TestCacheNotPoisonedByCheck(t *testing.T) {
 	sw := newTestSwitch(t, map[Priority]float64{1: 1e6})
 	if _, err := sw.Admit(HopRequest{
@@ -95,6 +95,6 @@ func TestCacheNotPoisonedByCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	if before != after {
-		t.Fatalf("Check changed the cached bound: %g vs %g", before, after)
+		t.Fatalf("Check changed the published bound: %g vs %g", before, after)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"atmcac/internal/bitstream"
 	"atmcac/internal/obs"
 	"atmcac/internal/traffic"
 )
@@ -145,9 +144,9 @@ func (v Violation) String() string {
 // There is no network-wide admission lock: the switch registry is guarded
 // by a read-write lock (reads are the hot path; switches are added at
 // startup), connection bookkeeping by its own mutex, and all per-hop CAC
-// state by the per-switch snapshot machinery, so concurrent setups on
+// state by each switch's own writer lock, so concurrent setups on
 // disjoint routes proceed fully in parallel and setups on overlapping
-// routes serialize only inside each shared switch's short commit section.
+// routes serialize only inside each shared switch's check + commit.
 type Network struct {
 	policy CDVPolicy
 
@@ -384,10 +383,9 @@ func WithRetryBudget(n int) SetupOption {
 // rejection rolls back all upstream commitments and the error (wrapping
 // ErrRejected for CAC failures) is returned.
 //
-// Each hop's admission is itself two-phase (snapshot check, then validated
-// commit — see Switch.Admit), so concurrent setups hold no lock during the
-// bit-stream math and serialize only inside the short per-switch commit
-// sections they actually share.
+// Each hop's admission checks and commits under that switch's writer lock
+// (see Switch.Admit), so concurrent setups serialize only at the switches
+// they actually share, for a cost that does not grow with what is resident.
 //
 // The context bounds the whole setup: the deadline is checked before each
 // hop's admission, and an expired context rolls every upstream reservation
@@ -661,9 +659,9 @@ func (n *Network) Install(req ConnRequest) error {
 // Audit recomputes the worst-case delay bound of every (switch, output
 // port, priority) queue carrying traffic and returns the queues whose bound
 // exceeds their guarantee. An empty result means the installed connection
-// set is admissible. Each switch is audited against one consistent
-// snapshot; admissions committing concurrently are seen entirely or not at
-// all per switch.
+// set is admissible. Each switch is audited against one published state;
+// admissions committing concurrently are seen entirely or not at all per
+// switch.
 func (n *Network) Audit() ([]Violation, error) {
 	start := time.Now()
 	violations, err := n.audit()
@@ -678,37 +676,23 @@ func (n *Network) Audit() ([]Violation, error) {
 }
 
 func (n *Network) audit() ([]Violation, error) {
-	n.switchMu.RLock()
-	switches := make([]*Switch, 0, len(n.switches))
-	for _, sw := range n.switches {
-		switches = append(switches, sw)
-	}
-	n.switchMu.RUnlock()
-	sort.Slice(switches, func(i, j int) bool { return switches[i].Name() < switches[j].Name() })
-
 	var violations []Violation
-	for _, sw := range switches {
-		st := sw.snapshot()
-		for _, out := range sw.OutPorts() {
-			for _, p := range sw.cfg.priorities() {
-				if !st.hasTraffic(out, p) {
+	for _, name := range n.SwitchNames() {
+		sw, _ := n.Switch(name)
+		for _, port := range sw.state.Load().ports {
+			for k, q := range port.queues {
+				if q.members == 0 {
 					continue
 				}
-				limit, _ := sw.cfg.boundFor(out, p)
-				d, err := st.delayBound(out, p, nil)
+				p := sw.prios[k]
+				limit, _ := sw.cfg.boundFor(port.out, p)
+				d, err := q.bound()
 				if err != nil {
-					if errors.Is(err, bitstream.ErrUnstable) {
-						violations = append(violations, Violation{
-							Switch: sw.Name(), Out: out, Priority: p,
-							Bound: math.Inf(1), Limit: limit,
-						})
-						continue
-					}
 					return nil, err
 				}
 				if d > limit+1e-9 {
 					violations = append(violations, Violation{
-						Switch: sw.Name(), Out: out, Priority: p,
+						Switch: sw.Name(), Out: port.out, Priority: p,
 						Bound: d, Limit: limit,
 					})
 				}
@@ -736,7 +720,7 @@ func (n *Network) AssignPriority(route Route, budget float64) (Priority, error) 
 	}
 	var best Priority
 	found := false
-	for _, p := range first.cfg.priorities() {
+	for _, p := range first.prios {
 		total := 0.0
 		feasible := true
 		for _, hop := range route {

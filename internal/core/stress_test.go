@@ -13,7 +13,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Deterministic concurrency stress suite for the snapshot-based admission
+// Deterministic concurrency stress suite for the published-state admission
 // hot path. Every test here is meant to run under -race (and does in CI,
 // with -count=3): the goroutine scripts are seeded and per-goroutine
 // deterministic, so the only nondeterminism is the interleaving the
@@ -134,16 +134,17 @@ func networkBounds(t testing.TB, n *Network) map[string]float64 {
 	out := make(map[string]float64)
 	for _, name := range n.SwitchNames() {
 		sw, _ := n.Switch(name)
-		for _, port := range sw.OutPorts() {
-			for _, p := range sw.Priorities() {
-				if !sw.snapshot().hasTraffic(port, p) {
+		st := sw.state.Load()
+		for _, port := range st.ports {
+			for k, p := range sw.prios {
+				if port.queues[k].members == 0 {
 					continue
 				}
-				d, err := sw.ComputedBound(port, p)
+				d, err := sw.ComputedBound(port.out, p)
 				if err != nil {
-					t.Fatalf("bound %s/%d/%d: %v", name, port, p, err)
+					t.Fatalf("bound %s/%d/%d: %v", name, port.out, p, err)
 				}
-				out[fmt.Sprintf("%s/%d/%d", name, port, p)] = d
+				out[fmt.Sprintf("%s/%d/%d", name, port.out, p)] = d
 			}
 		}
 	}
@@ -304,7 +305,7 @@ func TestStressTightQueueNoLeaks(t *testing.T) {
 
 // TestStressSwitchConcurrentMixedOps hammers a single switch with admits,
 // releases, duplicate admits, renames and lock-free read queries from many
-// goroutines; the race detector checks the snapshot machinery, and the
+// goroutines; the race detector checks the path-copied state, and the
 // final reconciliation checks nothing was lost or duplicated.
 func TestStressSwitchConcurrentMixedOps(t *testing.T) {
 	sw, err := NewSwitch(SwitchConfig{Name: "sw", QueueCells: map[Priority]float64{1: 1e6}})

@@ -14,14 +14,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"atmcac/internal/bitstream"
 	"atmcac/internal/traffic"
@@ -130,16 +130,6 @@ func (c SwitchConfig) boundFor(out PortID, p Priority) (float64, bool) {
 	return d, ok
 }
 
-// priorities returns the configured priority levels, highest (1) first.
-func (c SwitchConfig) priorities() []Priority {
-	out := make([]Priority, 0, len(c.QueueCells))
-	for p := range c.QueueCells {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // HopRequest is the per-switch admission request for one connection.
 type HopRequest struct {
 	Conn     ConnID
@@ -163,97 +153,110 @@ type HopResult struct {
 	Guaranteed float64
 }
 
-// entry is one admitted connection at a switch.
-type entry struct {
-	id      ConnID
-	in      PortID
-	out     PortID
-	prio    Priority
-	arrival bitstream.Stream // worst-case arrival after upstream CDV
-}
-
 // Switch holds the CAC state of one switching node. All methods are safe
 // for concurrent use.
 //
-// Concurrency model: the admitted set lives in an immutable switchState
-// snapshot published through an atomic pointer. Readers (bound queries,
-// audits, the O(n) bitstream math of the CAC check) load the snapshot and
-// never block. Writers (Admit, Install, Release, Rename) clone the state
-// copy-on-write and publish the successor under a short critical section.
-// Admit is two-phase: the expensive check runs lock-free against a
-// snapshot, then the commit re-validates (by snapshot identity) under the
-// lock and retries with bounded backoff if a concurrent commit invalidated
-// the snapshot, finally falling back to a fully locked check+commit so
-// progress is guaranteed.
+// Concurrency model: the admitted set lives in an immutable switchState —
+// the paper's Sia/Sif/Soa/Sof kept per port as persistent cells — published
+// through an atomic pointer. Readers (bound queries, envelopes, audits,
+// Check) load it and never block. Writers (Admit, Install, Release, Rename)
+// take mu for check + commit: one writer per switch path-copies the cell it
+// touches, re-sums that port, shares the rest and publishes the successor.
+// Aggregates are summed in an order fixed by the member set (see node), so
+// switches holding the same connections hold bit-identical state.
 //
 // A connection may traverse the same switch more than once — a wrapped
 // RTnet ring routes traffic through each node in both directions — so a
 // connection maps to a list of hop entries, each with its own port pair
 // and arrival envelope.
 type Switch struct {
-	cfg SwitchConfig
+	cfg   SwitchConfig
+	prios []Priority // configured levels, highest (1) first
 
 	// mu serializes writers only; readers go through state.
 	mu    sync.Mutex
 	state atomic.Pointer[switchState]
 }
 
-// switchState is an immutable snapshot of a switch's admitted set. The
-// conns map and the entry slices it holds are never mutated after
-// publication; writers build a successor state instead.
+// switchState is one immutable version of a switch's admitted set; nothing
+// reachable from it is written after publication.
 type switchState struct {
-	conns map[ConnID][]entry
-
-	// cache memoizes the assembled (Soa, Sof) streams per (out, priority)
-	// for this snapshot. Because the snapshot is immutable the cache can
-	// never go stale: a commit publishes a fresh state with an empty
-	// cache, which is exactly the old "clear on mutation" semantics.
-	cacheMu sync.Mutex
-	cache   map[portPrio]cachedStreams
+	index *node[hops] // ConnID -> hop entries; an index, so no aggregate
+	conns int         // keys in index
+	ports []outPort   // ascending out; only ports carrying connections
 }
 
-type portPrio struct {
-	out  PortID
-	prio Priority
+// entry is one hop of an admitted connection: its cell and its envelope.
+type entry struct {
+	in, out PortID
+	prio    int              // index into Switch.prios
+	arrival bitstream.Stream // worst-case arrival after upstream CDV
 }
 
-type cachedStreams struct {
-	soa bitstream.Stream
-	sof bitstream.Stream
+// hops is the index's value; it aggregates nothing.
+type hops []entry
+
+func (hops) sumWith(_, _ bitstream.Stream) bitstream.Stream { return bitstream.Stream{} }
+
+// envelope is a cell member's arrival stream, multiplexed (Algorithm 3.2)
+// with its neighbours' in key order.
+type envelope bitstream.Stream
+
+func (e envelope) sumWith(left, right bitstream.Stream) bitstream.Stream {
+	return bitstream.Sum(left, bitstream.Stream(e), right)
 }
 
-// maxOptimisticAdmits bounds the lock-free check/commit retries of Admit
-// before it falls back to deciding under the writer lock.
-const maxOptimisticAdmits = 3
+// outPort is the state of one output port j.
+type outPort struct {
+	out    PortID
+	links  []inLink // ascending in; only links carrying connections
+	queues []queue  // per priority index
+}
+
+// queue holds what Algorithm 4.1 consumes for one (out, priority): Soa(j,p),
+// the links' Sif summed in ascending PortID, and Sof(j)(p), the links'
+// higher-priority shares summed likewise and filtered by the outgoing link.
+type queue struct {
+	soa, sof bitstream.Stream
+	members  int // connections of this priority leaving via the port
+}
+
+// inLink groups the cells (out, in, ·) of one incoming link.
+type inLink struct {
+	in    PortID
+	cells []cell // per priority index
+}
+
+// cell is the paper's per-(in, out, priority) state: Sia(i,j,p) is the sum
+// at the root of sia, sif is Sia filtered by the incoming link, and higher
+// is the link's more urgent traffic, summed and filtered by the incoming
+// link: its share of Sof(j)(p).
+type cell struct {
+	sia    *node[envelope]
+	sif    bitstream.Stream
+	higher bitstream.Stream
+}
 
 // NewSwitch returns a switch with the given queue configuration.
 func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	queues := make(map[Priority]float64, len(cfg.QueueCells))
-	for p, v := range cfg.QueueCells {
-		queues[p] = v
-	}
-	cfg.QueueCells = queues
+	cfg.QueueCells = maps.Clone(cfg.QueueCells)
 	if len(cfg.PortQueueCells) > 0 {
 		overrides := make(map[PortID]map[Priority]float64, len(cfg.PortQueueCells))
 		for port, qs := range cfg.PortQueueCells {
-			cp := make(map[Priority]float64, len(qs))
-			for p, v := range qs {
-				cp[p] = v
-			}
-			overrides[port] = cp
+			overrides[port] = maps.Clone(qs)
 		}
 		cfg.PortQueueCells = overrides
 	}
 	sw := &Switch{cfg: cfg}
-	sw.state.Store(newSwitchState(make(map[ConnID][]entry)))
+	for p := range cfg.QueueCells {
+		sw.prios = append(sw.prios, p)
+	}
+	slices.Sort(sw.prios)
+	sw.state.Store(&switchState{})
 	return sw, nil
-}
-
-func newSwitchState(conns map[ConnID][]entry) *switchState {
-	return &switchState{conns: conns, cache: make(map[portPrio]cachedStreams)}
 }
 
 // Name returns the switch name.
@@ -274,168 +277,83 @@ func (sw *Switch) GuaranteedBoundAt(out PortID, p Priority) (float64, bool) {
 
 // ConnectionCount returns the number of admitted connections.
 func (sw *Switch) ConnectionCount() int {
-	return len(sw.state.Load().conns)
+	return sw.state.Load().conns
 }
 
 // Has reports whether the switch carries the connection.
 func (sw *Switch) Has(id ConnID) bool {
-	_, ok := sw.state.Load().conns[id]
+	_, ok := sw.state.Load().index.get(id)
 	return ok
 }
 
-// arrivalStream computes the worst-case arrival envelope of a connection at
-// this switch: the source envelope of Algorithm 2.1 clumped by the
-// accumulated upstream CDV (Algorithm 3.1).
-func arrivalStream(spec traffic.Spec, cdv float64) (bitstream.Stream, error) {
-	s, err := spec.Stream()
-	if err != nil {
-		return bitstream.Stream{}, err
-	}
-	return s.Delayed(cdv)
+// Priorities returns the configured priority levels, highest first.
+func (sw *Switch) Priorities() []Priority {
+	return slices.Clone(sw.prios)
 }
 
-// duplicateHop reports whether the connection already has an entry with the
-// same port pair: the only admission that is a true duplicate. A second
-// traversal of the switch via different ports (a wrapped ring) is
-// legitimate.
-func (st *switchState) duplicateHop(req HopRequest) bool {
-	for _, e := range st.conns[req.Conn] {
-		if e.in == req.In && e.out == req.Out {
-			return true
-		}
+// OutPorts returns the output ports that currently carry connections, in
+// ascending order.
+func (sw *Switch) OutPorts() []PortID {
+	st := sw.state.Load()
+	out := make([]PortID, len(st.ports))
+	for i, p := range st.ports {
+		out[i] = p.out
 	}
-	return false
+	return out
+}
+
+// prioIndex maps a configured priority to its index in sw.prios.
+func (sw *Switch) prioIndex(p Priority) (int, error) {
+	k, ok := slices.BinarySearch(sw.prios, p)
+	if !ok {
+		return 0, fmt.Errorf("%w: switch %q has no priority %d queue", ErrBadConfig, sw.cfg.Name, p)
+	}
+	return k, nil
 }
 
 // Check runs the CAC check of Section 4.3 for a new connection without
-// committing it. It evaluates against the current snapshot without
-// blocking writers. It returns a *RejectionError (wrapping ErrRejected) if
-// the connection cannot be accommodated.
+// committing it. It evaluates against the current state without blocking
+// writers. It returns a *RejectionError (wrapping ErrRejected) if the
+// connection cannot be accommodated.
 func (sw *Switch) Check(req HopRequest) (HopResult, error) {
-	arr, err := sw.validateRequest(req)
+	next, e, err := sw.propose(sw.state.Load(), req)
 	if err != nil {
 		return HopResult{}, err
 	}
-	st := sw.state.Load()
-	if st.duplicateHop(req) {
-		return HopResult{}, fmt.Errorf("%w: %q at switch %q ports %d->%d",
-			ErrDuplicateConn, req.Conn, sw.cfg.Name, req.In, req.Out)
-	}
-	return sw.checkState(st, req, arr)
+	return sw.verify(next, e)
 }
 
-// Admit runs the CAC check and, on success, commits the connection.
-//
-// The check (the O(n) bitstream math) runs against an immutable snapshot
-// with no lock held; the commit then re-validates under the writer lock
-// that the snapshot is still current and publishes the successor state.
-// If a concurrent commit invalidated the snapshot the admission retries
-// with bounded backoff, and after maxOptimisticAdmits attempts it decides
-// under the lock, so it always terminates with a decision that was valid
-// against the state it committed into.
-func (sw *Switch) Admit(req HopRequest) (HopResult, error) {
-	arr, err := sw.validateRequest(req)
-	if err != nil {
-		return HopResult{}, err
-	}
-	for attempt := 0; attempt < maxOptimisticAdmits; attempt++ {
-		if attempt > 0 {
-			// A concurrent commit won the race; yield before re-reading so
-			// the winner's successors have a chance to drain.
-			runtime.Gosched()
-			if attempt > 1 {
-				time.Sleep(time.Duration(attempt) * 2 * time.Microsecond)
-			}
+// Admit runs the CAC check and, on success, commits the connection. Check
+// and commit happen under the writer lock against the state they extend, so
+// the decision is always valid for the state it is committed into.
+func (sw *Switch) Admit(req HopRequest) (res HopResult, err error) {
+	err = sw.commit(func(st *switchState) (*switchState, error) {
+		next, e, err := sw.propose(st, req)
+		if err == nil {
+			res, err = sw.verify(next, e)
 		}
-		st := sw.state.Load()
-		if st.duplicateHop(req) {
-			return HopResult{}, fmt.Errorf("%w: %q at switch %q ports %d->%d",
-				ErrDuplicateConn, req.Conn, sw.cfg.Name, req.In, req.Out)
-		}
-		res, err := sw.checkState(st, req, arr)
-		if err != nil {
-			// A rejection is decided at the instant the snapshot was
-			// loaded; concurrent releases after that instant do not
-			// retroactively invalidate it.
-			return HopResult{}, err
-		}
-		sw.mu.Lock()
-		if sw.state.Load() == st {
-			sw.commitLocked(st, req, arr)
-			sw.mu.Unlock()
-			return res, nil
-		}
-		sw.mu.Unlock()
-	}
-	// Contended: decide under the lock. No commit can interleave, so the
-	// check is authoritative and progress is guaranteed.
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := sw.state.Load()
-	if st.duplicateHop(req) {
-		return HopResult{}, fmt.Errorf("%w: %q at switch %q ports %d->%d",
-			ErrDuplicateConn, req.Conn, sw.cfg.Name, req.In, req.Out)
-	}
-	res, err := sw.checkState(st, req, arr)
-	if err != nil {
-		return HopResult{}, err
-	}
-	sw.commitLocked(st, req, arr)
-	return res, nil
-}
-
-// commitLocked publishes the successor of st with req's entry appended.
-// Caller holds sw.mu and has verified st is the current state.
-func (sw *Switch) commitLocked(st *switchState, req HopRequest, arr bitstream.Stream) {
-	next := st.cloneConns()
-	next[req.Conn] = append(append([]entry(nil), next[req.Conn]...),
-		entry{id: req.Conn, in: req.In, out: req.Out, prio: req.Priority, arrival: arr})
-	sw.state.Store(newSwitchState(next))
-}
-
-// cloneConns shallow-copies the connection map; entry slices are shared
-// with the parent state and must be re-sliced copy-on-write by the caller
-// for any connection it modifies.
-func (st *switchState) cloneConns() map[ConnID][]entry {
-	next := make(map[ConnID][]entry, len(st.conns)+1)
-	for id, entries := range st.conns {
-		next[id] = entries
-	}
-	return next
+		return next, err
+	})
+	return res, err
 }
 
 // Install commits the connection without running the CAC check. It is used
 // for offline planning (the paper's permanent-connection mode), where a
 // whole connection set is loaded and then validated once with Audit.
 func (sw *Switch) Install(req HopRequest) error {
-	arr, err := sw.validateRequest(req)
-	if err != nil {
-		return err
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := sw.state.Load()
-	if st.duplicateHop(req) {
-		return fmt.Errorf("%w: %q at switch %q ports %d->%d",
-			ErrDuplicateConn, req.Conn, sw.cfg.Name, req.In, req.Out)
-	}
-	sw.commitLocked(st, req, arr)
-	return nil
+	return sw.commit(func(st *switchState) (*switchState, error) {
+		next, _, err := sw.propose(st, req)
+		return next, err
+	})
 }
 
 // Release removes every hop entry of an admitted connection at this
 // switch (a wrapped route may have several).
 func (sw *Switch) Release(id ConnID) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := sw.state.Load()
-	if _, ok := st.conns[id]; !ok {
-		return fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
-	}
-	next := st.cloneConns()
-	delete(next, id)
-	sw.state.Store(newSwitchState(next))
-	return nil
+	return sw.commit(func(st *switchState) (*switchState, error) {
+		next, _, err := sw.drop(st, id)
+		return next, err
+	})
 }
 
 // Rename atomically re-labels an admitted connection, keeping every hop
@@ -448,228 +366,238 @@ func (sw *Switch) Rename(old, new ConnID) error {
 	if old == new {
 		return nil
 	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	st := sw.state.Load()
-	entries, ok := st.conns[old]
-	if !ok {
-		return fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, old, sw.cfg.Name)
-	}
-	if _, ok := st.conns[new]; ok {
-		return fmt.Errorf("%w: %q at switch %q", ErrDuplicateConn, new, sw.cfg.Name)
-	}
-	renamed := make([]entry, len(entries))
-	for i, e := range entries {
-		e.id = new
-		renamed[i] = e
-	}
-	next := st.cloneConns()
-	delete(next, old)
-	next[new] = renamed
-	sw.state.Store(newSwitchState(next))
-	return nil
+	return sw.commit(func(st *switchState) (*switchState, error) {
+		next, hs, err := sw.drop(st, old)
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := next.index.get(new); ok {
+			return nil, fmt.Errorf("%w: %q at switch %q", ErrDuplicateConn, new, sw.cfg.Name)
+		}
+		for _, e := range hs {
+			next = sw.extend(next, new, e)
+		}
+		return next, nil
+	})
 }
 
-func (sw *Switch) validateRequest(req HopRequest) (bitstream.Stream, error) {
-	if req.Conn == "" {
-		return bitstream.Stream{}, fmt.Errorf("%w: empty connection ID", ErrBadConfig)
+// commit is the one writer: under mu, build derives a successor from the
+// current state, and it is published unless build failed.
+func (sw *Switch) commit(build func(*switchState) (*switchState, error)) error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	next, err := build(sw.state.Load())
+	if err == nil {
+		sw.state.Store(next)
 	}
-	if _, ok := sw.cfg.QueueCells[req.Priority]; !ok {
-		return bitstream.Stream{}, fmt.Errorf("%w: switch %q has no priority %d queue",
-			ErrBadConfig, sw.cfg.Name, req.Priority)
+	return err
+}
+
+// propose validates req and returns the successor of st that carries it,
+// with the hop entry it added: the source envelope of Algorithm 2.1 clumped
+// by the accumulated upstream CDV (Algorithm 3.1). Only an entry with the
+// same port pair is a duplicate; a second traversal of the switch via
+// different ports (a wrapped ring) is legitimate.
+func (sw *Switch) propose(st *switchState, req HopRequest) (*switchState, entry, error) {
+	if req.Conn == "" {
+		return nil, entry{}, fmt.Errorf("%w: empty connection ID", ErrBadConfig)
+	}
+	k, err := sw.prioIndex(req.Priority)
+	if err != nil {
+		return nil, entry{}, err
 	}
 	// Note: incoming and outgoing port ID spaces are independent (a hop may
 	// legitimately use ring-in 0 and ring-out 0), so In == Out is allowed.
-	arr, err := arrivalStream(req.Spec, req.CDV)
+	src, err := req.Spec.Stream()
 	if err != nil {
-		return bitstream.Stream{}, err
+		return nil, entry{}, err
 	}
-	return arr, nil
+	arr, err := src.Delayed(req.CDV)
+	if err != nil {
+		return nil, entry{}, err
+	}
+	hs, _ := st.index.get(req.Conn)
+	for _, h := range hs {
+		if h.in == req.In && h.out == req.Out {
+			return nil, entry{}, fmt.Errorf("%w: %q at switch %q ports %d->%d",
+				ErrDuplicateConn, req.Conn, sw.cfg.Name, req.In, req.Out)
+		}
+	}
+	e := entry{in: req.In, out: req.Out, prio: k, arrival: arr}
+	return sw.extend(st, req.Conn, e), e, nil
 }
 
-// checkState performs Steps 1-6 of Section 4.3 against the snapshot with
-// the candidate arrival stream included. It takes no locks.
-func (sw *Switch) checkState(st *switchState, req HopRequest, arr bitstream.Stream) (HopResult, error) {
-	extra := &entry{id: req.Conn, in: req.In, out: req.Out, prio: req.Priority, arrival: arr}
-	bounds := make(map[Priority]float64)
-	for _, p := range sw.cfg.priorities() {
-		if p < req.Priority {
-			// Higher priorities are unaffected by the new connection.
-			continue
+// extend returns the successor of st with hop e of connection id added.
+func (sw *Switch) extend(st *switchState, id ConnID, e entry) *switchState {
+	next := &switchState{index: st.index, conns: st.conns + 1, ports: sw.editCell(st.ports, id, e, true)}
+	hs, known := st.index.get(id)
+	if known {
+		next.index, next.conns = st.index.remove(id), st.conns
+	}
+	next.index = next.index.insert(id, append(slices.Clip(hs), e))
+	return next
+}
+
+// drop returns the successor of st without connection id, and its entries.
+func (sw *Switch) drop(st *switchState, id ConnID) (*switchState, hops, error) {
+	hs, ok := st.index.get(id)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
+	}
+	next := &switchState{index: st.index.remove(id), conns: st.conns - 1, ports: st.ports}
+	for _, e := range hs {
+		next.ports = sw.editCell(next.ports, id, e, false)
+	}
+	return next, hs, nil
+}
+
+// editCell returns a successor of ports in which connection id has joined
+// or left the Sia tree of e's cell and everything derived from that tree is
+// re-summed: the cell's Sif, the link's higher-priority shares below e's
+// priority, Soa of e's queue, and Sof of the lower-priority queues only.
+// One port, one link and one tree path are copied; the rest is shared. A
+// link or port left without connections is dropped, so the result is a
+// function of the member set.
+func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []outPort {
+	nprio, k := len(sw.prios), e.prio
+	pi, ok := slices.BinarySearchFunc(ports, e.out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
+	ports = slices.Clone(ports)
+	if !ok {
+		ports = slices.Insert(ports, pi, outPort{out: e.out, queues: make([]queue, nprio)})
+	}
+	port := &ports[pi]
+	port.queues = slices.Clone(port.queues)
+	li, ok := slices.BinarySearchFunc(port.links, e.in, func(l inLink, in PortID) int { return cmp.Compare(l.in, in) })
+	port.links = slices.Clone(port.links)
+	if !ok {
+		port.links = slices.Insert(port.links, li, inLink{in: e.in, cells: make([]cell, nprio)})
+	}
+	cells := slices.Clone(port.links[li].cells)
+	port.links[li].cells = cells
+
+	if join {
+		cells[k].sia = cells[k].sia.insert(id, envelope(e.arrival))
+		port.queues[k].members++
+	} else {
+		cells[k].sia = cells[k].sia.remove(id)
+		port.queues[k].members--
+	}
+	cells[k].sif = cells[k].sia.total().Filtered()
+	above := make([]bitstream.Stream, 0, nprio) // Sia of the priorities above m, most urgent first
+	empty := true
+	for m := range cells {
+		if m > k {
+			cells[m].higher = bitstream.Sum(above...).Filtered()
 		}
-		if p > req.Priority && !st.hasTraffic(req.Out, p) {
+		above = append(above, cells[m].sia.total())
+		empty = empty && cells[m].sia == nil
+	}
+	if empty {
+		port.links = slices.Delete(port.links, li, li+1)
+	}
+
+	parts := make([]bitstream.Stream, len(port.links))
+	for i, l := range port.links {
+		parts[i] = l.cells[k].sif
+	}
+	port.queues[k].soa = bitstream.Sum(parts...)
+	for m := k + 1; m < nprio; m++ {
+		for i, l := range port.links {
+			parts[i] = l.cells[m].higher
+		}
+		port.queues[m].sof = bitstream.Sum(parts...).Filtered()
+	}
+	if len(port.links) == 0 {
+		ports = slices.Delete(ports, pi, pi+1)
+	}
+	return ports
+}
+
+// queue returns the queue of priority index k at an output port; a port
+// that carries nothing has empty queues.
+func (st *switchState) queue(out PortID, k int) queue {
+	i, ok := slices.BinarySearchFunc(st.ports, out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
+	if !ok {
+		return queue{}
+	}
+	return st.ports[i].queues[k]
+}
+
+// bound computes D'(j,p) by Algorithm 4.1; an unstable queueing point has
+// the bound +Inf.
+func (q queue) bound() (float64, error) {
+	d, err := bitstream.DelayBound(q.soa, q.sof)
+	if errors.Is(err, bitstream.ErrUnstable) {
+		return math.Inf(1), nil
+	}
+	return d, err
+}
+
+// verify performs Steps 1-6 of Section 4.3 on a state that already holds
+// the candidate hop e: Algorithm 4.1 for e's priority and for every lower
+// priority carrying traffic at e's output port (higher priorities are
+// unaffected by the new connection). It takes no locks.
+func (sw *Switch) verify(next *switchState, e entry) (HopResult, error) {
+	bounds := make(map[Priority]float64)
+	for k := e.prio; k < len(sw.prios); k++ {
+		q := next.queue(e.out, k)
+		if q.members == 0 {
 			// Lower priority with no real-time traffic: nothing to protect.
 			continue
 		}
-		limit, _ := sw.cfg.boundFor(req.Out, p)
-		d, err := st.delayBound(req.Out, p, extra)
+		p := sw.prios[k]
+		limit, _ := sw.cfg.boundFor(e.out, p)
+		d, err := q.bound()
 		if err != nil {
-			if errors.Is(err, bitstream.ErrUnstable) {
-				return HopResult{}, &RejectionError{
-					Switch: sw.cfg.Name, Out: req.Out, Priority: p,
-					Bound: math.Inf(1), Limit: limit,
-					Reason: "queueing point would become unstable",
-					Kind:   CodeQueueUnstable,
-				}
-			}
 			return HopResult{}, err
 		}
 		if d > limit+bitstream.Eps {
-			return HopResult{}, &RejectionError{
-				Switch: sw.cfg.Name, Out: req.Out, Priority: p,
-				Bound: d, Limit: limit,
+			rej := &RejectionError{
+				Switch: sw.cfg.Name, Out: e.out, Priority: p, Bound: d, Limit: limit,
 				Reason: "worst-case queueing delay exceeds the FIFO budget",
 				Kind:   CodeQueueBudget,
 			}
+			if math.IsInf(d, 1) {
+				rej.Reason, rej.Kind = "queueing point would become unstable", CodeQueueUnstable
+			}
+			return HopResult{}, rej
 		}
 		bounds[p] = d
 	}
-	guaranteed, _ := sw.cfg.boundFor(req.Out, req.Priority)
+	guaranteed, _ := sw.cfg.boundFor(e.out, sw.prios[e.prio])
 	return HopResult{Bounds: bounds, Guaranteed: guaranteed}, nil
-}
-
-// hasTraffic reports whether any connection of priority p leaves via out.
-func (st *switchState) hasTraffic(out PortID, p Priority) bool {
-	for _, entries := range st.conns {
-		for _, e := range entries {
-			if e.out == out && e.prio == p {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// snapshot returns the current immutable state (for same-package callers
-// that need a consistent multi-query view, e.g. Network.Audit).
-func (sw *Switch) snapshot() *switchState {
-	return sw.state.Load()
 }
 
 // ComputedBound returns the current worst-case queueing delay D'(out, p)
 // with the present connection set (no candidate).
 func (sw *Switch) ComputedBound(out PortID, p Priority) (float64, error) {
-	if _, ok := sw.cfg.QueueCells[p]; !ok {
-		return 0, fmt.Errorf("%w: switch %q has no priority %d queue", ErrBadConfig, sw.cfg.Name, p)
+	soa, sof, err := sw.PortEnvelope(out, p)
+	if err != nil {
+		return 0, err
 	}
-	return sw.state.Load().delayBound(out, p, nil)
+	return bitstream.DelayBound(soa, sof)
 }
 
 // MaxBacklog returns the worst-case backlog (cells) of the priority-p queue
 // at the given output port with the present connection set.
 func (sw *Switch) MaxBacklog(out PortID, p Priority) (float64, error) {
-	if _, ok := sw.cfg.QueueCells[p]; !ok {
-		return 0, fmt.Errorf("%w: switch %q has no priority %d queue", ErrBadConfig, sw.cfg.Name, p)
+	soa, sof, err := sw.PortEnvelope(out, p)
+	if err != nil {
+		return 0, err
 	}
-	soa, sof := sw.state.Load().portStreams(out, p, nil)
 	return bitstream.MaxBacklog(soa, sof)
 }
 
 // PortEnvelope returns the assembled worst-case streams at an output port
 // for priority p: the same-priority aggregate Soa(j,p) and the filtered
 // higher-priority aggregate Sof(j)(p) that Algorithm 4.1 consumes. It is
-// an observability hook for tooling; the streams are snapshots and safe to
+// an observability hook for tooling; the streams are immutable and safe to
 // retain.
 func (sw *Switch) PortEnvelope(out PortID, p Priority) (soa, sof bitstream.Stream, err error) {
-	if _, ok := sw.cfg.QueueCells[p]; !ok {
-		return bitstream.Stream{}, bitstream.Stream{},
-			fmt.Errorf("%w: switch %q has no priority %d queue", ErrBadConfig, sw.cfg.Name, p)
+	k, err := sw.prioIndex(p)
+	if err != nil {
+		return bitstream.Stream{}, bitstream.Stream{}, err
 	}
-	soa, sof = sw.state.Load().portStreams(out, p, nil)
-	return soa, sof, nil
-}
-
-// Priorities returns the configured priority levels, highest first.
-func (sw *Switch) Priorities() []Priority {
-	return sw.cfg.priorities()
-}
-
-// OutPorts returns the output ports that currently carry connections, in
-// ascending order.
-func (sw *Switch) OutPorts() []PortID {
-	st := sw.state.Load()
-	seen := make(map[PortID]bool)
-	for _, entries := range st.conns {
-		for _, e := range entries {
-			seen[e.out] = true
-		}
-	}
-	out := make([]PortID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// delayBound computes D'(out, p) using the paper's data structures,
-// optionally including a candidate entry. It takes no switch-wide locks.
-func (st *switchState) delayBound(out PortID, p Priority, extra *entry) (float64, error) {
-	soa, sof := st.portStreams(out, p, extra)
-	return bitstream.DelayBound(soa, sof)
-}
-
-// portStreams assembles, for output port out and priority p:
-//
-//	Soa(j,p)  — the aggregated same-priority arrival stream: per incoming
-//	            link, the multiplexed connection envelopes Sia(i,j,p)
-//	            filtered by the incoming link (Sif), summed over links.
-//	Sof(j)(p) — the filtered aggregate of all higher priorities: per
-//	            incoming link Sia(i,j)(<p) filtered (Sif), summed (Soa),
-//	            then filtered by the outgoing link.
-//
-// Candidate-free results are memoized in the snapshot's cache. Concurrent
-// queries for the same uncached key may compute the result redundantly;
-// they produce identical streams, so the last store wins harmlessly.
-func (st *switchState) portStreams(out PortID, p Priority, extra *entry) (soa, sof bitstream.Stream) {
-	key := portPrio{out: out, prio: p}
-	if extra == nil {
-		st.cacheMu.Lock()
-		c, ok := st.cache[key]
-		st.cacheMu.Unlock()
-		if ok {
-			return c.soa, c.sof
-		}
-	}
-	same := make(map[PortID][]bitstream.Stream)   // per incoming link, priority p
-	higher := make(map[PortID][]bitstream.Stream) // per incoming link, priorities < p
-	collect := func(e *entry) {
-		if e.out != out {
-			return
-		}
-		switch {
-		case e.prio == p:
-			same[e.in] = append(same[e.in], e.arrival)
-		case e.prio < p:
-			higher[e.in] = append(higher[e.in], e.arrival)
-		}
-	}
-	for _, entries := range st.conns {
-		for i := range entries {
-			collect(&entries[i])
-		}
-	}
-	if extra != nil {
-		collect(extra)
-	}
-	soa = sumFiltered(same)
-	if len(higher) > 0 {
-		sof = sumFiltered(higher).Filtered()
-	}
-	if extra == nil {
-		st.cacheMu.Lock()
-		st.cache[key] = cachedStreams{soa: soa, sof: sof}
-		st.cacheMu.Unlock()
-	}
-	return soa, sof
-}
-
-// sumFiltered filters each incoming link's aggregate by that link and
-// multiplexes the results (the Sif streams summed into Soa).
-func sumFiltered(byLink map[PortID][]bitstream.Stream) bitstream.Stream {
-	filtered := make([]bitstream.Stream, 0, len(byLink))
-	for _, streams := range byLink {
-		filtered = append(filtered, bitstream.Sum(streams...).Filtered())
-	}
-	return bitstream.Sum(filtered...)
+	q := sw.state.Load().queue(out, k)
+	return q.soa, q.sof, nil
 }
