@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -22,7 +24,10 @@ import (
 // coordinator daemon fronting them. A cross-shard setup through the
 // coordinator must land one leg on each shard with no prepared hold left
 // behind, health must name each shard, and teardown through the
-// coordinator must release both legs.
+// coordinator must release both legs. A few hundred pipelined set-ups
+// then show the coordinator's mechanisms in its own metrics: one dialled
+// connection per shard, and every intent record accounted for by a group
+// commit.
 func TestEndToEndShardedSetup(t *testing.T) {
 	dir := t.TempDir()
 	aDone := make(chan error, 1)
@@ -35,8 +40,13 @@ func TestEndToEndShardedSetup(t *testing.T) {
 		"-state", filepath.Join(dir, "s1.json"), "-durability", "journal-sync",
 		"-reap-interval", "50ms")
 	mapSpec := fmt.Sprintf("s0@%s=ring00,ring01;s1@%s=ring02,ring03", aAddr, bAddr)
+	metricsCh := make(chan net.Addr, 1)
+	testHookMetricsListen = func(a net.Addr) { metricsCh <- a }
+	intentLog := filepath.Join(dir, "intent.log")
 	cAddr, _ := bootDaemon(t, cDone, false,
-		"-shard-map", mapSpec, "-intent-log", filepath.Join(dir, "intent.log"))
+		"-shard-map", mapSpec, "-intent-log", intentLog, "-metrics-addr", "127.0.0.1:0")
+	testHookMetricsListen = nil
+	metricsAddr := (<-metricsCh).String()
 
 	cc, err := wire.Dial(cAddr)
 	if err != nil {
@@ -148,6 +158,53 @@ func TestEndToEndShardedSetup(t *testing.T) {
 	}
 	if err := cc.Teardown(context.Background(), "wconn"); err != nil {
 		t.Fatalf("teardown of wrapped connection: %v", err)
+	}
+
+	// 16 callers pipelined on the one client connection, half of their
+	// set-ups cross-shard.
+	const callers, perCaller = 16, 16
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				req := core.ConnRequest{ID: core.ConnID(fmt.Sprintf("p%d-%d", w, i)),
+					Spec: traffic.CBR(0.0005), Priority: 1, Route: route}
+				if i%2 == 1 {
+					req.Route = route[2:]
+				}
+				if _, err := cc.Setup(context.Background(), req); err != nil {
+					t.Errorf("pipelined setup %s: %v", req.ID, err)
+					return
+				}
+				if err := cc.Teardown(context.Background(), req.ID); err != nil {
+					t.Errorf("pipelined teardown %s: %v", req.ID, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	vars := scrapeVars(t, metricsAddr)
+	for _, id := range []string{"s0", "s1"} {
+		if got := vars[fmt.Sprintf(`atmcac_coord_shard_dials_total{shard=%q}`, id)]; got != 1 {
+			t.Errorf("coordinator dialled %s %v times over the whole run, want 1", id, got)
+		}
+	}
+	data, err := os.ReadFile(intentLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, _, torn := shard.ScanIntentFrames(data)
+	if torn {
+		t.Fatal("intent log torn while the coordinator runs")
+	}
+	if got := vars["atmcac_intent_group_commit_ops_sum"]; got != float64(len(written)) {
+		t.Errorf("group commits account for %v intent records, the log holds %d", got, len(written))
+	}
+	if groups := vars["atmcac_intent_fsync_seconds_count"]; groups == 0 || groups >= float64(len(written)) {
+		t.Errorf("%v fsyncs for %d intent records: nothing coalesced", groups, len(written))
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {

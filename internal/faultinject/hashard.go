@@ -360,6 +360,9 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if fault.Partition && victimPair < 0 {
 		return nil, fmt.Errorf("faultinject: partition needs a shard victim")
 	}
+	if fault.Point.pastAck() && fault.Victim != VictimCoordinator {
+		return nil, fmt.Errorf("faultinject: a fault at %s needs the coordinator as victim", fault.Point)
+	}
 
 	// Acked background load: one local setup per pair plus one acked
 	// cross-shard setup. Sync replication puts each on its standby
@@ -412,11 +415,15 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if fault.Victim == VictimCoordinator {
 		// The active coordinator dies mid-protocol; its standby must
 		// promote, and the promoted log must drive recovery.
-		if !errors.Is(setupErr, errShardCrash) {
+		if fault.Point.pastAck() {
+			if err := checkPastAck(ctx, coord, fault.Point, setupErr); err != nil {
+				return nil, err
+			}
+		} else if !errors.Is(setupErr, errShardCrash) {
 			return nil, fmt.Errorf("faultinject: coordinator fault at %s never fired (err=%v)", fault.Point, setupErr)
 		}
 		intentPrim.Close()
-		_ = coord.Close()
+		coord.Kill()
 		select {
 		case err := <-sbDone:
 			if err != nil {
@@ -447,6 +454,11 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	if remaining := coord.InDoubt(); len(remaining) != 0 {
 		return nil, fmt.Errorf("faultinject: transactions still in doubt after recovery: %v", remaining)
+	}
+	if fault.Point.pastAck() {
+		if err := checkPastAckRecovery(fault.Point, res.Recovered); err != nil {
+			return nil, err
+		}
 	}
 	// Liveness first: a fresh setup over the whole path must admit and
 	// tear down cleanly on the surviving fleet. At a post-commit fault
@@ -506,8 +518,8 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	default:
 		return nil, fmt.Errorf("faultinject: interrupted setup admitted on %d of %d pairs", on, shardCount)
 	}
-	if setupErr == nil && !res.VictimAdmitted {
-		return nil, fmt.Errorf("faultinject: acked victim setup lost")
+	if released := fault.Point == ShardPostAckTeardown; setupErr == nil && res.VictimAdmitted == released {
+		return nil, fmt.Errorf("faultinject: acked victim setup (released=%v) admitted=%v after recovery", released, res.VictimAdmitted)
 	}
 	if fault.Victim != VictimCoordinator && !res.VictimAdmitted {
 		return nil, fmt.Errorf("faultinject: shard failover failed to complete the in-flight setup")

@@ -13,7 +13,9 @@ import (
 // admitted at EVERY point. Killing the active coordinator still
 // resolves by decision record, now read from the promoted standby
 // coordinator's shipped copy of the intent log: presumed abort before
-// the commit intent, re-driven commit after it.
+// the commit intent, re-driven commit after it — and past the ack, a
+// connection the client released before the kill stays released, because
+// the teardown shipped its done record first.
 func TestHAShardHarnessSweep(t *testing.T) {
 	points := []ShardPoint{ShardPrePrepare, ShardPostPrepare, ShardPreCommit, ShardMidCommit, ShardPostCommit}
 	cases := []struct {
@@ -21,13 +23,17 @@ func TestHAShardHarnessSweep(t *testing.T) {
 		fault func(p ShardPoint) HAFault
 		// admitted reports whether the interrupted setup must survive.
 		admitted func(p ShardPoint) bool
+		// pastAck adds the boundaries after the client's ack, which only
+		// a coordinator death can land on.
+		pastAck []ShardPoint
 	}{
 		{
 			name:  "coordinator-crash",
 			fault: func(p ShardPoint) HAFault { return HAFault{Point: p, Victim: VictimCoordinator} },
 			admitted: func(p ShardPoint) bool {
-				return p == ShardMidCommit || p == ShardPostCommit
+				return p == ShardMidCommit || p == ShardPostCommit || p == ShardPostAck
 			},
+			pastAck: []ShardPoint{ShardPostAck, ShardPostAckTeardown},
 		},
 		{
 			name:     "shard-primary-crash",
@@ -41,7 +47,7 @@ func TestHAShardHarnessSweep(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, p := range points {
+		for _, p := range append(append([]ShardPoint{}, points...), tc.pastAck...) {
 			tc, p := tc, p
 			t.Run(tc.name+"/"+string(p), func(t *testing.T) {
 				t.Parallel()

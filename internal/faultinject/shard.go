@@ -4,7 +4,8 @@
 // run over real TCP; the harness kills the coordinator or a shard at
 // every protocol-critical instant — before any prepare, after all
 // prepares, before the commit intent, after the first shard committed,
-// after all shards committed — or partitions a shard away, then recovers
+// after all shards committed, after the client's ack with the done
+// record still unwritten — or partitions a shard away, then recovers
 // and asserts the sharding oracle:
 //
 //   - no acked setup is lost: every connection acked before the fault is
@@ -36,7 +37,8 @@ import (
 )
 
 // ShardPoint selects the protocol instant where the fault fires. The
-// first five match the coordinator's boundary hooks, in protocol order.
+// first five match the coordinator's boundary hooks, in protocol order;
+// the last two lie past the client's ack and kill the coordinator only.
 type ShardPoint string
 
 const (
@@ -53,7 +55,51 @@ const (
 	// ShardPostCommit fires after every shard committed, before the done
 	// record.
 	ShardPostCommit ShardPoint = "post-commit"
+	// ShardPostAck kills the coordinator right after the setup was acked,
+	// its done record queued on the intent log but not yet written:
+	// recovery finds a commit with no done and must re-drive it
+	// idempotently ("commit already applied").
+	ShardPostAck ShardPoint = "post-ack"
+	// ShardPostAckTeardown is ShardPostAck with the client releasing the
+	// connection before the kill: ack, teardown, crash. The teardown must
+	// have made the done record durable first — a commit re-driven against
+	// shards that no longer hold the connection re-admits it through full
+	// CAC, resurrecting what the client released.
+	ShardPostAckTeardown ShardPoint = "post-ack-teardown"
 )
+
+// pastAck reports whether the point lies after the client's ack, where
+// only the coordinator can be the victim and no boundary hook fires.
+func (p ShardPoint) pastAck() bool { return p == ShardPostAck || p == ShardPostAckTeardown }
+
+// checkPastAck validates a fault armed past the ack and, for
+// ShardPostAckTeardown, releases the victim connection through coord —
+// everything between the victim setup's return and the kill.
+func checkPastAck(ctx context.Context, coord *shard.Coordinator, point ShardPoint, setupErr error) error {
+	if setupErr != nil {
+		return fmt.Errorf("faultinject: victim setup before the %s fault: %w", point, setupErr)
+	}
+	if point == ShardPostAckTeardown {
+		if err := coord.Teardown(ctx, "victim"); err != nil {
+			return fmt.Errorf("faultinject: victim teardown before the %s fault: %w", point, err)
+		}
+	}
+	return nil
+}
+
+// checkPastAckRecovery asserts what recovery made of a fault past the
+// ack: the acked setup's commit re-driven once and nothing else, or —
+// with the connection released before the kill — nothing at all.
+func checkPastAckRecovery(point ShardPoint, rep *shard.RecoverReport) error {
+	want := 0
+	if point == ShardPostAck {
+		want = 1
+	}
+	if len(rep.Committed) != want || len(rep.Aborted) != 0 {
+		return fmt.Errorf("faultinject: recovery after the %s fault re-drove %+v, want %d commits and no abort", point, rep, want)
+	}
+	return nil
+}
 
 // VictimCoordinator names the coordinator as the process to kill.
 const VictimCoordinator = "coordinator"
@@ -380,6 +426,9 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 	if fault.Partition && victimShard < 0 {
 		return nil, fmt.Errorf("faultinject: partition needs a shard victim")
 	}
+	if fault.Point.pastAck() && fault.Victim != VictimCoordinator {
+		return nil, fmt.Errorf("faultinject: a fault at %s needs the coordinator as victim", fault.Point)
+	}
 
 	// Acked background load: one local setup per shard plus one acked
 	// cross-shard setup — the set that must survive whatever happens next.
@@ -430,10 +479,14 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 
 	// Recovery: restart whatever died, then resolve the intent log.
 	if fault.Victim == VictimCoordinator {
-		if !errors.Is(setupErr, errShardCrash) {
+		if fault.Point.pastAck() {
+			if err := checkPastAck(ctx, coord, fault.Point, setupErr); err != nil {
+				return nil, err
+			}
+		} else if !errors.Is(setupErr, errShardCrash) {
 			return nil, fmt.Errorf("faultinject: coordinator fault at %s never fired (err=%v)", fault.Point, setupErr)
 		}
-		_ = coord.Close()
+		coord.Kill()
 		if coord, err = newCoord(); err != nil {
 			return nil, err
 		}
@@ -453,6 +506,11 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 	}
 	if remaining := coord.InDoubt(); len(remaining) != 0 {
 		return nil, fmt.Errorf("faultinject: transactions still in doubt after recovery: %v", remaining)
+	}
+	if fault.Point.pastAck() {
+		if err := checkPastAckRecovery(fault.Point, res.Recovered); err != nil {
+			return nil, err
+		}
 	}
 
 	// Oracle. Collect every shard's view once.
@@ -494,9 +552,10 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 		return nil, fmt.Errorf("faultinject: interrupted setup admitted on %d of %d shards", on, shardCount)
 	}
 	// The coordinator must agree with the shards: an acked victim setup
-	// may not have vanished, a refused one may not have landed.
-	if setupErr == nil && !res.VictimAdmitted {
-		return nil, fmt.Errorf("faultinject: acked victim setup lost")
+	// may not have vanished, a refused one may not have landed — and one
+	// the client released may not have come back.
+	if released := fault.Point == ShardPostAckTeardown; setupErr == nil && res.VictimAdmitted == released {
+		return nil, fmt.Errorf("faultinject: acked victim setup (released=%v) admitted=%v after recovery", released, res.VictimAdmitted)
 	}
 	// No refused setup leaves residual bandwidth: the identical request
 	// (fresh ID) admits cleanly after recovery.

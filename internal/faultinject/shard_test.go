@@ -11,7 +11,10 @@ import (
 // a coordinator that dies before its commit intent leaves presumed
 // abort; after it, recovery re-drives the commit. A dead or partitioned
 // shard only blocks the first prepare — any later fault resolves to
-// admission once the coordinator can reach it again.
+// admission once the coordinator can reach it again. Past the ack only
+// the coordinator can die: with the done record still queued the commit
+// is re-driven idempotently, and with the connection released before the
+// kill it must stay released.
 func TestShardHarnessSweep(t *testing.T) {
 	points := []ShardPoint{ShardPrePrepare, ShardPostPrepare, ShardPreCommit, ShardMidCommit, ShardPostCommit}
 	cases := []struct {
@@ -19,13 +22,17 @@ func TestShardHarnessSweep(t *testing.T) {
 		fault func(p ShardPoint) ShardFault
 		// admitted reports whether the interrupted setup must survive.
 		admitted func(p ShardPoint) bool
+		// pastAck adds the boundaries after the client's ack, which only
+		// a coordinator death can land on.
+		pastAck []ShardPoint
 	}{
 		{
 			name:  "coordinator-crash",
 			fault: func(p ShardPoint) ShardFault { return ShardFault{Point: p, Victim: VictimCoordinator} },
 			admitted: func(p ShardPoint) bool {
-				return p == ShardMidCommit || p == ShardPostCommit
+				return p == ShardMidCommit || p == ShardPostCommit || p == ShardPostAck
 			},
+			pastAck: []ShardPoint{ShardPostAck, ShardPostAckTeardown},
 		},
 		{
 			name:     "shard-crash",
@@ -39,7 +46,7 @@ func TestShardHarnessSweep(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, p := range points {
+		for _, p := range append(append([]ShardPoint{}, points...), tc.pastAck...) {
 			t.Run(tc.name+"/"+string(p), func(t *testing.T) {
 				t.Parallel()
 				h := &ShardHarness{Dir: t.TempDir()}

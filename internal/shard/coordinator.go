@@ -97,13 +97,18 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	fenced bool
-	// pools holds one health-checked connection pool per shard, pinned
-	// to the endpoint's active member; a failover swaps the whole pool.
+	// pools holds one wire.Pool per shard, pinned to the endpoint's active
+	// member: over the binary framing that is one multiplexed connection
+	// every caller shares. A failover swaps the whole pool.
 	pools   map[string]*wire.Pool
 	ends    map[string]*endpoint // shard ID -> live endpoint state
-	lagReg  *obs.Registry        // set by RegisterMetrics; feeds standby-lag gauges
+	reg     *obs.Registry        // set by RegisterMetrics; feeds the per-shard series
 	open    []*openTxn           // unresolved transactions from the log scan
 	inDoubt map[string]struct{}  // transactions awaiting Recover
+	// lazyDone holds, per connection, the done record of its cross-shard
+	// setup while that record is queued on the intent log but not yet
+	// durable. Teardown settles the entry first (see settleDone).
+	lazyDone map[core.ConnID]*pendingDone
 
 	// hook, when set, runs at named protocol boundaries; returning an
 	// error abandons the transaction mid-flight, simulating a
@@ -132,6 +137,7 @@ func NewCoordinator(m *Map, fsys journal.FS, logPath string) (*Coordinator, erro
 		pools:      make(map[string]*wire.Pool),
 		ends:       make(map[string]*endpoint),
 		inDoubt:    make(map[string]struct{}),
+		lazyDone:   make(map[core.ConnID]*pendingDone),
 		open:       foldIntents(recs),
 	}
 	for _, t := range c.open {
@@ -171,11 +177,21 @@ func (c *Coordinator) Fenced() bool {
 
 // RegisterMetrics exposes the coordinator's live gauges on reg: the
 // number of in-doubt transactions outstanding, the coordinator term,
-// and (updated by Status) each shard pair's standby replication lag.
+// (updated by Status) each shard pair's standby replication lag, the
+// intent log's group commits and the connections dialled to each shard.
 func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	c.mu.Lock()
-	c.lagReg = reg
+	c.reg = reg
 	c.mu.Unlock()
+	fsync := reg.Histogram("atmcac_intent_fsync_seconds", obs.DefLatencyBuckets)
+	reg.Help("atmcac_intent_fsync_seconds", "Intent-log fsyncs, one per group commit.")
+	groupOps := reg.Histogram("atmcac_intent_group_commit_ops", obs.DefCountBuckets)
+	reg.Help("atmcac_intent_group_commit_ops", "Intent records made durable by one group-commit fsync.")
+	c.log.setGroupObserver(func(records int, syncDur time.Duration) {
+		fsync.Observe(syncDur.Seconds())
+		groupOps.Observe(float64(records))
+	})
+	reg.Help("atmcac_coord_shard_dials_total", "Connections the coordinator dialled to each shard's active member; 1 while the shared connection holds.")
 	reg.GaugeFunc("atmcac_shard_indoubt_outstanding", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -207,15 +223,27 @@ func (c *Coordinator) InDoubt() []string {
 	return out
 }
 
-// Close closes the shard connection pools and the intent log.
+// Close closes the shard connections and the intent log, writing out any
+// record still queued on it first.
 func (c *Coordinator) Close() error {
+	c.closePools()
+	return c.log.Close()
+}
+
+// Kill is Close as a process death would do it: records queued on the
+// intent log but not yet written are lost. Fault injection only.
+func (c *Coordinator) Kill() {
+	c.closePools()
+	_ = c.log.shut()
+}
+
+func (c *Coordinator) closePools() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for id, p := range c.pools {
 		p.Close()
 		delete(c.pools, id)
 	}
-	c.mu.Unlock()
-	return c.log.Close()
 }
 
 // endpointLocked returns (creating on first use) the live endpoint state
@@ -272,13 +300,13 @@ func (c *Coordinator) probeStatus(ctx context.Context, addr string) (*wire.Shard
 	}
 }
 
-// newPool builds the health-checked pool for a shard, pinned to addr.
-// Its dial wrapper stamps the coordinator term on every new connection
-// and drives the endpoint's reconnect backoff: a failed dial opens the
-// jittered window (so a down shard is not hammered by every request),
-// its gate suppresses dials inside the window (errReconnectBackoff,
-// transport-class — reusing a pooled connection is always allowed), and
-// a successful dial clears it.
+// newPool builds the pool for a shard, pinned to addr. Its dial wrapper
+// stamps the coordinator term on every new connection and drives the
+// endpoint's reconnect backoff: a failed dial opens the jittered window
+// (so a down shard is not hammered by every request), its gate
+// suppresses dials inside the window (errReconnectBackoff,
+// transport-class — using the live connection is always allowed), and a
+// successful dial clears it and counts in atmcac_coord_shard_dials_total.
 func (c *Coordinator) newPool(info Info, addr string) *wire.Pool {
 	return wire.NewPool(wire.PoolConfig{
 		Addr: addr,
@@ -305,14 +333,18 @@ func (c *Coordinator) newPool(info Info, addr string) *wire.Pool {
 			ep := c.endpointLocked(info)
 			ep.backoff = overload.Backoff{}
 			ep.notBefore = time.Time{}
+			reg := c.reg
 			c.mu.Unlock()
+			if reg != nil {
+				reg.Counter("atmcac_coord_shard_dials_total", obs.L("shard", info.ID)).Inc()
+			}
 			return cl, nil
 		},
 	})
 }
 
-// pool returns (creating on first use) the connection pool for a
-// shard's active member.
+// pool returns (creating on first use) the pool for a shard's active
+// member.
 func (c *Coordinator) pool(info Info) *wire.Pool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -325,12 +357,15 @@ func (c *Coordinator) pool(info Info) *wire.Pool {
 	return p
 }
 
-// dropPool closes a shard's pool after a transport error so the next
-// attempt re-dials (possibly at a failed-over address).
-func (c *Coordinator) dropPool(info Info) {
+// dropPool closes a shard's pool — p, or whichever is current when p is
+// nil — so the next attempt re-dials (possibly at a failed-over
+// address). Every caller in flight on a dropped connection reports the
+// same failure; naming the pool it failed on keeps the late ones from
+// closing the replacement the first one's retry already dialled.
+func (c *Coordinator) dropPool(info Info, p *wire.Pool) {
 	c.mu.Lock()
-	if p, ok := c.pools[info.ID]; ok {
-		p.Close()
+	if cur, ok := c.pools[info.ID]; ok && (p == nil || cur == p) {
+		cur.Close()
 		delete(c.pools, info.ID)
 	}
 	c.mu.Unlock()
@@ -385,9 +420,9 @@ func (c *Coordinator) failover(info Info) bool {
 		}
 	}
 	cl.SetShardCoordEpoch(c.epoch)
-	// Swap the whole pool: every parked connection points at the old
-	// member, and the promotion fenced its holds anyway. The promoted
-	// member's probe connection seeds the fresh pool.
+	// Swap the whole pool: its connection points at the old member, and
+	// the promotion fenced its holds anyway. The promoted member's probe
+	// connection seeds the fresh pool.
 	c.mu.Lock()
 	old := c.pools[info.ID]
 	ep.active = cand
@@ -430,7 +465,7 @@ func (c *Coordinator) ResetEndpoint(shardID, addr string) {
 	if !ok {
 		return
 	}
-	c.dropPool(info)
+	c.dropPool(info, nil)
 	c.mu.Lock()
 	ep := c.endpointLocked(info)
 	ep.active = addr
@@ -440,10 +475,10 @@ func (c *Coordinator) ResetEndpoint(shardID, addr string) {
 }
 
 // call runs one shard operation with per-attempt timeout and bounded
-// jittered retry, checking a connection out of the shard's pool for the
-// duration. A typed server answer (RemoteError) is definitive and never
-// retried — and proves the connection healthy, so it goes back to the
-// pool; a transport error discards it instead.
+// jittered retry over the shard's connection. A typed server answer
+// (RemoteError) is definitive and never retried — and proves the
+// connection healthy; a transport error discards the connection, which
+// fails every call in flight on it the same way, and each retries.
 func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ctx context.Context, cl *wire.Client) error) error {
 	var b overload.Backoff
 	for attempt := 0; ; attempt++ {
@@ -460,9 +495,15 @@ func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ct
 			}
 			var re *wire.RemoteError
 			var oe *wire.OverloadError
-			if err == nil || errors.As(err, &re) || errors.As(err, &oe) {
+			switch {
+			case err == nil || errors.As(err, &re) || errors.As(err, &oe):
 				p.Put(cl) // the server answered; the connection is healthy
-			} else {
+			case ctx.Err() != nil && cl.Proto() == wire.ProtoBinary:
+				// The caller gave up. On the binary framing that abandons
+				// one tag and leaves the connection — which other callers
+				// are using — in order.
+				p.Put(cl)
+			default:
 				p.Discard(cl)
 			}
 		}
@@ -479,29 +520,30 @@ func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ct
 			}
 			return err
 		}
+		if ctx.Err() != nil {
+			// The caller canceled or its deadline lapsed; that says nothing
+			// about the member's health, and promoting the standby of a
+			// live primary would fence every prepared hold on it. Stop
+			// without touching the pair.
+			return fmt.Errorf("shard %s: %s: %w", info.ID, op, ctx.Err())
+		}
 		var retryAfter time.Duration
 		var oe *wire.OverloadError
 		var bw *backoffWindowError
 		failedOver := false
-		if errors.As(err, &oe) {
+		switch {
+		case errors.As(err, &oe):
 			retryAfter = oe.RetryAfter
-		} else if errors.As(err, &bw) {
+		case errors.As(err, &bw):
 			// Sleep through the remaining reconnect window: the attempt
 			// budget must buy actual dials, not spins inside the window.
 			retryAfter = bw.wait
-		} else {
+		default:
 			// Transport error, not a definitive refusal: the active member
-			// may be dead. Drop the pool and, for a replicated pair, try
-			// the other member — promoting it if it is still a standby —
-			// so in-flight transactions finish on the survivor.
-			c.dropPool(info)
-			if ctx.Err() != nil {
-				// The caller canceled or its deadline lapsed; that says
-				// nothing about the member's health, and promoting the
-				// standby of a live primary would fence every prepared
-				// hold on it. Stop without touching the pair.
-				return fmt.Errorf("shard %s: %s: %w", info.ID, op, ctx.Err())
-			}
+			// may be dead. Drop the pool and, for a replicated pair, try the
+			// other member — promoting it if it is still a standby — so
+			// in-flight transactions finish on the survivor.
+			c.dropPool(info, p)
 			failedOver = c.failover(info)
 		}
 		if attempt >= c.Retries {
@@ -721,47 +763,134 @@ func (c *Coordinator) setupCrossShard(ctx context.Context, req core.ConnRequest,
 		return nil, fmt.Errorf("commit intent for %q not durable: %w", txn, err)
 	}
 
-	// Phase 2: drive the commit everywhere.
+	// Phase 2: drive the commit everywhere, all legs at once — the
+	// decision is durable and no leg's commit depends on another's answer.
+	errs := make([]error, len(legs))
+	var hookErr error
+	var firstCommitted sync.Once
+	var wg sync.WaitGroup
+	for i := range legs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.call(ctx, legs[i].Shard, wire.OpShardCommit, func(ctx context.Context, cl *wire.Client) error {
+				_, _, cerr := cl.ShardCommit(ctx, txn, subs[i], marks[i].Epoch)
+				return cerr
+			})
+			if errs[i] == nil {
+				firstCommitted.Do(func() { hookErr = c.runHook("mid-commit", txn) })
+			}
+		}(i)
+	}
+	wg.Wait()
+	if hookErr != nil {
+		c.markInDoubt(txn, IntentCommit, req, marks)
+		return nil, hookErr
+	}
+	var undelivered error
 	for i, leg := range legs {
-		err := c.call(ctx, leg.Shard, wire.OpShardCommit, func(ctx context.Context, cl *wire.Client) error {
-			_, _, cerr := cl.ShardCommit(ctx, txn, subs[i], marks[i].Epoch)
-			return cerr
-		})
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				// A definitive refusal (hold expired and capacity gone, or
-				// a fenced prepare). The client was never acked, so flip
-				// the decision: abort everywhere, unwinding the shards
-				// that already committed.
-				c.abortTxn(ctx, txn, req, legs, subs)
-				c.traceTxn(obs.KindShardAbort, txn, req.ID, obs.OutcomeError, re.Code, start)
-				return nil, fmt.Errorf("commit of %q flipped to abort: %w", txn, err)
-			}
-			// Transport failure with retries exhausted: the commit stands
-			// (it is durable) but did not reach every shard — in doubt
-			// until Recover re-drives it.
-			c.markInDoubt(txn, IntentCommit, req, marks)
-			c.traceTxn(obs.KindInDoubt, txn, req.ID, obs.OutcomeError, wire.CodeInDoubt, start)
-			return nil, fmt.Errorf("%w: %q commit durable but undelivered to shard %s: %v",
-				ErrInDoubt, txn, leg.Shard.ID, err)
+		var re *wire.RemoteError
+		switch {
+		case errs[i] == nil:
+		case errors.As(errs[i], &re):
+			// A definitive refusal (hold expired and capacity gone, or a
+			// fenced prepare). The client was never acked, so flip the
+			// decision: abort everywhere, unwinding the shards that
+			// already committed.
+			c.abortTxn(ctx, txn, req, legs, subs)
+			c.traceTxn(obs.KindShardAbort, txn, req.ID, obs.OutcomeError, re.Code, start)
+			return nil, fmt.Errorf("commit of %q flipped to abort: %w", txn, errs[i])
+		case undelivered == nil:
+			undelivered = fmt.Errorf("%w: %q commit durable but undelivered to shard %s: %v",
+				ErrInDoubt, txn, leg.Shard.ID, errs[i])
 		}
-		if i == 0 {
-			if err := c.runHook("mid-commit", txn); err != nil {
-				c.markInDoubt(txn, IntentCommit, req, marks)
-				return nil, err
-			}
-		}
+	}
+	if undelivered != nil {
+		// Transport failure with retries exhausted: the commit stands (it
+		// is durable) but did not reach every shard — in doubt until
+		// Recover re-drives it.
+		c.markInDoubt(txn, IntentCommit, req, marks)
+		c.traceTxn(obs.KindInDoubt, txn, req.ID, obs.OutcomeError, wire.CodeInDoubt, start)
+		return nil, undelivered
 	}
 	if err := c.runHook("post-commit", txn); err != nil {
 		c.markInDoubt(txn, IntentCommit, req, marks)
 		return nil, err
 	}
-	// done is an optimization: losing it only costs an idempotent
-	// re-drive on the next recovery.
-	_ = c.log.Append(&IntentRecord{State: IntentDone, Txn: txn})
+	c.queueDone(txn, req.ID)
 	c.traceTxn(obs.KindShardCommit, txn, req.ID, obs.OutcomeOK, "", start)
 	return adm, nil
+}
+
+// pendingDone is the done record of one acked cross-shard setup while it
+// waits on the intent log's queue.
+type pendingDone struct {
+	txn     string
+	settled chan struct{} // closed once err is final
+	err     error
+}
+
+// queueDone closes txn without making the setup wait for another fsync:
+// the done record rides the intent log's next group commit. Losing it
+// costs an idempotent re-drive on the next recovery — as long as the
+// connection is still there to answer "commit already applied". A
+// re-driven commit that finds the connection released re-admits it
+// through full CAC (wire.handleShardCommit's recovery path), which would
+// resurrect what the client tore down; so the record is remembered per
+// connection until durable, and Teardown settles it first.
+func (c *Coordinator) queueDone(txn string, id core.ConnID) {
+	pd := &pendingDone{txn: txn, settled: make(chan struct{})}
+	c.mu.Lock()
+	c.lazyDone[id] = pd
+	c.mu.Unlock()
+	after := func(err error) {
+		// Durable here is enough: an unacknowledged ship detached the
+		// standby coordinator, and its catch-up reads the record from
+		// the file like any other written while it was away.
+		if err != nil && !errors.Is(err, ErrNotReplicated) {
+			pd.err = err
+		} else {
+			c.forgetDone(id, pd)
+		}
+		close(pd.settled)
+	}
+	if err := c.log.appendLazy(&IntentRecord{State: IntentDone, Txn: txn}, after); err != nil {
+		after(err)
+	}
+}
+
+// forgetDone drops id's entry once pd is durable, unless a later setup
+// under the same ID has replaced it.
+func (c *Coordinator) forgetDone(id core.ConnID, pd *pendingDone) {
+	c.mu.Lock()
+	if c.lazyDone[id] == pd {
+		delete(c.lazyDone, id)
+	}
+	c.mu.Unlock()
+}
+
+// settleDone returns once the done record of id's setup, if one is still
+// queued, is durable — flushing the queue rather than waiting for the
+// next setup to come along, and writing the record again if its group
+// failed.
+func (c *Coordinator) settleDone(id core.ConnID) error {
+	c.mu.Lock()
+	pd := c.lazyDone[id]
+	c.mu.Unlock()
+	if pd == nil {
+		return nil
+	}
+	c.log.flush()
+	<-pd.settled
+	if pd.err == nil {
+		return nil
+	}
+	err := c.log.Append(&IntentRecord{State: IntentDone, Txn: pd.txn})
+	if err != nil && !errors.Is(err, ErrNotReplicated) {
+		return fmt.Errorf("done record of %q not durable: %w", pd.txn, err)
+	}
+	c.forgetDone(id, pd)
+	return nil
 }
 
 // abortTxn makes the abort decision durable (best effort — presumed
@@ -979,10 +1108,14 @@ func (c *Coordinator) redriveAbort(ctx context.Context, t *openTxn, segs []Segme
 // Teardown releases a connection on every shard that carries a segment
 // of it. Without the route at hand it broadcasts — concurrently, since
 // the shards are independent — tolerating shards that never saw the
-// connection.
+// connection. A cross-shard setup's done record still queued on the
+// intent log is made durable first (see queueDone).
 func (c *Coordinator) Teardown(ctx context.Context, id core.ConnID) error {
 	if c.Fenced() {
 		return fmt.Errorf("%w: refusing teardown %q", ErrCoordFenced, id)
+	}
+	if err := c.settleDone(id); err != nil {
+		return fmt.Errorf("teardown %q: %w", id, err)
 	}
 	shards := c.m.Shards()
 	errs := make([]error, len(shards))
@@ -1017,21 +1150,32 @@ func (c *Coordinator) Teardown(ctx context.Context, id core.ConnID) error {
 }
 
 // List returns the union of the shards' admitted connections (a
-// cross-shard connection appears once).
+// cross-shard connection appears once). The shards are asked
+// concurrently and their answers merged in map order.
 func (c *Coordinator) List(ctx context.Context) ([]core.ConnID, error) {
+	shards := c.m.Shards()
+	lists := make([][]core.ConnID, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.call(ctx, shards[i], wire.OpList, func(ctx context.Context, cl *wire.Client) error {
+				var lerr error
+				lists[i], lerr = cl.List(ctx)
+				return lerr
+			})
+		}(i)
+	}
+	wg.Wait()
 	seen := make(map[core.ConnID]struct{})
 	var out []core.ConnID
-	for _, info := range c.m.Shards() {
-		var ids []core.ConnID
-		err := c.call(ctx, info, wire.OpList, func(ctx context.Context, cl *wire.Client) error {
-			var lerr error
-			ids, lerr = cl.List(ctx)
-			return lerr
-		})
-		if err != nil {
-			return nil, fmt.Errorf("list on shard %s: %w", info.ID, err)
+	for i, info := range shards {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("list on shard %s: %w", info.ID, errs[i])
 		}
-		for _, id := range ids {
+		for _, id := range lists[i] {
 			if _, dup := seen[id]; !dup {
 				seen[id] = struct{}{}
 				out = append(out, id)
@@ -1065,7 +1209,7 @@ func (c *Coordinator) Status(ctx context.Context) ([]wire.ShardStatusReport, err
 		}
 		c.mu.Lock()
 		st.Addr = c.endpointLocked(info).active
-		reg := c.lagReg
+		reg := c.reg
 		c.mu.Unlock()
 		if info.Standby != "" {
 			_ = c.call(ctx, info, wire.OpReplication, func(ctx context.Context, cl *wire.Client) error {

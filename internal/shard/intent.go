@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+	"time"
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
@@ -122,22 +123,63 @@ func ScanIntentFrames(data []byte) (recs []IntentRecord, valid int64, torn bool)
 	}
 }
 
-// IntentLog is the coordinator's append-only decision log.
+// IntentLog is the coordinator's append-only decision log. Appends are
+// group-committed: concurrent callers queue their encoded frames and the
+// creator of each group — its leader — writes the whole group with one
+// Write and one Sync, so N transactions appending at once pay for one
+// fsync between them. Coalescing comes from the fsync latency itself:
+// records arriving while a leader is flushing form the next group. There
+// is no timer and no background goroutine.
 type IntentLog struct {
+	// mu guards the queue side: sequence assignment, the pending group
+	// and the hooks. It is never held across file or network I/O.
 	mu      sync.Mutex
+	nextSeq uint64
+	pending *intentGroup
+	closed  bool
+	// shipper, when set, is called by a group's leader after the group is
+	// locally durable, once per record in sequence order, with the exact
+	// frame payload bytes. A non-nil error refuses that record's append:
+	// its caller must not act on a decision the standby coordinator has
+	// not acknowledged.
+	shipper func(seq uint64, payload []byte) error
+	observe func(records int, syncDur time.Duration)
+
+	// flushMu is held across one group's write, fsync and ship, so groups
+	// reach the file — and the standby — in sequence order. CatchUp takes
+	// it to exclude a running flush. It guards the file side below and is
+	// always acquired before mu.
+	flushMu sync.Mutex
 	fsys    journal.FS
 	path    string
 	f       journal.File
-	nextSeq uint64
-	// shipper, when set, is called under mu after each record is locally
-	// durable, with the exact frame payload bytes and the assigned
-	// sequence. A non-nil error refuses the append: the caller must not
-	// act on a decision the standby coordinator has not acknowledged.
-	shipper func(seq uint64, payload []byte) error
+	size    int64 // length of the durable prefix; a failed flush truncates back to it
+	broken  error // set when that truncate failed: the file may hold frames nobody was told are durable
 }
 
-// SetShipper installs the replication hook called after every durable
-// append (see IntentPrimary). Must be set before the log is appended to
+// intentGroup is one group-commit generation: the records the next fsync
+// will cover, in sequence order.
+type intentGroup struct {
+	members []*queuedIntent
+	led     bool          // some caller has committed to flushing it
+	done    chan struct{} // closed once every member's err is final
+}
+
+// queuedIntent is one encoded record waiting for its group's flush.
+type queuedIntent struct {
+	seq   uint64
+	txn   string
+	frame []byte
+	err   error
+	// after, set on lazily queued records only, receives the outcome on
+	// the leader's goroutine with no lock held.
+	after func(error)
+}
+
+var errIntentLogClosed = errors.New("shard: intent log closed")
+
+// SetShipper installs the replication hook called for every durable
+// record (see IntentPrimary). Must be set before the log is appended to
 // concurrently.
 func (l *IntentLog) SetShipper(ship func(seq uint64, payload []byte) error) {
 	l.mu.Lock()
@@ -145,14 +187,24 @@ func (l *IntentLog) SetShipper(ship func(seq uint64, payload []byte) error) {
 	l.mu.Unlock()
 }
 
-// CatchUp streams every record past afterSeq through send, then runs
-// attach — all under the log's lock, so no append can land between the
-// last caught-up record and the live shipping the attach enables. This
-// is how a standby coordinator joins without a gap: the shipper hook
-// and this method serialize on the same mutex.
-func (l *IntentLog) CatchUp(afterSeq uint64, send func(seq uint64, payload []byte) error, attach func()) error {
+// setGroupObserver installs a callback receiving, for every group that
+// reached disk, its record count and the time its one fsync took. The
+// log stays free of any metrics dependency, as journal.Log does.
+func (l *IntentLog) setGroupObserver(fn func(records int, syncDur time.Duration)) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.observe = fn
+	l.mu.Unlock()
+}
+
+// CatchUp streams every record past afterSeq through send, then runs
+// attach — all with flushes excluded, so no group can reach the file
+// between the last caught-up record and the live shipping the attach
+// enables: records queued meanwhile are written, and shipped to the new
+// session, only after CatchUp returns. This is how a standby coordinator
+// joins without a gap or a duplicate.
+func (l *IntentLog) CatchUp(afterSeq uint64, send func(seq uint64, payload []byte) error, attach func()) error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	data, err := l.fsys.ReadFile(l.path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("shard: read intent log: %w", err)
@@ -199,39 +251,159 @@ func OpenIntentLog(fsys journal.FS, path string) (log *IntentLog, recs []IntentR
 	if len(recs) > 0 {
 		last = recs[len(recs)-1].Seq
 	}
-	return &IntentLog{fsys: fsys, path: path, f: f, nextSeq: last + 1}, recs, torn, nil
+	return &IntentLog{fsys: fsys, path: path, f: f, size: valid, nextSeq: last + 1}, recs, torn, nil
 }
 
-// Append assigns the next sequence to rec, writes its frame and fsyncs.
-// The record is only acted on after Append returns nil — an intent that
-// is not durable is an intent that never happened.
+// Append assigns the next sequence to rec and returns once the group
+// commit covering it is on disk (and, with a standby coordinator
+// attached, acknowledged). The record is only acted on after Append
+// returns nil — an intent that is not durable is an intent that never
+// happened. A failed group write or fsync fails every member with the
+// same error and leaves none of their frames in the file.
 func (l *IntentLog) Append(rec *IntentRecord) error {
+	q, g, leads, err := l.enqueue(rec, nil)
+	if err != nil {
+		return err
+	}
+	if leads {
+		l.commit(g)
+	}
+	<-g.done
+	return q.err
+}
+
+// appendLazy queues rec onto the next group without waiting for it, and
+// without forcing a flush of its own: the record rides the fsync of the
+// next Append, flush or Close. after receives the outcome. Only a record
+// whose loss recovery tolerates may be written this way.
+func (l *IntentLog) appendLazy(rec *IntentRecord, after func(error)) error {
+	_, _, _, err := l.enqueue(rec, after)
+	return err
+}
+
+// enqueue encodes rec under the next sequence and joins the pending
+// group, creating it when there is none. leads reports that the caller
+// must flush the group: the first waiting (non-lazy) member does.
+func (l *IntentLog) enqueue(rec *IntentRecord, after func(error)) (q *queuedIntent, g *intentGroup, leads bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return nil, nil, false, errIntentLogClosed
+	}
 	rec.Seq = l.nextSeq
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("shard: encode intent %q: %w", rec.Txn, err)
+		return nil, nil, false, fmt.Errorf("shard: encode intent %q: %w", rec.Txn, err)
 	}
 	if len(payload) > maxIntentBytes {
-		return fmt.Errorf("shard: intent %q exceeds %d bytes", rec.Txn, maxIntentBytes)
+		return nil, nil, false, fmt.Errorf("shard: intent %q exceeds %d bytes", rec.Txn, maxIntentBytes)
 	}
+	// Taken for good, whatever happens to the flush: a sequence is never
+	// handed out twice by one open log.
+	l.nextSeq++
 	// The intent frame layout is the journal's own (length + CRC32), so
 	// the same bytes written here are shipped verbatim on the coordinator
 	// replication stream and appended byte-identically by the standby.
-	if _, err := l.f.Write(journal.EncodeRawFrame(payload)); err != nil {
-		return fmt.Errorf("shard: append intent %q: %w", rec.Txn, err)
+	q = &queuedIntent{seq: rec.Seq, txn: rec.Txn, frame: journal.EncodeRawFrame(payload), after: after}
+	g = l.pending
+	if g == nil {
+		g = &intentGroup{done: make(chan struct{})}
+		l.pending = g
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("shard: sync intent %q: %w", rec.Txn, err)
+	g.members = append(g.members, q)
+	leads = after == nil && !g.led
+	if leads {
+		g.led = true
 	}
-	l.nextSeq++
-	if l.shipper != nil {
-		if err := l.shipper(rec.Seq, payload); err != nil {
-			return fmt.Errorf("shard: intent %q durable locally but %w: %v", rec.Txn, ErrNotReplicated, err)
+	return q, g, leads, nil
+}
+
+// commit flushes g as its leader: freeze the membership, write every
+// frame with one Write, fsync once, then ship the records in sequence
+// order. An unacknowledged ship fails that record alone.
+func (l *IntentLog) commit(g *intentGroup) {
+	l.flushMu.Lock()
+	l.mu.Lock()
+	l.pending = nil // g, necessarily: a group stays pending until its one leader freezes it here
+	ship, observe := l.shipper, l.observe
+	l.mu.Unlock()
+	size := 0
+	for _, q := range g.members {
+		size += len(q.frame)
+	}
+	buf := make([]byte, 0, size)
+	for _, q := range g.members {
+		buf = append(buf, q.frame...)
+	}
+	syncDur, err := l.writeDurable(buf)
+	if err != nil {
+		err = fmt.Errorf("shard: intent group of %d: %w", len(g.members), err)
+	} else if observe != nil {
+		observe(len(g.members), syncDur)
+	}
+	for _, q := range g.members {
+		q.err = err
+		if err == nil && ship != nil {
+			if serr := ship(q.seq, q.frame[intentHeaderLen:]); serr != nil {
+				q.err = fmt.Errorf("shard: intent %q durable locally but %w: %v", q.txn, ErrNotReplicated, serr)
+			}
 		}
 	}
-	return nil
+	l.flushMu.Unlock()
+	close(g.done)
+	for _, q := range g.members {
+		if q.after != nil {
+			q.after(q.err)
+		}
+	}
+}
+
+// writeDurable appends buf and fsyncs; the caller holds flushMu. On
+// failure the file is cut back to the durable prefix, as journal.Log.Sync
+// does with its unsynced tail: the callers are about to be told their
+// records never happened, so the frames must not reach disk with some
+// later successful fsync. If even the truncate fails the log refuses all
+// further appends.
+func (l *IntentLog) writeDurable(buf []byte) (syncDur time.Duration, err error) {
+	if l.f == nil {
+		return 0, errIntentLogClosed
+	}
+	if l.broken != nil {
+		return 0, l.broken
+	}
+	if _, err = l.f.Write(buf); err == nil {
+		start := time.Now()
+		err = l.f.Sync()
+		syncDur = time.Since(start)
+	}
+	if err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.broken = fmt.Errorf("shard: intent log out of service: undurable tail not truncated: %w", terr)
+		}
+		return syncDur, err
+	}
+	l.size += int64(len(buf))
+	return syncDur, nil
+}
+
+// flush makes every record queued before the call durable — or failed —
+// before returning; lazily queued records otherwise wait for the next
+// Append.
+func (l *IntentLog) flush() {
+	l.mu.Lock()
+	g := l.pending
+	leads := g != nil && !g.led
+	if leads {
+		g.led = true
+	}
+	l.mu.Unlock()
+	if g == nil {
+		return
+	}
+	if leads {
+		l.commit(g)
+	}
+	<-g.done
 }
 
 // AppendShipped appends one replicated frame payload on a standby
@@ -249,23 +421,26 @@ func (l *IntentLog) AppendShipped(seq uint64, payload []byte) error {
 	if rec.Seq != seq {
 		return fmt.Errorf("shard: shipped intent frame seq %d disagrees with envelope %d", rec.Seq, seq)
 	}
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq < l.nextSeq {
+	stale := seq < l.nextSeq
+	l.mu.Unlock()
+	if stale {
 		return nil
 	}
-	if _, err := l.f.Write(journal.EncodeRawFrame(payload)); err != nil {
+	if _, err := l.writeDurable(journal.EncodeRawFrame(payload)); err != nil {
 		return fmt.Errorf("shard: append shipped intent %d: %w", seq, err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("shard: sync shipped intent %d: %w", seq, err)
-	}
+	l.mu.Lock()
 	l.nextSeq = seq + 1
+	l.mu.Unlock()
 	return nil
 }
 
-// LastSeq returns the highest sequence durable in the log (zero when
-// empty) — the standby's hello watermark.
+// LastSeq returns the highest sequence handed out so far (zero when the
+// log is empty). On a standby's copy, which only ever takes shipped
+// frames, that is the highest durable one — its hello watermark.
 func (l *IntentLog) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,16 +461,27 @@ func (l *IntentLog) ReserveSeq() uint64 {
 	return seq
 }
 
-// Close closes the underlying file.
+// Close writes out whatever is still queued, then closes the file.
 func (l *IntentLog) Close() error {
+	l.flush()
+	return l.shut()
+}
+
+// shut closes the file without flushing first; records still queued —
+// or queued by a caller racing the close — fail with a closed-log error.
+func (l *IntentLog) shut() error {
+	l.flushMu.Lock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
+	l.closed = true
+	l.mu.Unlock()
+	f := l.f
+	l.f = nil
+	l.flushMu.Unlock()
+	l.flush()
+	if f == nil {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return f.Close()
 }
 
 // openTxn is the folded state of one transaction after a log scan.

@@ -95,10 +95,9 @@ func (p *IntentPrimary) Attached() bool {
 
 // Lag returns how many records the attached standby trails the log by
 // (zero when none is attached — nothing is owed to nobody). It reads
-// the shipped watermark p tracks itself rather than the log's LastSeq:
-// the log's lock is held across ship() — which takes p.mu — so touching
-// it here, under p.mu, would invert the lock order and deadlock a
-// metrics scrape against an append waiting for its ack.
+// the shipped watermark p tracks itself rather than the log's LastSeq,
+// which counts records still queued: p.mu is taken inside the log's
+// flush (ship), so nothing here may wait on the log while holding it.
 func (p *IntentPrimary) Lag() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -118,8 +117,8 @@ func (p *IntentPrimary) RegisterMetrics(reg *obs.Registry) {
 }
 
 // sendMsg writes one message with timeout as a write deadline. Every
-// primary→standby write is bounded this way: ship() runs under the
-// intent log's lock and the heartbeat under p.mu, so a stream stalled
+// primary→standby write is bounded this way: ship() runs inside the
+// intent log's flush and the heartbeat under p.mu, so a stream stalled
 // by TCP backpressure must surface as a dead session within the
 // timeout, not wedge the coordinator on a blocked write.
 func sendMsg(conn net.Conn, timeout time.Duration, msg replica.Msg) error {
@@ -129,10 +128,11 @@ func sendMsg(conn net.Conn, timeout time.Duration, msg replica.Msg) error {
 	return err
 }
 
-// ship is the IntentLog shipper hook: called under the log's lock after
-// each record is locally durable. With a standby attached it writes the
-// record and blocks until acknowledged (or AckTimeout); with none it
-// returns nil immediately.
+// ship is the IntentLog shipper hook: called by a group commit's leader,
+// holding the log's flush lock, for each record of the group once it is
+// locally durable. With a standby attached it writes the record and
+// blocks until acknowledged (or AckTimeout); with none it returns nil
+// immediately.
 func (p *IntentPrimary) ship(seq uint64, payload []byte) error {
 	p.mu.Lock()
 	if seq > p.shipped {
@@ -271,7 +271,7 @@ func (p *IntentPrimary) handle(conn net.Conn) {
 	// The standby acks every record as it lands, catch-up backlog
 	// included, so the read loop must drain them while the backlog
 	// streams: with the acks unread, a large backlog fills both TCP
-	// buffers and wedges send() — and with it the intent log's lock —
+	// buffers and wedges send() — and with it the intent log's flushes —
 	// for as long as the session lives.
 	readDone := make(chan struct{})
 	go func() {

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -50,25 +52,7 @@ func TestParseMapReplicatedPair(t *testing.T) {
 // pair's survivor is in when the coordinator fails over to it.
 func startStandbyShard(t *testing.T, id string, switches ...string) (addr string, srv *wire.Server) {
 	t.Helper()
-	n := core.NewNetwork(core.HardCDV{})
-	for _, sw := range switches {
-		if _, err := n.AddSwitch(core.SwitchConfig{
-			Name: sw, QueueCells: map[core.Priority]float64{1: 32},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv = wire.NewServer(n)
-	srv.SetShardID(id)
-	srv.SetStandby(true)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(l) }()
-	t.Cleanup(func() { _ = srv.Close(); <-done })
-	return l.Addr().String(), srv
+	return serveShard(t, id, 32, func(srv *wire.Server) { srv.SetStandby(true) }, switches...)
 }
 
 // pairFixture builds s0 as a singleton and s1 as a replicated pair
@@ -94,14 +78,24 @@ func pairFixture(t *testing.T) (c *Coordinator, s1Primary *wire.Server, s1Standb
 // TestSetupFailsOverToShardStandbyMidCommit is the tentpole's in-flight
 // guarantee: the shard primary dies after the commit decision, with the
 // first shard already committed, and the setup still completes — the
-// coordinator promotes the standby and drives the commit there.
+// coordinator promotes the standby and drives the commit there. The
+// commit legs go out together, so the interleaving is pinned on the
+// victim: its primary holds the commit it received until it is dead, and
+// never answers it.
 func TestSetupFailsOverToShardStandbyMidCommit(t *testing.T) {
 	c, srv1, addr1s := pairFixture(t)
 	ctx := context.Background()
+	release := make(chan struct{})
+	defer close(release) // lets the dying primary's handler (and its Close) finish
+	srv1.SetTestHookPreAppend(func(op string, _ core.ConnID) {
+		if op == wire.OpShardCommit {
+			<-release
+		}
+	})
 	c.SetTestHook(func(point, txn string) error {
-		if point == "mid-commit" {
+		if point == "mid-commit" { // fired by s0's leg: s1's is parked above
 			c.SetTestHook(nil)
-			_ = srv1.Close() // the s1 primary dies; its standby survives
+			go srv1.Close() // the s1 primary dies; its standby survives
 		}
 		return nil
 	})
@@ -301,7 +295,7 @@ func crossReq2(id string) core.ConnRequest {
 // stream, the active dies, the standby promotes at a bumped term, and
 // the log it promoted from boots a coordinator that recovers and serves.
 func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
-	c, m, _ := twoShardFixture(t)
+	c, m, activePath := twoShardFixture(t)
 	prim := NewIntentPrimary(c, nil)
 	prim.HeartbeatEvery = 20 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -328,8 +322,19 @@ func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
 	if _, err := c.Setup(ctx, crossReq2("c2")); err != nil {
 		t.Fatal(err)
 	}
+	// The second setup's done record is still queued behind its ack;
+	// the handover this test means happens after the log has drained.
+	c.IntentLog().flush()
 	if lag := prim.Lag(); lag != 0 {
 		t.Fatalf("standby lag after synchronous ships = %d", lag)
+	}
+	// Quiescent: the standby's copy is the active's log, byte for byte.
+	active, err := os.ReadFile(activePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied, err := os.ReadFile(sbPath); err != nil || !bytes.Equal(active, copied) {
+		t.Fatalf("standby copy (%d bytes, err %v) differs from the active log (%d bytes)", len(copied), err, len(active))
 	}
 
 	// The active coordinator dies; the standby must promote.

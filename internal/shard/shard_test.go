@@ -171,19 +171,24 @@ func TestIntentLogRoundTripAndTornTail(t *testing.T) {
 	}
 }
 
-// startShard serves one CAC instance owning the given switches.
-func startShard(t *testing.T, id string, switches ...string) (addr string, srv *wire.Server) {
+// serveShard serves one CAC instance owning the given switches, each
+// with a priority-1 queue of the given size; configure, when non-nil,
+// adjusts the server before it listens.
+func serveShard(t *testing.T, id string, queue float64, configure func(*wire.Server), switches ...string) (addr string, srv *wire.Server) {
 	t.Helper()
 	n := core.NewNetwork(core.HardCDV{})
 	for _, sw := range switches {
 		if _, err := n.AddSwitch(core.SwitchConfig{
-			Name: sw, QueueCells: map[core.Priority]float64{1: 32},
+			Name: sw, QueueCells: map[core.Priority]float64{1: queue},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv = wire.NewServer(n)
 	srv.SetShardID(id)
+	if configure != nil {
+		configure(srv)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +197,12 @@ func startShard(t *testing.T, id string, switches ...string) (addr string, srv *
 	go func() { defer close(done); _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close(); <-done })
 	return l.Addr().String(), srv
+}
+
+// startShard serves one CAC instance owning the given switches.
+func startShard(t *testing.T, id string, switches ...string) (addr string, srv *wire.Server) {
+	t.Helper()
+	return serveShard(t, id, 32, nil, switches...)
 }
 
 // twoShardFixture builds two live shards, the map over them and a

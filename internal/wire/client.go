@@ -31,8 +31,9 @@ import (
 // out of order) back to their waiters, and concurrent calls share the
 // connection without head-of-line blocking on the server's handling.
 type Client struct {
-	conn  net.Conn
-	proto string // ProtoJSON or ProtoBinary, fixed after negotiation
+	conn   net.Conn
+	proto  string // ProtoJSON or ProtoBinary, fixed after negotiation
+	closed atomic.Bool
 
 	// JSON transport (also carries the hello exchange): one serialized
 	// request/response round trip under mu.
@@ -132,7 +133,21 @@ func (c *Client) Proto() string { return c.proto }
 func (c *Client) SetShardCoordEpoch(e uint64) { c.coordEpoch.Store(e) }
 
 // Close closes the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error {
+	c.closed.Store(true)
+	return c.conn.Close()
+}
+
+// dead reports that the connection can serve no further call: it was
+// closed, or its binary reader hit a transport error.
+func (c *Client) dead() bool {
+	if c.closed.Load() {
+		return true
+	}
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return c.readErr != nil
+}
 
 // roundTripJSON sends one request and decodes one response on the JSON
 // codec, bounded by ctx: the remaining deadline is propagated in the

@@ -586,33 +586,36 @@ func (s *Server) StartOrphanReaper(interval time.Duration) (stop func()) {
 // persistShardPrepare journals the phase-1 record before the prepare
 // acks; a refused append means the hold must not exist.
 func (s *Server) persistShardPrepare(txn string, req core.ConnRequest, ttl time.Duration) (string, error) {
-	if s.dur == nil {
-		return "", nil
-	}
-	if !s.dur.journaled() {
-		return s.persistSnapshotWarn(), nil
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.appendLocked(
-		&journal.Record{Op: journal.OpShardPrepare, Txn: txn, Request: &req, TTLMillis: int64(ttl / time.Millisecond)},
-		&journal.Record{Op: journal.OpShardAbort, Txn: txn, ID: req.ID})
+	return s.persistShardLeg(
+		&journal.Record{Op: journal.OpShardPrepare, Txn: txn, Request: &req, TTLMillis: int64(ttl / time.Millisecond)})
 }
 
 // persistShardCommit journals the phase-2 record (self-contained: it
 // embeds the request) before the commit acks.
 func (s *Server) persistShardCommit(txn string, req core.ConnRequest) (string, error) {
+	return s.persistShardLeg(&journal.Record{Op: journal.OpShardCommit, Txn: txn, Request: &req})
+}
+
+// persistShardLeg makes one 2PC leg's record durable before its ack,
+// with the shard-abort that undoes it as the invert. Like setups and
+// teardowns it joins the shared group commit when that is enabled, so
+// legs pipelined on the coordinator's one connection share fsyncs with
+// each other and with local traffic instead of holding persistMu for an
+// fsync of their own.
+func (s *Server) persistShardLeg(rec *journal.Record) (string, error) {
 	if s.dur == nil {
 		return "", nil
 	}
 	if !s.dur.journaled() {
 		return s.persistSnapshotWarn(), nil
 	}
+	invert := &journal.Record{Op: journal.OpShardAbort, Txn: rec.Txn, ID: rec.Request.ID}
+	if s.groupCommitEnabled() {
+		return s.persistGrouped(rec, invert)
+	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	return s.appendLocked(
-		&journal.Record{Op: journal.OpShardCommit, Txn: txn, Request: &req},
-		&journal.Record{Op: journal.OpShardAbort, Txn: txn, ID: req.ID})
+	return s.appendLocked(rec, invert)
 }
 
 // persistShardAbortWarn journals an abort, warning-only: the release

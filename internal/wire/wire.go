@@ -420,6 +420,12 @@ func NewServer(network *core.Network) *Server {
 	}
 }
 
+// SetTestHookPreAppend installs a hook that runs between an operation's
+// network mutation and its journal append, with the operation and the
+// connection it concerns (fault injection and ordering tests only). Must
+// be called before the server handles its first request.
+func (s *Server) SetTestHookPreAppend(h func(op string, id core.ConnID)) { s.testHookPreAppend = h }
+
 // SetFailoverHandler installs the re-admission handler run by fail-link.
 // Must be called before Serve. Without a handler, evicted connections are
 // reported as not re-admitted.
