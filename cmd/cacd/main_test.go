@@ -643,15 +643,14 @@ func TestEndToEndMetricsOracle(t *testing.T) {
 	assertVar("atmcac_failover_crankback_hops_total", float64(crankbackHops))
 	// Journal: one synced append per acked mutation — accepted setups,
 	// teardowns, the fail-link record and the restore-link record.
-	// Re-admissions ride inside the fail-link record. Setups and
-	// teardowns fsync through the group-commit path, and phase 1 issues
-	// its setups from parallel goroutines, so one fsync may cover several
-	// records: every setup and teardown sits in exactly one group, each
-	// group is one fsync, and the two link records fsync on their own.
+	// Re-admissions ride inside the fail-link record. Every record goes
+	// through the one group commit, and phase 1 issues its setups from
+	// parallel goroutines, so one fsync may cover several records: every
+	// record sits in exactly one group, and each group is one fsync.
 	appends := float64(accepted + torn + 2)
 	assertVar("atmcac_journal_append_seconds_count", appends)
-	assertVar("atmcac_journal_group_commit_ops_sum", float64(accepted+torn))
-	assertVar("atmcac_journal_fsync_seconds_count", vars[`atmcac_journal_group_commits_total{outcome="ok"}`]+2)
+	assertVar("atmcac_journal_group_commit_ops_sum", appends)
+	assertVar("atmcac_journal_fsync_seconds_count", vars[`atmcac_journal_group_commits_total{outcome="ok"}`])
 	assertVar(`atmcac_journal_group_commits_total{outcome="error"}`, 0)
 	assertVar("atmcac_journal_append_errors_total", 0)
 	assertVar("atmcac_journal_records", appends)

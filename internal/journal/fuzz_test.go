@@ -20,7 +20,7 @@ func FuzzJournalReplay(f *testing.F) {
 		{Seq: 3, Op: OpRestoreLink, From: "x", To: "y"},
 		{Seq: 4, Op: OpTeardown, ID: "a"},
 	} {
-		frame, err := EncodeFrame(rec)
+		frame, err := encodeFrame(rec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func FuzzJournalReplay(f *testing.F) {
 		// The valid prefix must be exactly the re-encoding of its records.
 		var reenc []byte
 		for _, rec := range res.Records {
-			frame, err := EncodeFrame(rec)
+			frame, err := encodeFrame(rec)
 			if err != nil {
 				t.Fatalf("re-encode decoded record: %v", err)
 			}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +23,15 @@ func testRequest(id string) core.ConnRequest {
 	}
 }
 
+// encodeFrame renders one record as a complete frame, as a Log writes it.
+func encodeFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeRawFrame(payload), nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	req := testRequest("a")
 	recs := []Record{
@@ -33,7 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var image []byte
 	for _, rec := range recs {
-		frame, err := EncodeFrame(rec)
+		frame, err := encodeFrame(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +71,11 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestScanBytesStopsAtDamage(t *testing.T) {
 	req := testRequest("a")
-	good, err := EncodeFrame(Record{Seq: 1, Op: OpSetup, Request: &req})
+	good, err := encodeFrame(Record{Seq: 1, Op: OpSetup, Request: &req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := EncodeFrame(Record{Seq: 2, Op: OpTeardown, ID: "a"})
+	second, err := encodeFrame(Record{Seq: 2, Op: OpTeardown, ID: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j")
 	req := testRequest("a")
-	frame, err := EncodeFrame(Record{Seq: 1, Op: OpSetup, Request: &req})
+	frame, err := encodeFrame(Record{Seq: 1, Op: OpSetup, Request: &req})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestPrepareReplayThroughCrashedLog(t *testing.T) {
 			}
 			if tear {
 				// A torn commit frame: the full frame minus its last byte.
-				frame, err := EncodeFrame(Record{Seq: prep.Seq + 1, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")})
+				frame, err := encodeFrame(Record{Seq: prep.Seq + 1, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")})
 				if err != nil {
 					t.Fatal(err)
 				}

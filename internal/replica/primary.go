@@ -198,8 +198,8 @@ func (p *Primary) handshake(conn net.Conn) {
 }
 
 // attach makes conn the live session, superseding any previous one.
-// Runs inside CatchUp's persistMu window, so no record can slip between
-// the catch-up batch and the live stream.
+// Runs inside CatchUp, between the journal's group commits, so no record
+// can slip between the catch-up batch and the live stream.
 func (p *Primary) attach(conn net.Conn, acked, lastSent uint64) {
 	p.mu.Lock()
 	old := p.conn
@@ -311,10 +311,10 @@ func (p *Primary) drop(conn net.Conn) {
 }
 
 // Ship implements wire.Shipper: forward one record and block per the
-// configured mode. Called under the server's persistMu, immediately
-// after the local append — so stream order equals journal order, and a
-// refusal here happens before the client ack (the wire layer then
-// compensates the append).
+// configured mode. Called from the journal's group commit once the
+// record is durable, in journal order — so stream order equals journal
+// order, and a refusal here happens before the client ack (the wire
+// layer then compensates the append).
 func (p *Primary) Ship(seq, epoch uint64, payload []byte) error {
 	start := time.Now()
 	err := p.ship(seq, epoch, payload, start)

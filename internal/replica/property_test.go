@@ -56,6 +56,12 @@ func (n *node) stop() {
 // port. withRepl additionally opens a replication listener.
 func bootNode(t testing.TB, statePath string, withRepl bool) *node {
 	t.Helper()
+	return bootNodeFS(t, statePath, withRepl, journal.OSFS{})
+}
+
+// bootNodeFS is bootNode writing through fsys.
+func bootNodeFS(t testing.TB, statePath string, withRepl bool, fsys journal.FS) *node {
+	t.Helper()
 	rt, err := rtnet.New(rtnet.Config{
 		RingNodes:        propRing,
 		TerminalsPerNode: propTerminals,
@@ -67,7 +73,7 @@ func bootNode(t testing.TB, statePath string, withRepl bool) *node {
 	n := &node{rt: rt, srv: wire.NewServer(rt.Core())}
 	n.dur, err = wire.OpenDurable(wire.DurableConfig{
 		StatePath: statePath,
-		FS:        journal.OSFS{},
+		FS:        fsys,
 		Mode:      wire.DurabilityJournalSync,
 	})
 	if err != nil {

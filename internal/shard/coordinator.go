@@ -187,9 +187,11 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	reg.Help("atmcac_intent_fsync_seconds", "Intent-log fsyncs, one per group commit.")
 	groupOps := reg.Histogram("atmcac_intent_group_commit_ops", obs.DefCountBuckets)
 	reg.Help("atmcac_intent_group_commit_ops", "Intent records made durable by one group-commit fsync.")
-	c.log.setGroupObserver(func(records int, syncDur time.Duration) {
-		fsync.Observe(syncDur.Seconds())
-		groupOps.Observe(float64(records))
+	c.log.SetObserver(func(st journal.GroupStats) {
+		if st.Err == nil {
+			fsync.Observe(st.Fsync.Seconds())
+			groupOps.Observe(float64(len(st.Frames)))
+		}
 	})
 	reg.Help("atmcac_coord_shard_dials_total", "Connections the coordinator dialled to each shard's active member; 1 while the shared connection holds.")
 	reg.GaugeFunc("atmcac_shard_indoubt_outstanding", func() float64 {
@@ -234,7 +236,7 @@ func (c *Coordinator) Close() error {
 // intent log but not yet written are lost. Fault injection only.
 func (c *Coordinator) Kill() {
 	c.closePools()
-	_ = c.log.shut()
+	_ = c.log.Drop()
 }
 
 func (c *Coordinator) closePools() {
@@ -880,7 +882,7 @@ func (c *Coordinator) settleDone(id core.ConnID) error {
 	if pd == nil {
 		return nil
 	}
-	c.log.flush()
+	c.log.Flush()
 	<-pd.settled
 	if pd.err == nil {
 		return nil

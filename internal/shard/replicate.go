@@ -129,7 +129,7 @@ func sendMsg(conn net.Conn, timeout time.Duration, msg replica.Msg) error {
 }
 
 // ship is the IntentLog shipper hook: called by a group commit's leader,
-// holding the log's flush lock, for each record of the group once it is
+// with other groups held off, for each record of the group once it is
 // locally durable. With a standby attached it writes the record and
 // blocks until acknowledged (or AckTimeout); with none it returns nil
 // immediately.

@@ -324,7 +324,7 @@ func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
 	}
 	// The second setup's done record is still queued behind its ack;
 	// the handover this test means happens after the log has drained.
-	c.IntentLog().flush()
+	c.IntentLog().Flush()
 	if lag := prim.Lag(); lag != 0 {
 		t.Fatalf("standby lag after synchronous ships = %d", lag)
 	}

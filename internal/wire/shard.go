@@ -280,15 +280,14 @@ func (s *Server) handleShardPrepare(ctx context.Context, req Request) Response {
 	if s.testHookPreAppend != nil {
 		s.testHookPreAppend(OpShardPrepare, req.Request.ID)
 	}
-	warning, perr := s.persistShardPrepare(req.Txn, *req.Request, ttl)
+	warning, perr := s.persistShardLeg(&journal.Record{
+		Op: journal.OpShardPrepare, Txn: req.Txn, Request: req.Request, TTLMillis: int64(ttl / time.Millisecond),
+	})
 	if perr != nil {
 		// The prepare is not durable: a crash would reap a hold the
 		// coordinator believes exists, so refuse and release now.
 		_ = s.network.AbortPrepared(*req.Request)
-		code := CodeNotDurable
-		if errors.Is(perr, ErrNotReplicated) {
-			code = CodeNotReplicated
-		}
+		code, _ := refusal(perr)
 		s.traceShard(obs.KindShardPrepare, req.Request.ID, obs.OutcomeError, code, start)
 		return Response{Error: fmt.Sprintf("prepare %q not durable: %v", req.Txn, perr), Code: code}
 	}
@@ -345,17 +344,14 @@ func (s *Server) handleShardCommit(ctx context.Context, req Request) Response {
 		if s.testHookPreAppend != nil {
 			s.testHookPreAppend(OpShardCommit, hold.req.ID)
 		}
-		warning, perr := s.persistShardCommit(req.Txn, hold.req)
+		warning, perr := s.persistShardLeg(&journal.Record{Op: journal.OpShardCommit, Txn: req.Txn, Request: &hold.req})
 		if perr != nil {
 			// Not durable: un-admit and keep the hold? No — the safe
 			// rollback is a full release; the coordinator's retry (or the
 			// recovery path below) re-admits through CAC.
 			_ = s.network.Teardown(hold.req.ID)
 			s.dropHold(req.Txn)
-			code := CodeNotDurable
-			if errors.Is(perr, ErrNotReplicated) {
-				code = CodeNotReplicated
-			}
+			code, _ := refusal(perr)
 			s.traceShard(obs.KindShardCommit, hold.req.ID, obs.OutcomeError, code, start)
 			return Response{Error: fmt.Sprintf("commit %q not durable: %v", req.Txn, perr), Code: code}
 		}
@@ -385,13 +381,10 @@ func (s *Server) handleShardCommit(ctx context.Context, req Request) Response {
 	if s.testHookPreAppend != nil {
 		s.testHookPreAppend(OpShardCommit, req.Request.ID)
 	}
-	warning, perr := s.persistShardCommit(req.Txn, *req.Request)
+	warning, perr := s.persistShardLeg(&journal.Record{Op: journal.OpShardCommit, Txn: req.Txn, Request: req.Request})
 	if perr != nil {
 		_ = s.network.Teardown(req.Request.ID)
-		code := CodeNotDurable
-		if errors.Is(perr, ErrNotReplicated) {
-			code = CodeNotReplicated
-		}
+		code, _ := refusal(perr)
 		s.traceShard(obs.KindShardCommit, req.Request.ID, obs.OutcomeError, code, start)
 		return Response{Error: fmt.Sprintf("commit %q not durable: %v", req.Txn, perr), Code: code}
 	}
@@ -583,63 +576,18 @@ func (s *Server) StartOrphanReaper(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// persistShardPrepare journals the phase-1 record before the prepare
-// acks; a refused append means the hold must not exist.
-func (s *Server) persistShardPrepare(txn string, req core.ConnRequest, ttl time.Duration) (string, error) {
-	return s.persistShardLeg(
-		&journal.Record{Op: journal.OpShardPrepare, Txn: txn, Request: &req, TTLMillis: int64(ttl / time.Millisecond)})
-}
-
-// persistShardCommit journals the phase-2 record (self-contained: it
-// embeds the request) before the commit acks.
-func (s *Server) persistShardCommit(txn string, req core.ConnRequest) (string, error) {
-	return s.persistShardLeg(&journal.Record{Op: journal.OpShardCommit, Txn: txn, Request: &req})
-}
-
-// persistShardLeg makes one 2PC leg's record durable before its ack,
-// with the shard-abort that undoes it as the invert. Like setups and
-// teardowns it joins the shared group commit when that is enabled, so
-// legs pipelined on the coordinator's one connection share fsyncs with
-// each other and with local traffic instead of holding persistMu for an
-// fsync of their own.
+// persistShardLeg makes one 2PC leg's record — the phase-1 prepare with
+// its TTL, or the self-contained phase-2 commit — durable before its ack,
+// with the shard-abort that undoes it as the invert. Legs pipelined on
+// the coordinator's one connection share group commits with each other
+// and with local traffic.
 func (s *Server) persistShardLeg(rec *journal.Record) (string, error) {
-	if s.dur == nil {
-		return "", nil
-	}
-	if !s.dur.journaled() {
-		return s.persistSnapshotWarn(), nil
-	}
-	invert := &journal.Record{Op: journal.OpShardAbort, Txn: rec.Txn, ID: rec.Request.ID}
-	if s.groupCommitEnabled() {
-		return s.persistGrouped(rec, invert)
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.appendLocked(rec, invert)
+	return s.persistOne(rec, &journal.Record{Op: journal.OpShardAbort, Txn: rec.Txn, ID: rec.Request.ID})
 }
 
 // persistShardAbortWarn journals an abort, warning-only: the release
 // already happened in memory, and replay treats an unresolved prepare as
 // reaped anyway, so a missing abort record cannot resurrect the hold.
 func (s *Server) persistShardAbortWarn(txn string, id core.ConnID) string {
-	if s.dur == nil {
-		return ""
-	}
-	if !s.dur.journaled() {
-		return s.persistSnapshotWarn()
-	}
-	rec := &journal.Record{Op: journal.OpShardAbort, Txn: txn, ID: id}
-	s.persistMu.Lock()
-	warning, err := s.appendLocked(rec, nil)
-	if err != nil {
-		// Acked warning-only op: fold into the view despite the failed
-		// append, as in persistRestoreLink.
-		s.dur.applyView(rec)
-	}
-	s.persistMu.Unlock()
-	if err != nil {
-		s.scheduleRetry()
-		return fmt.Sprintf("shard-abort journal append deferred (will retry as snapshot): %v", err)
-	}
-	return warning
+	return s.persistWarn(&journal.Record{Op: journal.OpShardAbort, Txn: txn, ID: id})
 }
