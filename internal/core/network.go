@@ -439,14 +439,6 @@ func (n *Network) Setup(ctx context.Context, req ConnRequest, opts ...SetupOptio
 	return adm, err
 }
 
-// SetupContext is the pre-options spelling of Setup.
-//
-// Deprecated: call Setup(ctx, req) directly; it accepts the same context
-// and adds functional options.
-func (n *Network) SetupContext(ctx context.Context, req ConnRequest) (*Admission, error) {
-	return n.Setup(ctx, req)
-}
-
 // setupOnce runs one full admission attempt: validation, link check, ID
 // reservation, hop-by-hop CAC, commit.
 func (n *Network) setupOnce(ctx context.Context, req ConnRequest, tr obs.Tracer) (*Admission, error) {

@@ -561,11 +561,11 @@ func TestSetupContextCancelledLeavesNoResidue(t *testing.T) {
 	n, route := twoHopNetwork(t, HardCDV{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := n.SetupContext(ctx, ConnRequest{
+	_, err := n.Setup(ctx, ConnRequest{
 		ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SetupContext with cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Setup with cancelled ctx = %v, want context.Canceled", err)
 	}
 	for _, name := range []string{"sw0", "sw1"} {
 		sw, _ := n.Switch(name)

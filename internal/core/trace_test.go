@@ -250,17 +250,3 @@ func TestErrorCodeTaxonomy(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedWrappersStillWork pins the compatibility surface: the
-// pre-options SetupContext spelling must keep admitting.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	n, route := twoHopNetwork(t, HardCDV{})
-	if _, err := n.SetupContext(context.Background(), ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Connections(); len(got) != 1 || got[0] != "c1" {
-		t.Fatalf("Connections = %v", got)
-	}
-}

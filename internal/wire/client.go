@@ -692,59 +692,6 @@ func (c *Client) ShardStatusFleet(ctx context.Context, opts ...CallOption) (*Sha
 	return resp.Shard, resp.Shards, resp.Warning, nil
 }
 
-// Deprecated compatibility wrappers for the pre-context-first API. Each
-// forwards to its context-first replacement.
-
-// SetupContext is a deprecated alias for Setup.
-//
-// Deprecated: use Setup — every method now takes a context first.
-func (c *Client) SetupContext(ctx context.Context, req core.ConnRequest) (*Admission, error) {
-	return c.Setup(ctx, req)
-}
-
-// SetupWithRetry is Setup under the WithRetry option.
-//
-// Deprecated: use Setup(ctx, req, WithRetry(policy)).
-func (c *Client) SetupWithRetry(ctx context.Context, req core.ConnRequest, policy *overload.Backoff) (*Admission, error) {
-	return c.Setup(ctx, req, WithRetry(policy))
-}
-
-// TeardownContext is a deprecated alias for Teardown.
-//
-// Deprecated: use Teardown — every method now takes a context first.
-func (c *Client) TeardownContext(ctx context.Context, id core.ConnID) error {
-	return c.Teardown(ctx, id)
-}
-
-// ListContext is a deprecated alias for List.
-//
-// Deprecated: use List — every method now takes a context first.
-func (c *Client) ListContext(ctx context.Context) ([]core.ConnID, error) {
-	return c.List(ctx)
-}
-
-// ShardReapContext is a deprecated alias for ShardReap.
-//
-// Deprecated: use ShardReap — every method now takes a context first.
-func (c *Client) ShardReapContext(ctx context.Context) ([]string, error) {
-	return c.ShardReap(ctx)
-}
-
-// ShardStatusContext is a deprecated alias for ShardStatus.
-//
-// Deprecated: use ShardStatus — every method now takes a context first.
-func (c *Client) ShardStatusContext(ctx context.Context) (*ShardStatusReport, error) {
-	return c.ShardStatus(ctx)
-}
-
-// ShardStatusFleetContext is a deprecated alias for ShardStatusFleet.
-//
-// Deprecated: use ShardStatusFleet — every method now takes a context
-// first.
-func (c *Client) ShardStatusFleetContext(ctx context.Context) (*ShardStatusReport, []ShardStatusReport, string, error) {
-	return c.ShardStatusFleet(ctx)
-}
-
 // batcher coalesces concurrent WithBatch setups and teardowns on one
 // client into batch requests: the first enqueuer starts a flusher
 // goroutine that drains the queue in MaxBatchOps-sized chunks until it

@@ -46,10 +46,10 @@ func TestOverloadStorm(t *testing.T) {
 			for h := range r {
 				r[h].In = core.PortID(i + 1)
 			}
-			_, errs[i] = c.SetupWithRetry(ctx, core.ConnRequest{
+			_, errs[i] = c.Setup(ctx, core.ConnRequest{
 				ID: core.ConnID(fmt.Sprintf("storm-%d", i)), Spec: traffic.CBR(0.001),
 				Priority: 1, Route: r,
-			}, &overload.Backoff{Base: time.Millisecond, Max: 100 * time.Millisecond})
+			}, WithRetry(&overload.Backoff{Base: time.Millisecond, Max: 100 * time.Millisecond}))
 		}(i)
 	}
 	wg.Wait()
@@ -107,9 +107,9 @@ func TestSetupWithRetryHonorsRetryAfterHint(t *testing.T) {
 	// Retry with a tiny backoff base: the server hint must dominate.
 	start := time.Now()
 	policy := &overload.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
-	if _, err := client.SetupWithRetry(context.Background(), core.ConnRequest{
+	if _, err := client.Setup(context.Background(), core.ConnRequest{
 		ID: "second", Spec: traffic.CBR(0.001), Priority: 1, Route: r2,
-	}, policy); err != nil {
+	}, WithRetry(policy)); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
@@ -121,7 +121,7 @@ func TestSetupWithRetryHonorsRetryAfterHint(t *testing.T) {
 }
 
 // TestSetupContextDeadlineCutsStalledExchange points a client at a
-// listener that accepts and reads but never answers: SetupContext must
+// listener that accepts and reads but never answers: Setup must
 // return context.DeadlineExceeded promptly instead of hanging on the
 // dead read.
 func TestSetupContextDeadlineCutsStalledExchange(t *testing.T) {
@@ -152,7 +152,7 @@ func TestSetupContextDeadlineCutsStalledExchange(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = client.SetupContext(ctx, core.ConnRequest{
+	_, err = client.Setup(ctx, core.ConnRequest{
 		ID: "stalled", Spec: traffic.CBR(0.001), Priority: 1,
 		Route: core.Route{{Switch: "sw0", In: 1, Out: 0}},
 	})

@@ -160,14 +160,14 @@ func TestShardContextVariantsHonorCancellation(t *testing.T) {
 	client, _, _ := startServerWith(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.ListContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ListContext error = %v, want context.Canceled", err)
+	if _, err := client.List(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("List error = %v, want context.Canceled", err)
 	}
-	if _, err := client.ShardStatusContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ShardStatusContext error = %v, want context.Canceled", err)
+	if _, err := client.ShardStatus(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ShardStatus error = %v, want context.Canceled", err)
 	}
-	if _, err := client.ShardReapContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ShardReapContext error = %v, want context.Canceled", err)
+	if _, err := client.ShardReap(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ShardReap error = %v, want context.Canceled", err)
 	}
 }
 
