@@ -404,6 +404,7 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 	var opIndex atomic.Int32 // index of the journaled op currently executing
 	opIndex.Store(-1)
 	var crashTarget atomic.Pointer[replicaNode]
+	var postAppendSeq atomic.Uint64 // the record a post-append kill interrupted
 	crash := func() {
 		cfs.ForceCrash()
 		if n := crashTarget.Load(); n != nil {
@@ -418,8 +419,9 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 				crash()
 			}
 		},
-		PostAppend: func(string, uint64) {
+		PostAppend: func(_ string, seq uint64) {
 			if fault.Point == PointPostAppend && int(opIndex.Load()) == fault.OpIndex {
+				postAppendSeq.Store(seq)
 				crash()
 			}
 		},
@@ -474,6 +476,11 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 		// Kill whatever survives of the primary (a hook crash leaves the
 		// process half-alive on purpose; a clean dry run leaves it all).
 		pn.stop()
+		if seq := postAppendSeq.Load(); seq != 0 {
+			if err := requireOnDisk(filepath.Join(pdir, "state.json.journal"), seq); err != nil {
+				return nil, cfs, err
+			}
+		}
 	}
 
 	// Failover: promote the standby and check the takeover oracle — its
@@ -499,6 +506,23 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 	// may hold an un-acked tail the new term never saw; the lower-epoch
 	// hello forces a full resync that erases it.
 	return res, cfs, h.rejoinAndVerify(pdir, sn)
+}
+
+// requireOnDisk checks that the journal at path holds the record with
+// sequence seq. A post-append kill lands after the record is durable and
+// before it ships, so the dead primary's disk must hold what the standby
+// may never have seen — the state a sync-mode rejoin must not resurrect.
+func requireOnDisk(path string, seq uint64) error {
+	scan, err := journal.ScanFile(journal.OSFS{}, path)
+	if err != nil {
+		return err
+	}
+	for _, rec := range scan.Records {
+		if rec.Seq == seq {
+			return nil
+		}
+	}
+	return fmt.Errorf("faultinject: post-append kill at seq %d left no record on the primary's disk", seq)
 }
 
 // rejoinAndVerify boots the ex-primary's files as a standby of the new
