@@ -41,8 +41,10 @@ const (
 	// "overloaded-concurrency").
 	KindShed Kind = "shed"
 	// KindJournalAppend is one write-ahead journal append (journal, via
-	// wire). Fields: Outcome, Duration (whole append), SyncDuration
-	// (fsync share; zero outside journal-sync mode), Bytes.
+	// wire). Fields: Outcome, Duration (whole append: the write of the
+	// group carrying the record plus that group's fsync), SyncDuration
+	// (fsync share, for an fsync no KindGroupCommit reports; zero from
+	// the journal's group commit), Bytes.
 	KindJournalAppend Kind = "journal-append"
 	// KindCompaction is one journal fold-into-snapshot (wire).
 	// Fields: Outcome, Duration.
@@ -94,7 +96,8 @@ const (
 	KindCoordPromote Kind = "coord-promote"
 	// KindGroupCommit is one group-commit fsync covering the journal
 	// records of one or more coalesced operations (wire). Fields:
-	// Records (operations covered by this one fsync), Outcome, Duration.
+	// Records (operations covered by this one fsync), Outcome, Duration
+	// (the leader's whole commit: the group's one write plus its fsync).
 	KindGroupCommit Kind = "group-commit"
 	// KindBatch is one batch-setup or batch-teardown request (wire).
 	// Fields: Op, Records (items in the batch), Outcome, Duration.
@@ -329,7 +332,7 @@ func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	t.groupCommitOps = reg.Histogram("atmcac_journal_group_commit_ops", DefCountBuckets)
 	reg.Help("atmcac_journal_group_commit_ops", "Operations coalesced under one group-commit fsync.")
 	t.groupCommitSec = reg.Histogram("atmcac_journal_group_commit_seconds", DefLatencyBuckets)
-	reg.Help("atmcac_journal_group_commit_seconds", "Group-commit fsync latency.")
+	reg.Help("atmcac_journal_group_commit_seconds", "Group-commit latency: the group's one write plus its fsync.")
 	t.batchItems = reg.Histogram("atmcac_wire_batch_items", DefCountBuckets)
 	reg.Help("atmcac_wire_batch_items", "Items per batch-setup/batch-teardown request.")
 	return t
