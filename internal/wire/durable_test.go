@@ -644,7 +644,7 @@ func BenchmarkPersistSetup(b *testing.B) {
 			srv.SetDurable(dur)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := srv.persistSetup(sample); err != nil {
+				if _, err := srv.persistOne(setupRecords(&sample)); err != nil {
 					b.Fatal(err)
 				}
 			}
