@@ -113,6 +113,12 @@ func TestReplicationEndToEnd(t *testing.T) {
 	waitReplication(t, sc, func(rep *wire.ReplicationReport) bool {
 		return rep.Role == "standby" && rep.Connected
 	})
+	// The standby calls itself connected once it has sent its hello; a
+	// sync-mode primary refuses writes until its own side has caught the
+	// standby up and attached the stream.
+	waitReplication(t, pc, func(rep *wire.ReplicationReport) bool {
+		return rep.Role == "primary" && rep.Connected
+	})
 	if err := setupConn(pc, "repl-1"); err != nil {
 		t.Fatalf("primary setup: %v", err)
 	}
