@@ -3,8 +3,10 @@
 // primary plus warm standby), fronted by a coordinator that is itself a
 // replicated pair (active shipping its intent log to a tailing
 // standby). The harness kills a shard primary — or the active
-// coordinator — at every 2PC boundary, or partitions a pair's primary
-// away from the coordinator, then asserts the combined oracle:
+// coordinator — at every 2PC boundary, partitions a pair's primary
+// away from the coordinator, or cuts a pair's replication link while
+// its commit leg waits on the standby's ack, then asserts the combined
+// oracle:
 //
 //   - no acked setup is lost: every connection acked before the fault
 //     is admitted on each owning pair's surviving active member;
@@ -22,6 +24,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"atmcac/internal/core"
@@ -37,11 +41,16 @@ import (
 // HAFault arms one composed fault: the process named Victim (a shard ID
 // whose pair primary dies, or VictimCoordinator for the active
 // coordinator) fails at Point. Partition cuts the coordinator's link to
-// the victim pair's primary instead of killing it.
+// the victim pair's primary instead of killing it. ReplCut kills no
+// process either: armed at Point, it cuts the victim pair's replication
+// link once the primary's next shard-commit record is durable, so the
+// commit leg waits on an ack that never comes. Point must then precede
+// the commit legs.
 type HAFault struct {
 	Point     ShardPoint
 	Victim    string
 	Partition bool
+	ReplCut   bool
 }
 
 // HAResult reports one composed run.
@@ -102,9 +111,9 @@ type haMember struct {
 }
 
 // bootHAMember builds one pair member. A primary gets a replication
-// listener (replLn) and sync-mode shipping; a standby follows
-// primaryRepl and starts read-only.
-func bootHAMember(id, dir string, switches []string, replLn net.Listener, primaryRepl string) (*haMember, error) {
+// listener (replLn), sync-mode shipping and the crash points cp (may be
+// nil); a standby follows primaryRepl and starts read-only.
+func bootHAMember(id, dir string, switches []string, replLn net.Listener, cp *wire.CrashPoints, primaryRepl string) (*haMember, error) {
 	network := core.NewNetwork(core.HardCDV{})
 	for _, sw := range switches {
 		if _, err := network.AddSwitch(core.SwitchConfig{
@@ -130,6 +139,7 @@ func bootHAMember(id, dir string, switches []string, replLn net.Listener, primar
 	srv := wire.NewServer(network)
 	srv.SetShardID(id)
 	srv.SetDurable(dur)
+	srv.SetCrashPoints(cp)
 	m := &haMember{id: id, dir: dir, network: network, dur: dur, srv: srv, replLn: replLn}
 	if replLn != nil {
 		m.prim = replica.NewPrimary(srv, replica.PrimaryConfig{
@@ -189,11 +199,12 @@ func (m *haMember) crash() {
 // haPair is one replicated shard: primary behind a cuttable proxy,
 // standby reachable directly.
 type haPair struct {
-	id       string
-	switches []string
-	primary  *haMember
-	standby  *haMember
-	proxy    *tcpProxy // between the coordinator and the primary
+	id        string
+	switches  []string
+	primary   *haMember
+	standby   *haMember
+	proxy     *tcpProxy // between the coordinator and the primary
+	replProxy *tcpProxy // between the standby and the primary's replication listener
 }
 
 // activeAddr is where the coordinator's pool currently points.
@@ -204,6 +215,18 @@ func (p *haPair) activeMemberAddr(coord *shard.Coordinator) string {
 	}
 	// The pool drives the primary through the proxy; inspect it direct.
 	return p.primary.addr
+}
+
+// standbyAttached reports whether the primary serving addr has a live
+// replication session.
+func standbyAttached(addr string) bool {
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		return false
+	}
+	defer cl.Close()
+	rep, err := cl.Replication(context.Background())
+	return err == nil && rep.Connected
 }
 
 // inspect lists one live member's state (reaping expired holds first so
@@ -247,6 +270,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	pairs := make([]*haPair, shardCount)
 	spec := ""
 	sw := 0
+	var cutArmed atomic.Bool
 	for i := range pairs {
 		var owned []string
 		for j := 0; j < h.SwitchesPerShard; j++ {
@@ -258,13 +282,27 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		prim, err := bootHAMember(id, filepath.Join(h.Dir, id+"-p"), owned, replLn, "")
+		replProxy, err := newTCPProxy(replLn.Addr().String())
+		if err != nil {
+			replLn.Close()
+			return nil, err
+		}
+		defer replProxy.Close()
+		var cp *wire.CrashPoints
+		if fault.ReplCut && id == fault.Victim {
+			cp = &wire.CrashPoints{PostAppend: func(op string, _ uint64) {
+				if op == string(journal.OpShardCommit) && cutArmed.CompareAndSwap(true, false) {
+					replProxy.Cut()
+				}
+			}}
+		}
+		prim, err := bootHAMember(id, filepath.Join(h.Dir, id+"-p"), owned, replLn, cp, "")
 		if err != nil {
 			replLn.Close()
 			return nil, fmt.Errorf("faultinject: boot %s primary: %w", id, err)
 		}
 		defer prim.crash()
-		sb, err := bootHAMember(id, filepath.Join(h.Dir, id+"-s"), owned, nil, replLn.Addr().String())
+		sb, err := bootHAMember(id, filepath.Join(h.Dir, id+"-s"), owned, nil, nil, replProxy.addr())
 		if err != nil {
 			return nil, fmt.Errorf("faultinject: boot %s standby: %w", id, err)
 		}
@@ -274,7 +312,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 			return nil, err
 		}
 		defer proxy.Close()
-		pairs[i] = &haPair{id: id, switches: owned, primary: prim, standby: sb, proxy: proxy}
+		pairs[i] = &haPair{id: id, switches: owned, primary: prim, standby: sb, proxy: proxy, replProxy: replProxy}
 		if spec != "" {
 			spec += ";"
 		}
@@ -283,15 +321,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	// Sync-mode shipping needs every standby attached before traffic.
 	for _, p := range pairs {
 		pp := p
-		if !waitFor(5*time.Second, func() bool {
-			cl, err := wire.Dial(pp.primary.addr)
-			if err != nil {
-				return false
-			}
-			defer cl.Close()
-			rep, err := cl.Replication(context.Background())
-			return err == nil && rep.Connected
-		}) {
+		if !waitFor(5*time.Second, func() bool { return standbyAttached(pp.primary.addr) }) {
 			return nil, fmt.Errorf("faultinject: %s standby never connected", p.id)
 		}
 	}
@@ -357,7 +387,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if fault.Victim != VictimCoordinator && victimPair < 0 {
 		return nil, fmt.Errorf("faultinject: unknown victim %q", fault.Victim)
 	}
-	if fault.Partition && victimPair < 0 {
+	if (fault.Partition || fault.ReplCut) && victimPair < 0 {
 		return nil, fmt.Errorf("faultinject: partition needs a shard victim")
 	}
 	if fault.Point.pastAck() && fault.Victim != VictimCoordinator {
@@ -395,6 +425,8 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		switch {
 		case fault.Victim == VictimCoordinator:
 			return errShardCrash
+		case fault.ReplCut:
+			cutArmed.Store(true)
 		case fault.Partition:
 			pairs[victimPair].proxy.Cut()
 		default:
@@ -442,9 +474,23 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		if got, want := coord.Epoch(), uint64(2); got != want {
 			return nil, fmt.Errorf("faultinject: promoted coordinator term = %d, want %d", got, want)
 		}
-	} else if setupErr != nil {
+	} else if fault.ReplCut {
+		// The victim's commit record is durable on its primary but
+		// unconfirmed by the standby: the commit is in doubt, not
+		// refused. Recover must re-drive it once the link is back.
+		if !errors.Is(setupErr, shard.ErrInDoubt) {
+			return nil, fmt.Errorf("faultinject: setup across a replication cut at %s: want in doubt, got %v", fault.Point, setupErr)
+		}
+		p := pairs[victimPair]
+		p.replProxy.Heal()
+		if !waitFor(5*time.Second, func() bool { return standbyAttached(p.primary.addr) }) {
+			return nil, fmt.Errorf("faultinject: %s standby never reattached after the cut", p.id)
+		}
+	} else if setupErr != nil && !errors.Is(setupErr, shard.ErrInDoubt) {
 		// A single shard-pair fault must NOT lose the in-flight setup:
-		// shard-level failover completes it on the survivor.
+		// shard-level failover completes it on the survivor, or — when
+		// the dying member's commit leg answered not-replicated — the
+		// Recover below re-drives the in-doubt commit there.
 		return nil, fmt.Errorf("faultinject: setup across %s fault did not survive failover: %v", fault.Point, setupErr)
 	}
 
@@ -477,7 +523,10 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		return nil, fmt.Errorf("faultinject: probe teardown: %w", err)
 	}
 	res.ShardFailovers = reg.Counter("atmcac_shard_failovers_total").Value()
-	if fault.Victim != VictimCoordinator && res.ShardFailovers == 0 {
+	switch {
+	case fault.ReplCut && res.ShardFailovers != 0:
+		return nil, fmt.Errorf("faultinject: a replication cut (no process death) caused %d shard failovers", res.ShardFailovers)
+	case fault.Victim != VictimCoordinator && !fault.ReplCut && res.ShardFailovers == 0:
 		return nil, fmt.Errorf("faultinject: shard fault resolved without a recorded failover")
 	}
 
@@ -523,6 +572,22 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	if fault.Victim != VictimCoordinator && !res.VictimAdmitted {
 		return nil, fmt.Errorf("faultinject: shard failover failed to complete the in-flight setup")
+	}
+	if fault.ReplCut {
+		// The re-driven commit was confirmed by the standby (sync mode),
+		// so the standby must agree with its primary.
+		cl, err := wire.Dial(pairs[victimPair].standby.addr)
+		if err != nil {
+			return nil, err
+		}
+		ids, err := cl.List(ctx)
+		_ = cl.Close()
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(ids, "victim") {
+			return nil, fmt.Errorf("faultinject: %s standby lacks the re-driven commit: %v", pairs[victimPair].id, ids)
+		}
 	}
 
 	// A partitioned ex-primary, once superseded, must not accept writes:

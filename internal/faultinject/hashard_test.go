@@ -15,7 +15,9 @@ import (
 // coordinator's shipped copy of the intent log: presumed abort before
 // the commit intent, re-driven commit after it — and past the ack, a
 // connection the client released before the kill stays released, because
-// the teardown shipped its done record first.
+// the teardown shipped its done record first. A replication link cut
+// while a commit leg waits on the standby's ack leaves the commit in
+// doubt, never aborted: Recover re-drives it once the link is back.
 func TestHAShardHarnessSweep(t *testing.T) {
 	points := []ShardPoint{ShardPrePrepare, ShardPostPrepare, ShardPreCommit, ShardMidCommit, ShardPostCommit}
 	cases := []struct {
@@ -23,6 +25,8 @@ func TestHAShardHarnessSweep(t *testing.T) {
 		fault func(p ShardPoint) HAFault
 		// admitted reports whether the interrupted setup must survive.
 		admitted func(p ShardPoint) bool
+		// points, when set, replaces the default boundaries.
+		points []ShardPoint
 		// pastAck adds the boundaries after the client's ack, which only
 		// a coordinator death can land on.
 		pastAck []ShardPoint
@@ -45,9 +49,21 @@ func TestHAShardHarnessSweep(t *testing.T) {
 			fault:    func(p ShardPoint) HAFault { return HAFault{Point: p, Victim: "s2", Partition: true} },
 			admitted: func(ShardPoint) bool { return true },
 		},
+		{
+			name:     "repl-partition",
+			fault:    func(p ShardPoint) HAFault { return HAFault{Point: p, Victim: "s2", ReplCut: true} },
+			admitted: func(ShardPoint) bool { return true },
+			// The cut is armed at the point and fires on the victim's
+			// commit leg, so only points before the commit legs apply.
+			points: []ShardPoint{ShardPrePrepare, ShardPostPrepare, ShardPreCommit},
+		},
 	}
 	for _, tc := range cases {
-		for _, p := range append(append([]ShardPoint{}, points...), tc.pastAck...) {
+		pts := points
+		if tc.points != nil {
+			pts = tc.points
+		}
+		for _, p := range append(append([]ShardPoint{}, pts...), tc.pastAck...) {
 			tc, p := tc, p
 			t.Run(tc.name+"/"+string(p), func(t *testing.T) {
 				t.Parallel()
@@ -63,7 +79,7 @@ func TestHAShardHarnessSweep(t *testing.T) {
 				if coordFault := tc.fault(p).Victim == VictimCoordinator; coordFault != res.CoordPromoted {
 					t.Fatalf("coordinator promoted=%v for victim %q", res.CoordPromoted, tc.fault(p).Victim)
 				}
-				if tc.fault(p).Victim != VictimCoordinator && res.ShardFailovers == 0 {
+				if f := tc.fault(p); f.Victim != VictimCoordinator && !f.ReplCut && res.ShardFailovers == 0 {
 					t.Fatal("shard fault resolved without a recorded shard failover")
 				}
 			})

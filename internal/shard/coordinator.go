@@ -791,10 +791,10 @@ func (c *Coordinator) setupCrossShard(ctx context.Context, req core.ConnRequest,
 	}
 	var undelivered error
 	for i, leg := range legs {
-		var re *wire.RemoteError
-		switch {
-		case errs[i] == nil:
-		case errors.As(errs[i], &re):
+		if errs[i] == nil {
+			continue
+		}
+		if re, ok := refusedCommit(errs[i]); ok {
 			// A definitive refusal (hold expired and capacity gone, or a
 			// fenced prepare). The client was never acked, so flip the
 			// decision: abort everywhere, unwinding the shards that
@@ -802,15 +802,17 @@ func (c *Coordinator) setupCrossShard(ctx context.Context, req core.ConnRequest,
 			c.abortTxn(ctx, txn, req, legs, subs)
 			c.traceTxn(obs.KindShardAbort, txn, req.ID, obs.OutcomeError, re.Code, start)
 			return nil, fmt.Errorf("commit of %q flipped to abort: %w", txn, errs[i])
-		case undelivered == nil:
-			undelivered = fmt.Errorf("%w: %q commit durable but undelivered to shard %s: %v",
+		}
+		if undelivered == nil {
+			undelivered = fmt.Errorf("%w: %q commit durable but unconfirmed by shard %s: %v",
 				ErrInDoubt, txn, leg.Shard.ID, errs[i])
 		}
 	}
 	if undelivered != nil {
-		// Transport failure with retries exhausted: the commit stands (it
-		// is durable) but did not reach every shard — in doubt until
-		// Recover re-drives it.
+		// Transport failure with retries exhausted, or a shard whose
+		// standby did not confirm the commit: the commit stands (it is
+		// durable) but did not land everywhere — in doubt until Recover
+		// re-drives it.
 		c.markInDoubt(txn, IntentCommit, req, marks)
 		c.traceTxn(obs.KindInDoubt, txn, req.ID, obs.OutcomeError, wire.CodeInDoubt, start)
 		return nil, undelivered
@@ -1041,11 +1043,25 @@ func epochFor(marks []ShardMark, shardID string) uint64 {
 	return 0
 }
 
+// refusedCommit reports whether a commit leg's error is a definitive
+// refusal. A not-replicated answer is not one: the shard's commit record
+// is durable there and its standby may hold and apply it, so flipping to
+// abort could contradict a promoted standby. Like a transport error, it
+// leaves the commit in doubt for Recover to re-drive.
+func refusedCommit(err error) (*wire.RemoteError, bool) {
+	var re *wire.RemoteError
+	if errors.As(err, &re) && re.Code != wire.CodeNotReplicated {
+		return re, true
+	}
+	return nil, false
+}
+
 // redriveCommit pushes a durable commit decision to every shard,
 // re-deriving each leg's delay budget from the admissions the shards
 // answer with. A definitive refusal (expired hold, fenced prepare)
 // flips the transaction to abort-everywhere — safe because the client
-// was never acked. A transport failure leaves it in doubt.
+// was never acked. A transport failure or a not-replicated answer
+// leaves it in doubt.
 func (c *Coordinator) redriveCommit(ctx context.Context, t *openTxn, legs []Segment, interleaved bool) (ok, flipped bool, err error) {
 	req := *t.request
 	upstream := make([]float64, len(legs)+1)
@@ -1066,8 +1082,7 @@ func (c *Coordinator) redriveCommit(ctx context.Context, t *openTxn, legs []Segm
 			return e
 		})
 		if cerr != nil {
-			var re *wire.RemoteError
-			if errors.As(cerr, &re) {
+			if _, ok := refusedCommit(cerr); ok {
 				if !c.abortTxn(ctx, t.txn, req, legs, subs[:i+1]) {
 					return false, false, fmt.Errorf("%w: abort of flipped %q undelivered", ErrInDoubt, t.txn)
 				}

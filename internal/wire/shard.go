@@ -287,9 +287,9 @@ func (s *Server) handleShardPrepare(ctx context.Context, req Request) Response {
 		// The prepare is not durable: a crash would reap a hold the
 		// coordinator believes exists, so refuse and release now.
 		_ = s.network.AbortPrepared(*req.Request)
-		code, _ := refusal(perr)
+		code, verb := refusal(perr)
 		s.traceShard(obs.KindShardPrepare, req.Request.ID, obs.OutcomeError, code, start)
-		return Response{Error: fmt.Sprintf("prepare %q not durable: %v", req.Txn, perr), Code: code}
+		return Response{Error: fmt.Sprintf("prepare %q not %s: %v", req.Txn, verb, perr), Code: code}
 	}
 	hold := &preparedHold{
 		txn: req.Txn, req: *req.Request, epoch: s.Epoch(),
@@ -351,9 +351,9 @@ func (s *Server) handleShardCommit(ctx context.Context, req Request) Response {
 			// recovery path below) re-admits through CAC.
 			_ = s.network.Teardown(hold.req.ID)
 			s.dropHold(req.Txn)
-			code, _ := refusal(perr)
+			code, verb := refusal(perr)
 			s.traceShard(obs.KindShardCommit, hold.req.ID, obs.OutcomeError, code, start)
-			return Response{Error: fmt.Sprintf("commit %q not durable: %v", req.Txn, perr), Code: code}
+			return Response{Error: fmt.Sprintf("commit %q not %s: %v", req.Txn, verb, perr), Code: code}
 		}
 		s.dropHold(req.Txn)
 		s.traceShard(obs.KindShardCommit, hold.req.ID, obs.OutcomeOK, "", start)
@@ -384,9 +384,9 @@ func (s *Server) handleShardCommit(ctx context.Context, req Request) Response {
 	warning, perr := s.persistShardLeg(&journal.Record{Op: journal.OpShardCommit, Txn: req.Txn, Request: req.Request})
 	if perr != nil {
 		_ = s.network.Teardown(req.Request.ID)
-		code, _ := refusal(perr)
+		code, verb := refusal(perr)
 		s.traceShard(obs.KindShardCommit, req.Request.ID, obs.OutcomeError, code, start)
-		return Response{Error: fmt.Sprintf("commit %q not durable: %v", req.Txn, perr), Code: code}
+		return Response{Error: fmt.Sprintf("commit %q not %s: %v", req.Txn, verb, perr), Code: code}
 	}
 	if warning == "" {
 		warning = "prepared hold expired; re-admitted through full CAC"
