@@ -253,13 +253,12 @@ func TestStandbyAutoFailover(t *testing.T) {
 }
 
 // TestReplicationFlagValidation pins the configuration contract: both
-// replication roles require a journaled durability mode.
+// replication roles require -state, and a valid replication mode.
 func TestReplicationFlagValidation(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "state.json")
 	tests := [][]string{
 		{"-replication-listen", "127.0.0.1:0"},
 		{"-replicate-from", "127.0.0.1:1"},
-		{"-replication-listen", "127.0.0.1:0", "-state", state},
 		{"-replication-listen", "127.0.0.1:0", "-state", state, "-durability", "journal", "-replication-mode", "nope"},
 	}
 	for _, args := range tests {

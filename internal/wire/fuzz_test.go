@@ -92,9 +92,9 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzStateRoundTrip fuzzes the persistence layer: arbitrary bytes as a
 // state file must either fail to load cleanly or load into requests that
-// survive a Save/Load round trip and a Restore onto a fresh network without
-// a panic — the invariant cacd relies on when restarting from a snapshot it
-// did not necessarily write itself.
+// survive a SaveState/LoadState round trip and a Recover onto a fresh
+// network without a panic — the invariant cacd relies on when restarting
+// from a snapshot it did not necessarily write itself.
 func FuzzStateRoundTrip(f *testing.F) {
 	// Seed corpus: a genuine snapshot plus degenerate and hostile shapes.
 	seed := []core.ConnRequest{
@@ -126,20 +126,21 @@ func FuzzStateRoundTrip(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		store := NewStateStore(path)
-		reqs, _, err := store.Load()
+		st, _, err := NewStateStore(path).LoadState()
 		if err != nil {
 			// Rejected cleanly; nothing to round-trip.
 			return
 		}
+		reqs := st.Connections
 		second := NewStateStore(filepath.Join(dir, "copy.json"))
-		if err := second.Save(reqs); err != nil {
+		if err := second.SaveState(PersistentState{Connections: reqs}); err != nil {
 			t.Fatalf("loaded state does not re-save: %v", err)
 		}
-		back, _, err := second.Load()
+		st, _, err = second.LoadState()
 		if err != nil {
 			t.Fatalf("saved state does not re-load: %v", err)
 		}
+		back := st.Connections
 		if len(back) != len(reqs) {
 			t.Fatalf("round trip changed length: %d -> %d", len(reqs), len(back))
 		}
@@ -148,10 +149,15 @@ func FuzzStateRoundTrip(f *testing.F) {
 				t.Fatalf("round trip drifted at %d: %+v -> %+v", i, reqs[i], back[i])
 			}
 		}
-		// Restore runs every surviving request through the full CAC check;
+		// Recover runs every surviving request through the full CAC check;
 		// it must report failures, never panic, whatever the shapes are.
-		if _, _, _, err := Restore(fuzzNetwork(t), store); err != nil {
-			t.Fatalf("Restore errored on loadable state: %v", err)
+		dur, err := OpenDurable(DurableConfig{StatePath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dur.Close()
+		if _, err := dur.Recover(fuzzNetwork(t)); err != nil {
+			t.Fatalf("Recover errored on loadable state: %v", err)
 		}
 	})
 }

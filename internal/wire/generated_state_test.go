@@ -68,20 +68,23 @@ func generatedStateCase(tb testing.TB, seed uint64) (*core.Network, []core.ConnR
 }
 
 // TestStateRoundTripGeneratedTopology runs a generated-campus admission
-// state through the codec: Save, Load, and Restore onto a freshly built
-// network of the same topology must reproduce the connection set exactly.
+// state through the codec: SaveState, LoadState, and Recover onto a
+// freshly built network of the same topology must reproduce the
+// connection set exactly.
 func TestStateRoundTripGeneratedTopology(t *testing.T) {
 	_, admitted := generatedStateCase(t, 42)
 	t.Logf("generated case admitted %d/24 fleet members", len(admitted))
 
-	store := NewStateStore(filepath.Join(t.TempDir(), "state.json"))
-	if err := store.Save(admitted); err != nil {
-		t.Fatalf("Save: %v", err)
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	store := NewStateStore(statePath)
+	if err := store.SaveState(PersistentState{Connections: admitted}); err != nil {
+		t.Fatalf("SaveState: %v", err)
 	}
-	back, _, err := store.Load()
+	st, _, err := store.LoadState()
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadState: %v", err)
 	}
+	back := st.Connections
 	if len(back) != len(admitted) {
 		t.Fatalf("round trip changed length: %d -> %d", len(admitted), len(back))
 	}
@@ -101,7 +104,7 @@ func TestStateRoundTripGeneratedTopology(t *testing.T) {
 		}
 	}
 
-	// Restore onto a fresh network of the same generated topology: every
+	// Recover onto a fresh network of the same generated topology: every
 	// request that was admissible originally must be admissible again.
 	g, err := topology.Campus(topology.CampusConfig{Buildings: 2, FloorsPerBuilding: 2, HostsPerFloor: 1})
 	if err != nil {
@@ -111,12 +114,17 @@ func TestStateRoundTripGeneratedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, failed, _, err := Restore(empty, store)
+	dur, err := OpenDurable(DurableConfig{StatePath: statePath})
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatal(err)
 	}
-	if len(failed) != 0 || restored != len(admitted) {
-		t.Fatalf("Restore recovered %d with %d failures, want %d with 0", restored, len(failed), len(admitted))
+	defer dur.Close()
+	rep, err := dur.Recover(empty)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rep.Failed) != 0 || rep.Restored != len(admitted) {
+		t.Fatalf("Recover restored %d with %d failures, want %d with 0", rep.Restored, len(rep.Failed), len(admitted))
 	}
 	if viols, err := empty.Audit(); err != nil || len(viols) != 0 {
 		t.Fatalf("restored network audit: %d violations, err=%v", len(viols), err)

@@ -164,13 +164,29 @@ func TestFailLinkWithoutHandlerReportsDown(t *testing.T) {
 	}
 }
 
+// withDurable returns a startServerWith configuration that recovers the
+// server's network from cfg and attaches the journal, closing it once the
+// server is closed.
+func withDurable(t *testing.T, cfg DurableConfig) func(*Server) {
+	return func(s *Server) {
+		t.Helper()
+		dur, err := OpenDurable(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = dur.Close() })
+		if _, err := dur.Recover(s.network); err != nil {
+			t.Fatal(err)
+		}
+		s.SetDurable(dur)
+	}
+}
+
 // TestShutdownDrains: Shutdown unblocks idle sessions, stops the accept
 // loop, and writes a final state snapshot.
 func TestShutdownDrains(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	client, srv, route := startServerWith(t, func(s *Server) {
-		s.SetStateStore(NewStateStore(statePath))
-	})
+	client, srv, route := startServerWith(t, withDurable(t, DurableConfig{StatePath: statePath}))
 	if _, err := client.Setup(context.Background(), core.ConnRequest{
 		ID: "keep", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
 	}); err != nil {
@@ -189,12 +205,12 @@ func TestShutdownDrains(t *testing.T) {
 	if _, err := client.List(context.Background()); err == nil {
 		t.Error("client still served after drain")
 	}
-	reqs, _, err := NewStateStore(statePath).Load()
+	st, _, err := NewStateStore(statePath).LoadState()
 	if err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
 	}
-	if len(reqs) != 1 || reqs[0].ID != "keep" {
-		t.Fatalf("final snapshot = %+v", reqs)
+	if len(st.Connections) != 1 || st.Connections[0].ID != "keep" {
+		t.Fatalf("final snapshot = %+v", st.Connections)
 	}
 	// Shutdown is idempotent.
 	if err := srv.Shutdown(ctx); err != nil {
@@ -202,40 +218,39 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestPersistFailureWarnsAndRetries: a failing snapshot does not fail the
-// operation; the response carries a warning and a background retry
-// eventually lands the state once the store becomes writable.
+// TestPersistFailureWarnsAndRetries pins the warning-only persistence of
+// recovery-class records (persistWarn): a fail-link whose journal append
+// fails is still acked — the link is down whether or not the record
+// landed — with a "deferred" warning, and the background retry then
+// lands a snapshot that holds the failed link.
 func TestPersistFailureWarnsAndRetries(t *testing.T) {
-	dir := t.TempDir()
-	statePath := filepath.Join(dir, "missing", "state.json")
-	client, _, route := startServerWith(t, func(s *Server) {
-		s.SetStateStore(NewStateStore(statePath))
-	})
-	resp, err := client.call(context.Background(), Request{Op: OpSetup, Request: &core.ConnRequest{
+	ctl := &syncCtl{}
+	client, srv, route, _ := startDurableServer(t, ctl)
+	if _, err := client.Setup(context.Background(), core.ConnRequest{
 		ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
-	}})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctl.fail.Store(true) // the fail-link's group fsync fails
+	resp, err := client.call(context.Background(), Request{Op: OpFailLink, From: "sw0", To: "sw1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || resp.Admission == nil {
-		t.Fatalf("setup failed outright: %+v", resp)
+	if !resp.OK || resp.Failover == nil || len(resp.Failover.Outcomes) != 1 {
+		t.Fatalf("fail-link refused outright: %+v", resp)
 	}
 	if !strings.Contains(resp.Warning, "deferred") {
-		t.Fatalf("warning = %q, want deferred-snapshot warning", resp.Warning)
+		t.Fatalf("warning = %q, want a deferred-append warning", resp.Warning)
 	}
-	// Make the directory appear; the background retry should now succeed.
-	if err := os.MkdirAll(filepath.Dir(statePath), 0o755); err != nil {
+	// The retry loop exits once a snapshot lands, so draining it waits for
+	// exactly that.
+	srv.drainRetry()
+	st, _, err := NewStateStore(srv.dur.store.Path()).LoadState()
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if reqs, _, err := NewStateStore(statePath).Load(); err == nil && len(reqs) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background persist retry never landed the snapshot")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if len(st.Connections) != 0 || len(st.FailedLinks) != 1 || st.FailedLinks[0] != (core.Link{From: "sw0", To: "sw1"}) {
+		t.Fatalf("retried snapshot = %+v, want no connections and sw0->sw1 failed", st)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,12 +35,12 @@ func twoSwitchNetwork(t *testing.T) (*core.Network, core.Route) {
 func TestStateStoreRoundTrip(t *testing.T) {
 	store := NewStateStore(filepath.Join(t.TempDir(), "state.json"))
 	// Missing file loads empty.
-	reqs, _, err := store.Load()
+	st, _, err := store.LoadState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 0 {
-		t.Fatalf("missing file loaded %v", reqs)
+	if len(st.Connections) != 0 {
+		t.Fatalf("missing file loaded %v", st.Connections)
 	}
 	want := []core.ConnRequest{
 		{ID: "a", Spec: traffic.CBR(0.1), Priority: 1,
@@ -47,13 +48,14 @@ func TestStateStoreRoundTrip(t *testing.T) {
 		{ID: "b", Spec: traffic.VBR(0.5, 0.05, 8), Priority: 2,
 			Route: core.Route{{Switch: "sw1", In: 2, Out: 3}}, SourceCDV: 16},
 	}
-	if err := store.Save(want); err != nil {
+	if err := store.SaveState(PersistentState{Connections: want}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := store.Load()
+	st, _, err = store.LoadState()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := st.Connections
 	if len(got) != 2 || got[0].ID != "a" || got[1].Spec.MBS != 8 ||
 		got[0].DelayBound != 64 || got[1].SourceCDV != 16 ||
 		got[1].Route[0].Out != 3 {
@@ -66,7 +68,7 @@ func TestStateStoreCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewStateStore(path).Load(); err == nil {
+	if _, _, err := NewStateStore(path).LoadState(); err == nil {
 		t.Fatal("corrupt state accepted")
 	}
 }
@@ -74,10 +76,10 @@ func TestStateStoreCorruptFile(t *testing.T) {
 func TestStateStoreChecksumMismatchQuarantines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
 	store := NewStateStore(path)
-	if err := store.Save([]core.ConnRequest{
+	if err := store.SaveState(PersistentState{Connections: []core.ConnRequest{
 		{ID: "a", Spec: traffic.CBR(0.1), Priority: 1,
 			Route: core.Route{{Switch: "sw0", In: 1, Out: 0}}},
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload byte without touching the trailer.
@@ -89,7 +91,7 @@ func TestStateStoreChecksumMismatchQuarantines(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = store.Load()
+	_, _, err = store.LoadState()
 	if !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("Load of corrupted snapshot = %v, want ErrCorruptState", err)
 	}
@@ -101,9 +103,9 @@ func TestStateStoreChecksumMismatchQuarantines(t *testing.T) {
 		t.Errorf("quarantined snapshot missing: %v", serr)
 	}
 	// A reload after quarantine is an empty store, not a repeat error.
-	reqs, _, err := store.Load()
-	if err != nil || len(reqs) != 0 {
-		t.Errorf("Load after quarantine = %v, %v; want empty, nil", reqs, err)
+	st, _, err := store.LoadState()
+	if err != nil || len(st.Connections) != 0 {
+		t.Errorf("Load after quarantine = %v, %v; want empty, nil", st.Connections, err)
 	}
 }
 
@@ -115,10 +117,10 @@ func TestStateStoreQuarantineKeepsEveryCorpse(t *testing.T) {
 	store := NewStateStore(path)
 	corruptOnce := func(marker byte) {
 		t.Helper()
-		if err := store.Save([]core.ConnRequest{
+		if err := store.SaveState(PersistentState{Connections: []core.ConnRequest{
 			{ID: "a", Spec: traffic.CBR(0.1), Priority: 1,
 				Route: core.Route{{Switch: "sw0", In: 1, Out: 0}}},
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -129,7 +131,7 @@ func TestStateStoreQuarantineKeepsEveryCorpse(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := store.Load(); !errors.Is(err, ErrCorruptState) {
+		if _, _, err := store.LoadState(); !errors.Is(err, ErrCorruptState) {
 			t.Fatalf("Load of corrupted snapshot = %v, want ErrCorruptState", err)
 		}
 	}
@@ -156,12 +158,12 @@ func TestStateStoreLegacyFileAcceptedWithWarning(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	reqs, warning, err := NewStateStore(path).Load()
+	st, warning, err := NewStateStore(path).LoadState()
 	if err != nil {
 		t.Fatalf("legacy snapshot rejected: %v", err)
 	}
-	if len(reqs) != 1 || reqs[0].ID != "old" {
-		t.Fatalf("legacy snapshot loaded %+v", reqs)
+	if len(st.Connections) != 1 || st.Connections[0].ID != "old" {
+		t.Fatalf("legacy snapshot loaded %+v", st.Connections)
 	}
 	if warning == "" {
 		t.Error("legacy snapshot accepted without a warning")
@@ -226,18 +228,35 @@ func TestStateStoreTrailerCarriesEpoch(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsPersistRetry starves the store so an operation's
-// snapshot fails and the background retry loop starts, then shuts the
-// server down: Shutdown must wait the retry loop out and write the final
-// snapshot itself, so the state on disk after exit is current, not stale.
+// TestShutdownDrainsPersistRetry starves the snapshot so a compaction
+// fails and the background retry loop starts, then shuts the server down:
+// Shutdown must wait the retry loop out and write the final snapshot
+// itself, so the state on disk after exit is current, not stale.
 func TestShutdownDrainsPersistRetry(t *testing.T) {
 	dir := t.TempDir()
 	statePath := filepath.Join(dir, "sub", "state.json")
+	if err := os.MkdirAll(filepath.Dir(statePath), 0o700); err != nil {
+		t.Fatal(err)
+	}
 	network, route := twoSwitchNetwork(t)
+	dur, err := OpenDurable(DurableConfig{
+		StatePath: statePath, JournalPath: filepath.Join(dir, "state.journal"),
+		CompactRecords: 1, // every record compacts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	if _, err := dur.Recover(network); err != nil {
+		t.Fatal(err)
+	}
+	// With the snapshot's directory gone the journal append still lands,
+	// but the compaction behind it fails and arms the background retry.
+	if err := os.RemoveAll(filepath.Dir(statePath)); err != nil {
+		t.Fatal(err)
+	}
 	srv := NewServer(network)
-	// The parent directory does not exist, so every snapshot fails and
-	// each mutation arms the background retry.
-	srv.SetStateStore(NewStateStore(statePath))
+	srv.SetDurable(dur)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +268,14 @@ func TestShutdownDrainsPersistRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Setup(context.Background(), core.ConnRequest{
+	resp, err := client.call(context.Background(), Request{Op: OpSetup, Request: &core.ConnRequest{
 		ID: "durable", Spec: traffic.CBR(0.05), Priority: 1, Route: route,
-	}); err != nil {
+	}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !resp.OK || !strings.Contains(resp.Warning, "deferred") {
+		t.Fatalf("setup = %+v, want acked with a deferred-compaction warning", resp)
 	}
 	// Make the store writable again, then shut down: the final snapshot
 	// must land and no retry goroutine may linger past Shutdown.
@@ -265,114 +288,22 @@ func TestShutdownDrainsPersistRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	reqs, _, err := NewStateStore(statePath).Load()
+	st, _, err := NewStateStore(statePath).LoadState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 1 || reqs[0].ID != "durable" {
-		t.Fatalf("state after drained shutdown = %+v, want the admitted connection", reqs)
+	if len(st.Connections) != 1 || st.Connections[0].ID != "durable" {
+		t.Fatalf("state after drained shutdown = %+v, want the admitted connection", st.Connections)
 	}
 }
 
-func TestRestoreReestablishesConnections(t *testing.T) {
-	store := NewStateStore(filepath.Join(t.TempDir(), "state.json"))
-	n1, route := twoSwitchNetwork(t)
-	for i := 0; i < 3; i++ {
-		r := make(core.Route, len(route))
-		copy(r, route)
-		for h := range r {
-			r[h].In = core.PortID(i + 1)
-		}
-		if _, err := n1.Setup(context.Background(), core.ConnRequest{
-			ID: core.ConnID(fmt.Sprintf("c%d", i)), Spec: traffic.CBR(0.01),
-			Priority: 1, Route: r,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Save(n1.AdmittedRequests()); err != nil {
-		t.Fatal(err)
-	}
-	// "Restart": a fresh network restored from the store.
-	n2, _ := twoSwitchNetwork(t)
-	restored, failed, _, err := Restore(n2, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 3 || len(failed) != 0 {
-		t.Fatalf("restored %d failed %v", restored, failed)
-	}
-	if got := len(n2.Connections()); got != 3 {
-		t.Fatalf("restored network carries %d connections", got)
-	}
-	// Bounds agree with the original network.
-	d1, err := n1.RouteBound(route, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := n2.RouteBound(route, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("restored bound %g != original %g", d2, d1)
-	}
-}
-
-func TestRestoreReportsFailures(t *testing.T) {
-	store := NewStateStore(filepath.Join(t.TempDir(), "state.json"))
-	if err := store.Save([]core.ConnRequest{
-		{ID: "ghost", Spec: traffic.CBR(0.1), Priority: 1,
-			Route: core.Route{{Switch: "no-such-switch", In: 1, Out: 0}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := twoSwitchNetwork(t)
-	restored, failed, _, err := Restore(n, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 0 || len(failed) != 1 || failed[0].ID != "ghost" || failed[0].Err == nil {
-		t.Fatalf("restored %d failed %v", restored, failed)
-	}
-}
-
-// TestServerPersistsAcrossRestart drives the full lifecycle over TCP: a
-// server with a state store admits connections, is shut down, and a new
-// server restores them from disk.
+// TestServerPersistsAcrossRestart drives the full lifecycle over TCP in
+// the default durability mode: a server admits a connection, dies without
+// a final snapshot, and a new server recovers it from the journal; the
+// teardown survives the next restart too.
 func TestServerPersistsAcrossRestart(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "state.json")
-
-	boot := func() (*Server, *Client, func()) {
-		network, _ := twoSwitchNetwork(t)
-		store := NewStateStore(statePath)
-		if _, _, _, err := Restore(network, store); err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(network)
-		srv.SetStateStore(store)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(l)
-		}()
-		client, err := Dial(l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := func() {
-			_ = client.Close()
-			_ = srv.Close()
-			<-done
-		}
-		return srv, client, stop
-	}
-
-	_, client, stop := boot()
+	client, _, stop := bootDurable(t, statePath, "", 0)
 	route := core.Route{{Switch: "sw0", In: 1, Out: 0}, {Switch: "sw1", In: 1, Out: 0}}
 	if _, err := client.Setup(context.Background(), core.ConnRequest{
 		ID: "persist-me", Spec: traffic.CBR(0.05), Priority: 1, Route: route,
@@ -381,8 +312,7 @@ func TestServerPersistsAcrossRestart(t *testing.T) {
 	}
 	stop()
 
-	_, client2, stop2 := boot()
-	defer stop2()
+	client2, _, stop2 := bootDurable(t, statePath, "", 0)
 	ids, err := client2.List(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -393,12 +323,11 @@ func TestServerPersistsAcrossRestart(t *testing.T) {
 	if err := client2.Teardown(context.Background(), "persist-me"); err != nil {
 		t.Fatal(err)
 	}
-	// The teardown is persisted too.
-	reqs, _, err := NewStateStore(statePath).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 0 {
-		t.Fatalf("state after teardown = %+v", reqs)
+	stop2()
+
+	client3, _, stop3 := bootDurable(t, statePath, "", 0)
+	defer stop3()
+	if ids, err := client3.List(context.Background()); err != nil || len(ids) != 0 {
+		t.Fatalf("after teardown and restart List = %v, %v; want empty", ids, err)
 	}
 }
