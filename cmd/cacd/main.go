@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cacd [-listen ADDR] [-ring N] [-terminals N] [-queue CELLS] [-low-queue CELLS] [-policy hard|soft]
-//	     [-state FILE] [-state-strict] [-durability snapshot|journal|journal-sync]
+//	     [-state FILE] [-state-strict] [-durability journal-sync|journal]
 //	     [-journal FILE] [-compact-records N] [-compact-bytes N]
 //	     [-io-timeout D] [-drain-timeout D]
 //	     [-shed-rate R] [-shed-burst B] [-max-inflight N]
@@ -31,17 +31,18 @@
 // the server drains: it stops accepting, lets in-flight requests finish
 // (bounded by -drain-timeout) and writes a final state snapshot.
 //
-// With -state the server persists admission state; -durability selects
-// how. snapshot (the default) rewrites the whole state file on every
-// mutation. journal appends one CRC-framed record to a write-ahead log
-// before acknowledging each setup/teardown/fail-link/restore-link —
-// journal-sync additionally fsyncs per record, so an acknowledged
-// operation survives power loss — and folds the log into the snapshot at
-// the -compact-records/-compact-bytes thresholds. On restart the server
-// loads the snapshot, replays journal records past its sequence
-// watermark, re-fails the recorded links, and re-admits every surviving
-// connection through the full CAC check (cacctl state verify inspects
-// both files offline).
+// With -state the server persists admission state: it appends one
+// CRC-framed record to a write-ahead log before acknowledging each
+// setup/teardown/fail-link/restore-link, and folds the log into the state
+// file (the snapshot) at the -compact-records/-compact-bytes thresholds.
+// -durability journal-sync (the default) fsyncs each group commit before
+// the ack, so an acknowledged operation survives power loss; journal
+// skips the fsync and survives a process crash only. -durability
+// snapshot, the retired full-rewrite mode, is accepted as an alias for
+// journal-sync. On restart the server loads the snapshot, replays
+// journal records past its sequence watermark, re-fails the recorded
+// links, and re-admits every surviving connection through the full CAC
+// check (cacctl state verify inspects both files offline).
 //
 // With -shed-rate (and optionally -shed-burst, -max-inflight) the server
 // sheds control-plane overload in degradation order: read-only queries
@@ -59,8 +60,8 @@
 // (cacctl promote, or automatic after -failover-timeout of primary
 // silence) advances the replication epoch and fences the old primary:
 // if it comes back it refuses all mutations with the split-brain code
-// until restarted as a standby of the new primary. Both roles require a
-// journaled durability mode.
+// until restarted as a standby of the new primary. Both roles require
+// -state.
 //
 // With -shard-id the server serves as one shard of a partitioned CAC:
 // it answers the two-phase shard-prepare/commit/abort operations for the
@@ -158,7 +159,7 @@ func run(args []string) error {
 		policy       = fs.String("policy", "hard", "CDV accumulation: hard or soft")
 		state        = fs.String("state", "", "persist established connections to this JSON file")
 		stateStrict  = fs.Bool("state-strict", false, "exit non-zero when any stored connection cannot be restored")
-		durability   = fs.String("durability", "snapshot", "persistence mode: snapshot (full rewrite per op), journal (write-ahead log before ack), or journal-sync (journal + fsync per record)")
+		durability   = fs.String("durability", string(wire.DurabilityJournalSync), "persistence mode: journal-sync (write-ahead log, fsynced before the ack) or journal (no fsync); snapshot is an alias for journal-sync")
 		journalPath  = fs.String("journal", "", "write-ahead journal file; defaults to STATE.journal")
 		compactRecs  = fs.Int("compact-records", wire.DefaultCompactRecords, "fold the journal into the snapshot after this many records")
 		compactBytes = fs.Int64("compact-bytes", wire.DefaultCompactBytes, "fold the journal into the snapshot after this many bytes")
@@ -257,10 +258,18 @@ func run(args []string) error {
 		fmt.Printf("cacd: overload control %s (high-priority floor %d per burst)\n",
 			lim, lim.HighPriorityFloor())
 	}
+	if *durability == "snapshot" {
+		// The retired snapshot-per-op mode could ack a setup whose state
+		// rewrite failed; its state files open as-is under the journal.
+		fmt.Println("cacd: -durability snapshot is retired; using journal-sync")
+		*durability = string(wire.DurabilityJournalSync)
+	}
 	mode, err := wire.ParseDurabilityMode(*durability)
 	if err != nil {
 		return err
 	}
+	durabilitySet := false
+	fs.Visit(func(f *flag.Flag) { durabilitySet = durabilitySet || f.Name == "durability" })
 	if *state != "" {
 		dur, err := wire.OpenDurable(wire.DurableConfig{
 			StatePath:      *state,
@@ -303,17 +312,17 @@ func run(args []string) error {
 			return fmt.Errorf("state-strict: %d of %d stored connections could not be restored",
 				len(rep.Failed), rep.Restored+len(rep.Failed))
 		}
-	} else if mode != wire.DurabilitySnapshot {
-		return fmt.Errorf("-durability %s requires -state", mode)
+	} else if durabilitySet {
+		return fmt.Errorf("-durability requires -state")
 	}
-	// Replication ships the write-ahead journal, so both roles require a
-	// journaled durability mode: without a journal there is no stream to
-	// ship and no watermark for the standby to resume from.
+	// Replication ships the write-ahead journal, so both roles require
+	// -state: without a journal there is no stream to ship and no
+	// watermark for the standby to resume from.
 	var prim *replica.Primary
 	var sb *replica.Standby
 	if *replListen != "" || *replFrom != "" {
-		if *state == "" || mode == wire.DurabilitySnapshot {
-			return fmt.Errorf("replication requires -state and -durability journal or journal-sync")
+		if *state == "" {
+			return fmt.Errorf("replication requires -state")
 		}
 		rmode, err := replica.ParseMode(*replMode)
 		if err != nil {

@@ -12,23 +12,18 @@ import (
 )
 
 // DurabilityMode selects how the server makes admission state survive a
-// crash. The modes trade per-op cost against the crash window:
+// crash. In both modes every mutation appends one O(1) journal record
+// before the ack, and a failed append fails (and rolls back) the
+// operation; the snapshot is only the compaction artifact.
 //
-//   - snapshot: the legacy mode — every mutation rewrites the full
-//     snapshot (O(n) per op); a failed write warns and retries in the
-//     background, so a crash between the ack and a completed snapshot can
-//     lose acked mutations.
-//   - journal: every mutation appends one O(1) journal record before the
-//     ack; a failed append fails (and rolls back) the operation. Survives
-//     a process crash exactly; a power loss can still lose the
-//     OS-buffered tail.
-//   - journal-sync: journal plus an fsync per record before the ack — an
-//     acked mutation survives power loss. The strongest contract, tested
-//     by the crash-point harness in internal/faultinject.
+//   - journal-sync (the default): the group carrying the record is
+//     fsynced before the ack — an acked mutation survives power loss.
+//     Tested by the crash-point harness in internal/faultinject.
+//   - journal: no fsync. Survives a process crash exactly; a power loss
+//     can still lose the OS-buffered tail.
 type DurabilityMode string
 
 const (
-	DurabilitySnapshot    DurabilityMode = "snapshot"
 	DurabilityJournal     DurabilityMode = "journal"
 	DurabilityJournalSync DurabilityMode = "journal-sync"
 )
@@ -36,10 +31,10 @@ const (
 // ParseDurabilityMode validates a mode flag value.
 func ParseDurabilityMode(s string) (DurabilityMode, error) {
 	switch DurabilityMode(s) {
-	case DurabilitySnapshot, DurabilityJournal, DurabilityJournalSync:
+	case DurabilityJournal, DurabilityJournalSync:
 		return DurabilityMode(s), nil
 	}
-	return "", fmt.Errorf("wire: unknown durability mode %q (want snapshot, journal, or journal-sync)", s)
+	return "", fmt.Errorf("wire: unknown durability mode %q (want journal or journal-sync)", s)
 }
 
 // Default compaction triggers: the journal folds into a fresh snapshot
@@ -56,7 +51,7 @@ type DurableConfig struct {
 	StatePath string
 	// JournalPath is the write-ahead log; empty means StatePath+".journal".
 	JournalPath string
-	// Mode defaults to DurabilitySnapshot.
+	// Mode defaults to DurabilityJournalSync.
 	Mode DurabilityMode
 	// FS defaults to the real filesystem; the crash harness injects here.
 	FS journal.FS
@@ -66,13 +61,13 @@ type DurableConfig struct {
 	CompactBytes   int64
 }
 
-// Durable binds a snapshot store and (in the journaled modes) a
-// write-ahead log into one persistence component. Build it with
-// OpenDurable, recover the network through Recover, then attach it to the
-// server with SetDurable — every mutation's record goes through the
-// journal's group commit (persist) before the operation acks.
+// Durable binds a snapshot store and a write-ahead log into one
+// persistence component. Build it with OpenDurable, recover the network
+// through Recover (which opens the log), then attach it to the server
+// with SetDurable — every mutation's record goes through the journal's
+// group commit (persist) before the operation acks.
 type Durable struct {
-	mode           DurabilityMode
+	sync           bool // fsync each group (journal-sync)
 	store          *StateStore
 	fsys           journal.FS
 	journalPath    string
@@ -82,9 +77,8 @@ type Durable struct {
 
 	// viewConns/viewLinks mirror the durable admission state: the last
 	// snapshot plus every journal record made durable since (plus acked
-	// warning-only records whose append failed). Compaction in the
-	// journaled modes folds this view — never the live network — into the
-	// next snapshot. Capturing the live network would race with an
+	// warning-only records whose append failed). Compaction folds this
+	// view — never the live network — into the next snapshot. Capturing the live network would race with an
 	// operation that has committed in memory but not yet appended: if its
 	// append then fails and it rolls back, the refused mutation would
 	// already sit in a durable snapshot and be resurrected by a crash.
@@ -174,16 +168,16 @@ func (d *Durable) viewState() ([]core.ConnRequest, []core.Link) {
 	return conns, links
 }
 
-// OpenDurable validates cfg and builds the component. In the journaled
-// modes the journal itself is opened (and a torn tail repaired) inside
-// Recover, which must run before the server serves.
+// OpenDurable validates cfg and builds the component. The journal itself
+// is opened (and a torn tail repaired) inside Recover, which must run
+// before the server serves.
 func OpenDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.StatePath == "" {
 		return nil, fmt.Errorf("wire: durable state requires a snapshot path")
 	}
 	mode := cfg.Mode
 	if mode == "" {
-		mode = DurabilitySnapshot
+		mode = DurabilityJournalSync
 	}
 	if _, err := ParseDurabilityMode(string(mode)); err != nil {
 		return nil, err
@@ -205,7 +199,7 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 		bytes = DefaultCompactBytes
 	}
 	return &Durable{
-		mode:           mode,
+		sync:           mode == DurabilityJournalSync,
 		store:          NewStateStoreFS(cfg.StatePath, fsys),
 		fsys:           fsys,
 		journalPath:    jpath,
@@ -213,9 +207,6 @@ func OpenDurable(cfg DurableConfig) (*Durable, error) {
 		compactBytes:   bytes,
 	}, nil
 }
-
-// Mode returns the configured durability mode.
-func (d *Durable) Mode() DurabilityMode { return d.mode }
 
 // Store returns the snapshot store.
 func (d *Durable) Store() *StateStore { return d.store }
@@ -257,10 +248,11 @@ type RecoveryReport struct {
 // Recover rebuilds the network's admission state: load the snapshot,
 // replay journal records past its watermark, re-fail the recorded links,
 // then re-admit every surviving connection through the full CAC check —
-// recovery must re-earn the paper's guarantees, not assume them. In the
-// journaled modes the journal is then opened for appending and the
-// replayed state is immediately compacted into a fresh snapshot, so
-// failed re-admissions are pruned rather than re-persisted forever.
+// recovery must re-earn the paper's guarantees, not assume them. The
+// journal is then open for appending (a missing journal reads as empty,
+// so a snapshot-only state file opens as-is) and the replayed state is
+// immediately compacted into a fresh snapshot, so failed re-admissions
+// are pruned rather than re-persisted forever.
 func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	st, warning, err := d.store.LoadState()
@@ -270,38 +262,34 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	if warning != "" {
 		rep.Warnings = append(rep.Warnings, warning)
 	}
-	final := journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks}
 	d.recoveredEpoch = st.Epoch
 	d.snapSeq = st.LastSeq
-	journaled := d.mode != DurabilitySnapshot
-	if journaled {
-		log, scan, tornPath, err := journal.Open(d.fsys, d.journalPath)
-		if err != nil {
-			return nil, err
-		}
-		d.log = log
-		rep.TornPath = tornPath
-		if tornPath != "" {
-			rep.Warnings = append(rep.Warnings,
-				fmt.Sprintf("wire: journal %s had a torn tail; preserved at %s, truncated at byte %d",
-					d.journalPath, tornPath, scan.Valid))
-		}
-		for _, rec := range scan.Records {
-			if rec.Seq > st.LastSeq {
-				rep.JournalRecords++
-			}
-			// The journal can outrun the snapshot's term: records appended
-			// after a promotion whose compaction never landed. Recovery
-			// must resume at the highest term ever persisted, or a
-			// restarted node could ship records at a fenced epoch.
-			if rec.Epoch > d.recoveredEpoch {
-				d.recoveredEpoch = rec.Epoch
-			}
-		}
-		final = journal.Replay(final, st.LastSeq, scan.Records)
-		log.SetNextSeq(st.LastSeq + 1)
-		rep.ReapedPrepares = final.ReapedPrepares
+	log, scan, tornPath, err := journal.Open(d.fsys, d.journalPath)
+	if err != nil {
+		return nil, err
 	}
+	d.log = log
+	rep.TornPath = tornPath
+	if tornPath != "" {
+		rep.Warnings = append(rep.Warnings,
+			fmt.Sprintf("wire: journal %s had a torn tail; preserved at %s, truncated at byte %d",
+				d.journalPath, tornPath, scan.Valid))
+	}
+	for _, rec := range scan.Records {
+		if rec.Seq > st.LastSeq {
+			rep.JournalRecords++
+		}
+		// The journal can outrun the snapshot's term: records appended
+		// after a promotion whose compaction never landed. Recovery must
+		// resume at the highest term ever persisted, or a restarted node
+		// could ship records at a fenced epoch.
+		if rec.Epoch > d.recoveredEpoch {
+			d.recoveredEpoch = rec.Epoch
+		}
+	}
+	final := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks}, st.LastSeq, scan.Records)
+	log.SetNextSeq(st.LastSeq + 1)
+	rep.ReapedPrepares = final.ReapedPrepares
 	for _, l := range final.FailedLinks {
 		if _, err := network.FailLink(l.From, l.To); err != nil {
 			rep.Warnings = append(rep.Warnings,
@@ -318,27 +306,18 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		rep.Restored++
 	}
 	// Fold the replayed state into a fresh snapshot: the journal empties,
-	// failed re-admissions are pruned, and legacy array snapshots are
-	// rewritten in the current format. Snapshot mode compacts only when
-	// there was something to normalize, so a cold start does not create
-	// an empty file.
-	if journaled || len(rep.Failed) > 0 {
-		st := PersistentState{
-			Connections: network.AdmittedRequests(),
-			FailedLinks: network.FailedLinks(),
-			Epoch:       d.recoveredEpoch,
-		}
-		if d.log != nil {
-			st.LastSeq = d.log.LastSeq()
-		}
-		if journaled {
-			// Seed the durable view here, the one moment where memory and
-			// disk provably agree (nothing serves yet).
-			d.initView(st.Connections, st.FailedLinks)
-		}
-		if err := d.fold(st); err != nil {
-			return nil, fmt.Errorf("wire: post-recovery compaction: %w", err)
-		}
+	// failed re-admissions are pruned, and legacy snapshots are rewritten
+	// in the current format. Seed the durable view here, the one moment
+	// where memory and disk provably agree (nothing serves yet).
+	st = PersistentState{
+		Connections: network.AdmittedRequests(),
+		FailedLinks: network.FailedLinks(),
+		Epoch:       d.recoveredEpoch,
+		LastSeq:     log.LastSeq(),
+	}
+	d.initView(st.Connections, st.FailedLinks)
+	if err := d.fold(st); err != nil {
+		return nil, fmt.Errorf("wire: post-recovery compaction: %w", err)
 	}
 	return rep, nil
 }
@@ -353,29 +332,21 @@ func (d *Durable) fold(st PersistentState) error {
 		return err
 	}
 	d.snapSeq = st.LastSeq
-	if d.log != nil {
-		if err := d.log.Reset(); err != nil {
-			return fmt.Errorf("%w: %v", errJournalReset, err)
-		}
+	if err := d.log.Reset(); err != nil {
+		return fmt.Errorf("%w: %v", errJournalReset, err)
 	}
 	return nil
 }
 
 // SetDurable attaches the persistence component: every successful setup,
-// teardown, fail-link and restore-link is journaled or snapshotted
-// (by mode) before the response acks. It must be called before Serve,
-// after Recover. The server adopts the replication term recovery found
-// on disk.
+// teardown, fail-link and restore-link is journaled before the response
+// acks. It must be called before Serve, after Recover. The server adopts
+// the replication term recovery found on disk.
 func (s *Server) SetDurable(d *Durable) {
 	s.dur = d
 	if d != nil && d.recoveredEpoch > s.epoch.Load() {
 		s.epoch.Store(d.recoveredEpoch)
 	}
-}
-
-// journaled reports whether per-op persistence appends to the journal.
-func (d *Durable) journaled() bool {
-	return d.log != nil && d.mode != DurabilitySnapshot
 }
 
 // shipUnit carries what the Durable hooks of one persist call report back
@@ -415,15 +386,12 @@ func (s *Server) persist(recs, inverts []*journal.Record) (errs []error, warning
 	if s.dur == nil {
 		return nil, ""
 	}
-	if !s.dur.journaled() {
-		return nil, s.persistSnapshotWarn()
-	}
 	if cp := s.crashPoints; cp != nil && cp.PreAppend != nil {
 		cp.PreAppend(string(recs[0].Op))
 	}
 	u := &shipUnit{}
 	frames := s.journalFrames(recs, inverts, u)
-	wait, err := s.dur.log.Queue(s.dur.mode == DurabilityJournalSync, frames...)
+	wait, err := s.dur.log.Queue(s.dur.sync, frames...)
 	if err == nil {
 		if s.testHookQueued != nil {
 			s.testHookQueued()
@@ -516,7 +484,7 @@ func (s *Server) ship(rec, invert *journal.Record, payload []byte, u *shipUnit) 
 // what clients were told.
 func (s *Server) compensate(inverts []*journal.Record) {
 	frames := s.journalFrames(inverts, make([]*journal.Record, len(inverts)), &shipUnit{bestEffort: true})
-	if err := s.dur.log.Commit(s.dur.mode == DurabilityJournalSync, frames...); err != nil {
+	if err := s.dur.log.Commit(s.dur.sync, frames...); err != nil {
 		s.dur.log.MarkBroken()
 	}
 }
@@ -586,18 +554,6 @@ func (s *Server) persistWarn(rec *journal.Record) string {
 	})
 	s.scheduleRetry()
 	return fmt.Sprintf("%s journal append deferred (will retry as snapshot): %v", rec.Op, err)
-}
-
-// persistSnapshotWarn is the legacy warning-only snapshot path: on
-// failure the operation still succeeded — admission state is
-// authoritative in memory — so a background retry is scheduled and the
-// warning tells the client the snapshot is deferred.
-func (s *Server) persistSnapshotWarn() string {
-	if err := s.snapshot(); err != nil {
-		s.scheduleRetry()
-		return fmt.Sprintf("state snapshot deferred (will retry): %v", err)
-	}
-	return ""
 }
 
 // setupRecords are an admitted setup's journal record and its inverse.

@@ -107,7 +107,7 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // or zero when the node has no journal. A standby reports it in its
 // replication handshake so the primary ships only the missing delta.
 func (s *Server) JournalWatermark() uint64 {
-	if s.dur == nil || !s.dur.journaled() {
+	if s.dur == nil {
 		return 0
 	}
 	return s.dur.log.LastSeq()
@@ -157,7 +157,7 @@ func (s *Server) Promote() (uint64, error) {
 	defer s.opMu.Unlock()
 	epoch := s.epoch.Load() + 1
 	if s.dur != nil {
-		err := s.exclusive(func() error { return s.compactLocked(epoch) })
+		err := s.dur.log.Between(func() error { return s.compactLocked(epoch) })
 		if err != nil && !errors.Is(err, errJournalReset) {
 			return 0, fmt.Errorf("wire: promote: persist epoch %d: %w", epoch, err)
 		}
@@ -182,7 +182,7 @@ func (s *Server) Promote() (uint64, error) {
 func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	if s.dur == nil || !s.dur.journaled() {
+	if s.dur == nil {
 		return fmt.Errorf("wire: apply shipped record: node has no journal")
 	}
 	if epoch := s.epoch.Load(); rec.Epoch < epoch {
@@ -191,7 +191,7 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	if rec.Epoch > s.epoch.Load() {
 		s.epoch.Store(rec.Epoch)
 	}
-	appended, err := s.dur.log.AppendAt(rec.Seq, payload, s.dur.mode == DurabilityJournalSync,
+	appended, err := s.dur.log.AppendAt(rec.Seq, payload, s.dur.sync,
 		func(uint64, []byte) error {
 			s.dur.applyView(&rec)
 			return nil
@@ -217,7 +217,7 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 // longer holds its delta — or force is set because the standby diverged
 // (failed apply, epoch change) — the full durable state is sent instead.
 func (s *Server) CatchUp(afterSeq uint64, force bool, full func(PersistentState) error, incremental func([]journal.Entry) error, activate func()) error {
-	if s.dur == nil || !s.dur.journaled() {
+	if s.dur == nil {
 		return fmt.Errorf("wire: replication catch-up: node has no journal")
 	}
 	return s.dur.log.Between(func() error {
@@ -282,7 +282,7 @@ func (s *Server) InstallState(st PersistentState) error {
 		}
 	}
 	s.epoch.Store(st.Epoch)
-	if s.dur == nil || !s.dur.journaled() {
+	if s.dur == nil {
 		return nil
 	}
 	return s.dur.log.Between(func() error {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,14 +80,6 @@ func (s *StateStore) Path() string { return s.path }
 // quarantine lands on <path>.corrupt.1, .2, ... — a second corruption
 // must never overwrite the proof of the first.
 func (s *StateStore) QuarantinePath() string { return s.path + ".corrupt" }
-
-// Load reads and verifies the stored connection requests, quarantining a
-// corrupt file. It is ReadState reduced to the connection set, kept for
-// callers that predate failed-link persistence.
-func (s *StateStore) Load() (reqs []core.ConnRequest, warning string, err error) {
-	st, warning, err := s.LoadState()
-	return st.Connections, warning, err
-}
 
 // LoadState reads and verifies the stored state. A missing file is an
 // empty store, not an error. A file without a checksum trailer (written
@@ -193,11 +184,6 @@ func splitTrailer(data []byte) (payload []byte, sum uint32, epoch uint64, versio
 	return data, 0, 0, 0
 }
 
-// Save atomically writes the connection requests with a CRC32 trailer.
-func (s *StateStore) Save(reqs []core.ConnRequest) error {
-	return s.SaveState(PersistentState{Connections: reqs})
-}
-
 // SaveState writes the state so that a crash or power loss at any point
 // leaves either the old file or the new one, never a torn or empty
 // snapshot: the temp file is fsynced before the rename (otherwise the
@@ -243,39 +229,11 @@ func (s *StateStore) SaveState(st PersistentState) error {
 }
 
 // RestoreFailure reports one stored connection that could not be
-// re-admitted during Restore, with the admission error preserved.
+// re-admitted during Recover (e.g. because the network shape changed),
+// with the admission error preserved.
 type RestoreFailure struct {
 	ID  core.ConnID
 	Err error
-}
-
-// Restore re-establishes every stored connection on the network through
-// the full CAC check. It returns a per-connection failure record for each
-// that could not be re-admitted (e.g. because the network shape changed);
-// the caller decides whether that is fatal. The warning, when non-empty,
-// flags a pre-checksum snapshot that was accepted unverified. Failed
-// connections are reported once and stay out of the admitted set, so the
-// next snapshot prunes them instead of re-persisting them forever.
-func Restore(network *core.Network, store *StateStore) (restored int, failed []RestoreFailure, warning string, err error) {
-	reqs, warning, err := store.Load()
-	if err != nil {
-		return 0, nil, warning, err
-	}
-	for _, req := range reqs {
-		if _, err := network.Setup(context.Background(), req); err != nil {
-			failed = append(failed, RestoreFailure{ID: req.ID, Err: err})
-			continue
-		}
-		restored++
-	}
-	return restored, failed, warning, nil
-}
-
-// SetStateStore attaches snapshot-per-mutation persistence — the legacy
-// durability mode; see SetDurable for the journaled modes. It must be
-// called before Serve.
-func (s *Server) SetStateStore(store *StateStore) {
-	s.dur = &Durable{mode: DurabilitySnapshot, store: store}
 }
 
 // persistRetryBase is the first retry delay after a failed snapshot; it
@@ -293,76 +251,43 @@ const (
 // refuse (and roll back) further journaled mutations.
 var errJournalReset = errors.New("wire: journal reset failed after snapshot save")
 
-// snapshot folds the current admission state into the snapshot file as
-// one atomic step and, in the journaled modes, resets the journal.
-// Without the serialization, two concurrent operations could write their
-// captures out of order and leave a stale set on disk.
+// snapshot folds the journal into a fresh snapshot, between the
+// journal's group commits, so a compaction sees every durable record in
+// the view and no record of a group in flight.
 func (s *Server) snapshot() error {
-	return s.exclusive(func() error { return s.compactLocked(s.epoch.Load()) })
+	return s.dur.log.Between(func() error { return s.compactLocked(s.epoch.Load()) })
 }
 
-// exclusive runs fn serialized with every other snapshot write: between
-// the journal's group commits in the journaled modes — so a compaction
-// sees every durable record in the view and no record of a group in
-// flight — and under persistMu in snapshot mode.
-func (s *Server) exclusive(fn func() error) error {
-	if s.dur.journaled() {
-		return s.dur.log.Between(fn)
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return fn()
-}
-
-// compactLocked writes the admission state as the new snapshot; the
-// journal, when present, is truncated after (see Durable.fold).
+// compactLocked writes the durable view as the new snapshot at the
+// term epoch, then truncates the journal (see Durable.fold). The caller
+// runs between groups.
 //
-// In the journaled modes the state written is the durable view (snapshot
-// plus durable records), not the live network: a concurrent operation
-// may have committed its network mutation while its journal record is
-// still queued — if that record then fails and the operation rolls back,
-// a live capture would have leaked the refused mutation into a durable
-// snapshot, resurrecting it after a crash. Snapshot mode has no
-// append/ack boundary to respect and captures the live network as before.
+// The state written is the durable view (snapshot plus durable records),
+// not the live network: a concurrent operation may have committed its
+// network mutation while its journal record is still queued — if that
+// record then fails and the operation rolls back, a live capture would
+// have leaked the refused mutation into a durable snapshot, resurrecting
+// it after a crash.
 //
-// The caller runs inside exclusive; epoch is the term the snapshot
-// records.
-//
-// Each run is traced: KindCompaction in the journaled modes (the fold-in
-// is what bounds replay time), KindSnapshot in snapshot mode (the full
-// rewrite is the per-op persistence cost).
+// Each run is traced as KindCompaction: the fold-in is what bounds
+// replay time.
 func (s *Server) compactLocked(epoch uint64) error {
 	tr := s.tracer
 	var start time.Time
 	if tr != nil {
 		start = time.Now()
 	}
-	err := s.writeSnapshotLocked(epoch)
+	st := PersistentState{Epoch: epoch, LastSeq: s.dur.log.LastSeq()}
+	st.Connections, st.FailedLinks = s.dur.viewState()
+	err := s.dur.fold(st)
 	if tr != nil {
-		kind := obs.KindSnapshot
-		if s.dur.journaled() {
-			kind = obs.KindCompaction
-		}
-		ev := obs.Event{Kind: kind, Outcome: obs.OutcomeOK, Duration: time.Since(start)}
+		ev := obs.Event{Kind: obs.KindCompaction, Outcome: obs.OutcomeOK, Duration: time.Since(start)}
 		if err != nil {
 			ev.Outcome = obs.OutcomeError
 		}
 		tr.Trace(ev)
 	}
 	return err
-}
-
-// writeSnapshotLocked is the untraced body of compactLocked.
-func (s *Server) writeSnapshotLocked(epoch uint64) error {
-	st := PersistentState{Epoch: epoch}
-	if s.dur.journaled() {
-		st.Connections, st.FailedLinks = s.dur.viewState()
-		st.LastSeq = s.dur.log.LastSeq()
-	} else {
-		st.Connections = s.network.AdmittedRequests()
-		st.FailedLinks = s.network.FailedLinks()
-	}
-	return s.dur.fold(st)
 }
 
 // persistNow snapshots without scheduling retries — used for the final
@@ -381,10 +306,9 @@ func (s *Server) persistNow() error {
 }
 
 // scheduleRetry starts the single-flight background persist loop. Each
-// attempt snapshots the admission state current at that moment (the
-// durable view in the journaled modes, the live network in snapshot
-// mode), so the loop converges on the latest state no matter how many
-// operations failed to persist in between.
+// attempt snapshots the durable view current at that moment, so the loop
+// converges on the latest state no matter how many operations failed to
+// persist in between.
 func (s *Server) scheduleRetry() {
 	s.mu.Lock()
 	if s.retrying || s.closed {

@@ -339,12 +339,6 @@ type Server struct {
 	reg    *obs.Registry
 	tracer obs.Tracer
 
-	// persistMu makes each snapshot-mode state snapshot (capture + write)
-	// atomic, so concurrent operations cannot write their captures out of
-	// order. The journaled modes serialize through the journal's group
-	// commit instead (see exclusive).
-	persistMu sync.Mutex
-
 	// opMu orders admission mutations against their journal records.
 	// Setup and teardown hold it shared (their mutation+append pair is
 	// made atomic per connection ID by idLocks); fail-link and
@@ -449,7 +443,7 @@ func (s *Server) SetLimiter(l *overload.Limiter) { s.limiter = l }
 // SetObservability attaches the metrics registry and trace sink. The
 // tracer is installed on the network (admission events) and on the
 // journal (append latency), and receives every wire-level event —
-// requests, sheds, compactions, snapshots, re-admissions. The registry
+// requests, sheds, compactions, re-admissions. The registry
 // gains scrape-time gauges over the live server state: admitted
 // connections, failed links, journal size, limiter tokens and in-flight
 // count. Must be called before Serve and after SetLimiter/SetDurable, so
@@ -459,7 +453,7 @@ func (s *Server) SetObservability(reg *obs.Registry, tracer obs.Tracer) {
 	s.tracer = tracer
 	if tracer != nil {
 		s.network.SetTracer(tracer)
-		if s.dur != nil && s.dur.log != nil {
+		if s.dur != nil {
 			s.dur.log.SetObserver(func(st journal.GroupStats) {
 				// One append event per record, timed as the whole append
 				// its caller waits out: the group's write plus its fsync. A
@@ -499,7 +493,7 @@ func (s *Server) SetObservability(reg *obs.Registry, tracer obs.Tracer) {
 		return float64(len(s.network.FailedLinks()))
 	})
 	reg.Help("atmcac_failover_links_down", "Links currently marked failed.")
-	if s.dur != nil && s.dur.log != nil {
+	if s.dur != nil {
 		reg.GaugeFunc("atmcac_journal_size_bytes", func() float64 { return float64(s.dur.log.Size()) })
 		reg.Help("atmcac_journal_size_bytes", "Write-ahead journal length since the last compaction.")
 		reg.GaugeFunc("atmcac_journal_records", func() float64 { return float64(s.dur.log.Count()) })

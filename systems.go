@@ -217,13 +217,19 @@ var (
 
 // Persistence for the central CAC server.
 type (
-	// CACStateStore persists established connections across restarts.
+	// CACStateStore is the snapshot file of established connections.
 	CACStateStore = wire.StateStore
+	// CACDurable journals every admission before its ack and recovers
+	// the established connections across restarts.
+	CACDurable = wire.Durable
+	// CACDurableConfig configures OpenCACDurable.
+	CACDurableConfig = wire.DurableConfig
 )
 
 var (
 	// NewCACStateStore returns a store backed by a JSON file.
 	NewCACStateStore = wire.NewStateStore
-	// RestoreCACState re-establishes stored connections on a network.
-	RestoreCACState = wire.Restore
+	// OpenCACDurable opens the snapshot and journal; its Recover
+	// re-establishes the stored connections on a network.
+	OpenCACDurable = wire.OpenDurable
 )
