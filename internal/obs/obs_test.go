@@ -286,8 +286,10 @@ func TestMetricsTracerMapping(t *testing.T) {
 	tr.Trace(Event{Kind: KindReadmit, Outcome: OutcomeAccepted, Crankback: 4, Retries: 1})
 	tr.Trace(Event{Kind: KindReadmit, Outcome: OutcomeError})
 	tr.Trace(Event{Kind: KindShed, Op: "setup", Class: "setup-low", Code: "overloaded-rate"})
-	tr.Trace(Event{Kind: KindJournalAppend, Outcome: OutcomeOK, Duration: 40 * time.Microsecond, SyncDuration: 30 * time.Microsecond, Bytes: 128})
+	tr.Trace(Event{Kind: KindJournalAppend, Outcome: OutcomeOK, Duration: 40 * time.Microsecond, Bytes: 128})
 	tr.Trace(Event{Kind: KindJournalAppend, Outcome: OutcomeError})
+	// The group commit, not the append, counts the fsync.
+	tr.Trace(Event{Kind: KindGroupCommit, Outcome: OutcomeOK, Records: 2, Duration: 40 * time.Microsecond})
 	tr.Trace(Event{Kind: KindReplay, Restored: 7, Failed: 1, Records: 9})
 	tr.Trace(Event{Kind: KindAudit, Violations: 2, Duration: time.Millisecond})
 
@@ -311,6 +313,7 @@ func TestMetricsTracerMapping(t *testing.T) {
 		"atmcac_journal_fsync_seconds_count":                    1,
 		"atmcac_journal_append_bytes_total":                     128,
 		"atmcac_journal_append_errors_total":                    1,
+		`atmcac_journal_group_commits_total{outcome="ok"}`:      1,
 		"atmcac_recovery_restored_total":                        7,
 		"atmcac_recovery_failed_total":                          1,
 		"atmcac_recovery_journal_records_total":                 9,
