@@ -138,9 +138,9 @@ func (h *Histogram) BucketCounts() []uint64 {
 }
 
 // DefLatencyBuckets spans 1µs to 2.5s: the fast path (lock-free CAC checks,
-// journal appends) sits in the low microseconds, snapshot rewrites and
-// fsyncs in the milliseconds, and full-ring admissions under churn can
-// reach high milliseconds.
+// unsynced journal appends) sits in the low microseconds, group-commit
+// fsyncs and compactions in the milliseconds, and full-ring admissions
+// under churn can reach high milliseconds.
 var DefLatencyBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
 	1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
