@@ -390,6 +390,7 @@ type crashEpoch struct {
 	client *wire.Client
 	done   chan struct{}
 	report *wire.RecoveryReport
+	obs    *procObs
 }
 
 // boot builds a network, recovers it from the files through fsys, and
@@ -443,6 +444,8 @@ func (h *CrashHarness) boot(fsys journal.FS) (*crashEpoch, error) {
 		_ = dur.Close()
 		return nil, err
 	}
+	o := newProcObs()
+	srv.SetObservability(o.reg, o.tracer)
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve(l) }()
 	client, err := wire.Dial(l.Addr().String())
@@ -450,9 +453,10 @@ func (h *CrashHarness) boot(fsys journal.FS) (*crashEpoch, error) {
 		_ = srv.Close()
 		_ = dur.Close()
 		<-done
+		o.close()
 		return nil, err
 	}
-	return &crashEpoch{rt: rt, srv: srv, dur: dur, client: client, done: done, report: rep}, nil
+	return &crashEpoch{rt: rt, srv: srv, dur: dur, client: client, done: done, report: rep, obs: o}, nil
 }
 
 // stop tears an epoch down without a final snapshot — a crash, not a
@@ -462,6 +466,7 @@ func (e *crashEpoch) stop() {
 	_ = e.srv.Close()
 	<-e.done
 	_ = e.dur.Close()
+	e.obs.close()
 }
 
 // CrashResult reports one injected-crash run.

@@ -30,7 +30,6 @@ import (
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
-	"atmcac/internal/obs"
 	"atmcac/internal/overload"
 	"atmcac/internal/replica"
 	"atmcac/internal/shard"
@@ -106,6 +105,7 @@ type haMember struct {
 	prim    *replica.Primary
 	sb      *replica.Standby
 	replLn  net.Listener
+	obs     *procObs
 	done    chan struct{}
 	alive   bool
 }
@@ -140,14 +140,16 @@ func bootHAMember(id, dir string, switches []string, replLn net.Listener, cp *wi
 	srv.SetShardID(id)
 	srv.SetDurable(dur)
 	srv.SetCrashPoints(cp)
-	m := &haMember{id: id, dir: dir, network: network, dur: dur, srv: srv, replLn: replLn}
+	m := &haMember{id: id, dir: dir, network: network, dur: dur, srv: srv, replLn: replLn, obs: newProcObs()}
 	if replLn != nil {
 		m.prim = replica.NewPrimary(srv, replica.PrimaryConfig{
 			Mode:           replica.ModeSync,
 			AckTimeout:     2 * time.Second,
 			HeartbeatEvery: 50 * time.Millisecond,
+			Tracer:         m.obs.tracer,
 		})
 		srv.SetShipper(m.prim)
+		m.prim.RegisterMetrics(m.obs.reg)
 		go func() { _ = m.prim.Serve(replLn) }()
 	}
 	if primaryRepl != "" {
@@ -158,9 +160,11 @@ func bootHAMember(id, dir string, switches []string, replLn net.Listener, cp *wi
 			PrimaryAddr:      primaryRepl,
 			ReconnectBackoff: overload.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 		})
+		m.sb.RegisterMetrics(m.obs.reg)
 		go func() { _ = m.sb.Run() }()
 	}
 	srv.SetReplicationStatus(replica.Status(m.prim, m.sb))
+	srv.SetObservability(m.obs.reg, m.obs.tracer)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		m.crash()
@@ -194,6 +198,7 @@ func (m *haMember) crash() {
 		_ = m.replLn.Close()
 	}
 	_ = m.dur.Close()
+	m.obs.close()
 }
 
 // haPair is one replicated shard: primary behind a cuttable proxy,
@@ -330,13 +335,15 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		return nil, err
 	}
 
-	// Boot the coordinator pair: active with a shipping intent log, a
-	// standby coordinator tailing it.
-	reg := obs.NewRegistry()
-	tracer := obs.NewMetricsTracer(reg)
+	// Boot the coordinator pair, two processes: active with a shipping
+	// intent log, a standby coordinator tailing it, which becomes the
+	// successor coordinator when it promotes.
+	activeObs, standbyObs := newProcObs(), newProcObs()
+	defer activeObs.close()
+	defer standbyObs.close()
 	activeLog := filepath.Join(h.Dir, "intent-active.log")
 	standbyLog := filepath.Join(h.Dir, "intent-standby.log")
-	newCoord := func(logPath string) (*shard.Coordinator, error) {
+	newCoord := func(logPath string, o *procObs) (*shard.Coordinator, error) {
 		c, err := shard.NewCoordinator(m, journal.OSFS{}, logPath)
 		if err != nil {
 			return nil, err
@@ -344,17 +351,19 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		c.PrepareTTL = h.PrepareTTL
 		c.OpTimeout = time.Second
 		c.Retries = 2
-		c.SetTracer(tracer)
-		c.RegisterMetrics(reg)
+		c.SetTracer(o.tracer)
+		c.RegisterMetrics(o.reg)
 		return c, nil
 	}
-	coord, err := newCoord(activeLog)
+	coord, err := newCoord(activeLog, activeObs)
 	if err != nil {
 		return nil, err
 	}
+	coordObs := activeObs
 	defer func() { _ = coord.Close() }()
-	intentPrim := shard.NewIntentPrimary(coord, tracer)
+	intentPrim := shard.NewIntentPrimary(coord, activeObs.tracer)
 	intentPrim.HeartbeatEvery = 50 * time.Millisecond
+	intentPrim.RegisterMetrics(activeObs.reg)
 	intentLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -363,7 +372,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	defer intentPrim.Close()
 	coordSb, err := shard.NewStandbyCoordinator(shard.StandbyConfig{
 		From: intentLn.Addr().String(), LogPath: standbyLog, FS: journal.OSFS{},
-		FailoverTimeout: h.CoordFailoverTimeout, Tracer: tracer,
+		FailoverTimeout: h.CoordFailoverTimeout, Tracer: standbyObs.tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -465,11 +474,11 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 			return nil, fmt.Errorf("faultinject: standby coordinator never promoted")
 		}
 		res.CoordPromoted = true
-		succ, err := newCoord(standbyLog)
+		succ, err := newCoord(standbyLog, standbyObs)
 		if err != nil {
 			return nil, err
 		}
-		coord = succ
+		coord, coordObs = succ, standbyObs
 		defer func() { _ = succ.Close() }()
 		if got, want := coord.Epoch(), uint64(2); got != want {
 			return nil, fmt.Errorf("faultinject: promoted coordinator term = %d, want %d", got, want)
@@ -522,7 +531,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if err := coord.Teardown(ctx, "probe"); err != nil {
 		return nil, fmt.Errorf("faultinject: probe teardown: %w", err)
 	}
-	res.ShardFailovers = reg.Counter("atmcac_shard_failovers_total").Value()
+	res.ShardFailovers = coordObs.reg.Counter("atmcac_shard_failovers_total").Value()
 	switch {
 	case fault.ReplCut && res.ShardFailovers != 0:
 		return nil, fmt.Errorf("faultinject: a replication cut (no process death) caused %d shard failovers", res.ShardFailovers)

@@ -90,6 +90,7 @@ type OverloadHarness struct {
 	srv        *wire.Server
 	client     *wire.Client
 	done       chan struct{}
+	obs        *procObs
 	failedFrom int
 	outcomes   []OverloadOutcome
 	// setupsUp counts connections the script successfully established and
@@ -144,6 +145,8 @@ func NewOverload(cfg rtnet.Config, lim overload.LimiterConfig) (*OverloadHarness
 	if err != nil {
 		return nil, err
 	}
+	h.obs = newProcObs()
+	h.srv.SetObservability(h.obs.reg, h.obs.tracer)
 	go func() {
 		defer close(h.done)
 		_ = h.srv.Serve(l)
@@ -152,6 +155,7 @@ func NewOverload(cfg rtnet.Config, lim overload.LimiterConfig) (*OverloadHarness
 	if err != nil {
 		_ = h.srv.Close()
 		<-h.done
+		h.obs.close()
 		return nil, err
 	}
 	h.client = client
@@ -163,6 +167,7 @@ func (h *OverloadHarness) Close() error {
 	cerr := h.client.Close()
 	serr := h.srv.Close()
 	<-h.done
+	h.obs.close()
 	if serr != nil && serr != wire.ErrServerClosed {
 		return serr
 	}

@@ -125,6 +125,7 @@ type replicaNode struct {
 	ln     net.Listener
 	replLn net.Listener
 	done   chan struct{}
+	obs    *procObs
 
 	mu       sync.Mutex
 	prim     *replica.Primary
@@ -231,19 +232,22 @@ func (h *ReplicaHarness) bootNode(statePath string, fsys journal.FS, replLn net.
 		}
 		return outs
 	})
-	n := &replicaNode{rt: rt, srv: srv, dur: dur, replLn: replLn}
+	n := &replicaNode{rt: rt, srv: srv, dur: dur, replLn: replLn, obs: newProcObs()}
 	n.prim = replica.NewPrimary(srv, replica.PrimaryConfig{
 		Mode:           h.Mode,
 		AckTimeout:     2 * time.Second,
 		HeartbeatEvery: 50 * time.Millisecond,
+		Tracer:         n.obs.tracer,
 	})
 	srv.SetShipper(n.prim)
+	n.prim.RegisterMetrics(n.obs.reg)
 	srv.SetReplicationStatus(func(rep *wire.ReplicationReport) {
 		n.mu.Lock()
 		prim, sb := n.prim, n.sb
 		n.mu.Unlock()
 		replica.Status(prim, sb)(rep)
 	})
+	srv.SetObservability(n.obs.reg, n.obs.tracer)
 	if replLn != nil {
 		go n.prim.Serve(replLn)
 	}
@@ -273,6 +277,7 @@ func (n *replicaNode) startStandby(primaryAddr string, dial func(string) (net.Co
 		Dial:             dial,
 		ReconnectBackoff: overload.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	})
+	sb.RegisterMetrics(n.obs.reg)
 	n.mu.Lock()
 	n.sb = sb
 	n.mu.Unlock()
@@ -306,6 +311,7 @@ func (n *replicaNode) stop() {
 			_ = n.replLn.Close()
 		}
 		_ = n.dur.Close()
+		n.obs.close()
 	})
 }
 

@@ -255,6 +255,7 @@ type shardNode struct {
 	network *core.Network
 	dur     *wire.Durable
 	srv     *wire.Server
+	obs     *procObs
 	done    chan struct{}
 	alive   bool
 }
@@ -303,6 +304,8 @@ func (n *shardNode) boot() error {
 	}
 	n.addr = ln.Addr().String()
 	n.network, n.dur, n.srv = network, dur, srv
+	n.obs = newProcObs()
+	srv.SetObservability(n.obs.reg, n.obs.tracer)
 	n.done = make(chan struct{})
 	go func(done chan struct{}) { defer close(done); _ = srv.Serve(ln) }(n.done)
 	n.alive = true
@@ -318,6 +321,7 @@ func (n *shardNode) crash() {
 	_ = n.srv.Close()
 	<-n.done
 	_ = n.dur.Close()
+	n.obs.close()
 }
 
 // list asks the live shard for its admitted connections.
@@ -397,6 +401,13 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 		return nil, err
 	}
 	logPath := filepath.Join(h.Dir, "intent.log")
+	// Each coordinator incarnation is a process with its own wiring.
+	var coordObs []*procObs
+	defer func() {
+		for _, o := range coordObs {
+			o.close()
+		}
+	}()
 	newCoord := func() (*shard.Coordinator, error) {
 		c, err := shard.NewCoordinator(m, journal.OSFS{}, logPath)
 		if err != nil {
@@ -405,6 +416,10 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 		c.PrepareTTL = h.PrepareTTL
 		c.OpTimeout = 500 * time.Millisecond
 		c.Retries = 2
+		o := newProcObs()
+		coordObs = append(coordObs, o)
+		c.SetTracer(o.tracer)
+		c.RegisterMetrics(o.reg)
 		return c, nil
 	}
 	coord, err := newCoord()
