@@ -352,7 +352,6 @@ func run(args []string) error {
 			sb = replica.NewStandby(srv, replica.StandbyConfig{
 				PrimaryAddr:     *replFrom,
 				FailoverTimeout: *failoverTmo,
-				Tracer:          tracer,
 			})
 			sb.RegisterMetrics(reg)
 			go func() { _ = sb.Run() }()
@@ -468,21 +467,23 @@ func runCoordinator(cfg coordinatorConfig, sigCh chan os.Signal) error {
 	reg := obs.NewRegistry()
 	tracer := obs.NewMetricsTracer(reg)
 
+	promoted := false
 	if cfg.replFrom != "" {
-		sb, err := shard.NewStandbyCoordinator(shard.StandbyConfig{
-			From:            cfg.replFrom,
-			LogPath:         cfg.logPath,
-			FS:              journal.OSFS{},
-			FailoverTimeout: cfg.failoverTmo,
-			Tracer:          tracer,
-		})
+		// A standby that can never promote is a tape archive, not HA.
+		if cfg.failoverTmo <= 0 {
+			return fmt.Errorf("-coord-replicate-from needs a positive -coord-failover-timeout")
+		}
+		log, _, _, err := shard.OpenIntentLog(journal.OSFS{}, cfg.logPath)
 		if err != nil {
 			return err
 		}
+		sb := shard.NewStandbyCoordinator(log, replica.StandbyConfig{
+			PrimaryAddr:     cfg.replFrom,
+			FailoverTimeout: cfg.failoverTmo,
+		})
+		sb.RegisterMetrics(reg)
 		fmt.Printf("cacd: standby coordinator tailing %s (promote after %s of silence)\n",
 			cfg.replFrom, cfg.failoverTmo)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
 		var sigSeen atomic.Bool
 		stopWatch := make(chan struct{})
 		go func() {
@@ -490,23 +491,24 @@ func runCoordinator(cfg coordinatorConfig, sigCh chan os.Signal) error {
 			case sig := <-sigCh:
 				sigSeen.Store(true)
 				fmt.Printf("cacd: received %v, closing standby coordinator\n", sig)
-				cancel()
-				sb.Close() // break a read blocked inside the session
+				sb.Close()
 			case <-stopWatch:
 			}
 		}()
-		runErr := sb.Run(ctx)
+		runErr := sb.Run()
 		close(stopWatch)
-		if sigSeen.Load() {
+		closeErr := log.Close()
+		switch {
+		case sigSeen.Load():
 			return nil
-		}
-		if runErr != nil {
+		case runErr != nil:
 			return runErr
+		case closeErr != nil:
+			return closeErr
 		}
 		// Promoted: the takeover term is durable in the local log copy.
 		// Fall through to the active role reading it back.
-		fmt.Printf("cacd: active coordinator silent for %s — promoted to term %d\n",
-			cfg.failoverTmo, sb.Epoch())
+		promoted = true
 	}
 
 	coord, err := shard.NewCoordinator(m, journal.OSFS{}, cfg.logPath)
@@ -514,6 +516,11 @@ func runCoordinator(cfg coordinatorConfig, sigCh chan os.Signal) error {
 		return err
 	}
 	defer coord.Close()
+	if promoted {
+		tracer.Trace(obs.Event{Kind: obs.KindCoordPromote, Outcome: obs.OutcomeOK, Epoch: coord.Epoch()})
+		fmt.Printf("cacd: active coordinator silent for %s — promoted to term %d\n",
+			cfg.failoverTmo, coord.Epoch())
+	}
 	coord.PrepareTTL = cfg.prepareTTL
 	coord.SetTracer(tracer)
 	coord.RegisterMetrics(reg)
@@ -535,7 +542,7 @@ func runCoordinator(cfg coordinatorConfig, sigCh chan os.Signal) error {
 		if err != nil {
 			return err
 		}
-		prim := shard.NewIntentPrimary(coord, tracer)
+		prim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{Tracer: tracer})
 		prim.RegisterMetrics(reg)
 		go func() { _ = prim.Serve(rln) }()
 		defer prim.Close()

@@ -14,6 +14,7 @@ import (
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
+	"atmcac/internal/replica"
 	"atmcac/internal/shard"
 	"atmcac/internal/traffic"
 	"atmcac/internal/wire"
@@ -282,8 +283,7 @@ func TestEndToEndCoordinatorTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prim := shard.NewIntentPrimary(coord, nil)
-	prim.HeartbeatEvery = 50 * time.Millisecond
+	prim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{HeartbeatEvery: 50 * time.Millisecond})
 	go func() { _ = prim.Serve(rln) }()
 
 	addrCh := make(chan net.Addr, 1)

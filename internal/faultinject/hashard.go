@@ -30,6 +30,7 @@ import (
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
+	"atmcac/internal/obs"
 	"atmcac/internal/overload"
 	"atmcac/internal/replica"
 	"atmcac/internal/shard"
@@ -361,8 +362,10 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	coordObs := activeObs
 	defer func() { _ = coord.Close() }()
-	intentPrim := shard.NewIntentPrimary(coord, activeObs.tracer)
-	intentPrim.HeartbeatEvery = 50 * time.Millisecond
+	intentPrim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{
+		HeartbeatEvery: 50 * time.Millisecond,
+		Tracer:         activeObs.tracer,
+	})
 	intentPrim.RegisterMetrics(activeObs.reg)
 	intentLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -370,17 +373,18 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	go func() { _ = intentPrim.Serve(intentLn) }()
 	defer intentPrim.Close()
-	coordSb, err := shard.NewStandbyCoordinator(shard.StandbyConfig{
-		From: intentLn.Addr().String(), LogPath: standbyLog, FS: journal.OSFS{},
-		FailoverTimeout: h.CoordFailoverTimeout, Tracer: standbyObs.tracer,
-	})
+	sbLog, _, _, err := shard.OpenIntentLog(journal.OSFS{}, standbyLog)
 	if err != nil {
 		return nil, err
 	}
-	sbCtx, sbCancel := context.WithCancel(context.Background())
-	defer sbCancel()
+	defer sbLog.Close() // a no-op once the promotion closed it
+	coordSb := shard.NewStandbyCoordinator(sbLog, replica.StandbyConfig{
+		PrimaryAddr:     intentLn.Addr().String(),
+		FailoverTimeout: h.CoordFailoverTimeout,
+	})
+	coordSb.RegisterMetrics(standbyObs.reg)
 	sbDone := make(chan error, 1)
-	go func() { sbDone <- coordSb.Run(sbCtx) }()
+	go func() { sbDone <- coordSb.Run() }()
 	defer coordSb.Close()
 	if !waitFor(5*time.Second, intentPrim.Attached) {
 		return nil, fmt.Errorf("faultinject: standby coordinator never attached")
@@ -474,10 +478,14 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 			return nil, fmt.Errorf("faultinject: standby coordinator never promoted")
 		}
 		res.CoordPromoted = true
+		if err := sbLog.Close(); err != nil {
+			return nil, err
+		}
 		succ, err := newCoord(standbyLog, standbyObs)
 		if err != nil {
 			return nil, err
 		}
+		standbyObs.tracer.Trace(obs.Event{Kind: obs.KindCoordPromote, Outcome: obs.OutcomeOK, Epoch: succ.Epoch()})
 		coord, coordObs = succ, standbyObs
 		defer func() { _ = succ.Close() }()
 		if got, want := coord.Epoch(), uint64(2); got != want {

@@ -1,16 +1,19 @@
 package replica
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"atmcac/internal/journal"
 	"atmcac/internal/obs"
 	"atmcac/internal/wire"
 )
+
+// ErrNoStandby reports a sync or semi-sync Ship with no standby attached.
+// A shipper that may proceed unreplicated maps it to nil.
+var ErrNoStandby = errors.New("replica: no standby attached")
 
 // PrimaryConfig tunes the shipping side of replication.
 type PrimaryConfig struct {
@@ -20,14 +23,12 @@ type PrimaryConfig struct {
 	// Defaults to 64.
 	MaxLag uint64
 	// AckTimeout bounds how long a sync or semi-sync Ship waits for the
-	// standby before giving up (the operation is then compensated and
-	// refused). Defaults to 5s.
+	// standby before giving up: the Ship fails and the session is dropped,
+	// so the standby reconnects and catches up. Defaults to 5s.
 	AckTimeout time.Duration
 	// HeartbeatEvery is the keepalive interval feeding the standby's
 	// failover timer. Defaults to 1s.
 	HeartbeatEvery time.Duration
-	// WriteTimeout bounds a single stream write. Defaults to 5s.
-	WriteTimeout time.Duration
 	// Tracer receives repl-ship and repl-ack events; nil disables.
 	Tracer obs.Tracer
 }
@@ -45,35 +46,81 @@ func (c *PrimaryConfig) fill() {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
-	}
+}
+
+// Source is the log a Primary ships: a wire.Server's admission journal
+// or a coordinator's intent log. The stream carries its sequences and
+// its frame payloads verbatim.
+type Source interface {
+	// Epoch returns the source's term. It must never block: the ack
+	// reader calls it while a Ship waits for that very ack.
+	Epoch() uint64
+	// Fence takes the source out of the write path: a peer runs at
+	// epoch, a term above the source's own.
+	Fence(epoch uint64)
+	// Fenced reports whether the source was fenced, and by which term.
+	Fenced() (bool, uint64)
+	// Watermark returns the highest sequence written to the log.
+	Watermark() uint64
+	// CatchUp feeds a joining standby every record past afterSeq through
+	// record — or, when full is set or those records are gone, the whole
+	// state through state, if the source has a state form — and then runs
+	// attach, all between the log's group commits: every record reaches
+	// the standby exactly once, in the catch-up or on the live stream.
+	CatchUp(afterSeq uint64, full bool, record, state func(seq, epoch uint64, payload []byte) error, attach func()) error
 }
 
 // Primary accepts standby sessions, feeds each one its catch-up delta,
-// and ships every subsequent journal record per the configured mode. It
-// implements wire.Shipper; install it with Server.SetShipper. One
-// standby session is live at a time — a newer handshake supersedes the
-// old stream (the standby that lost reconnects and catches up).
+// and ships every subsequent record per the configured mode. One standby
+// session is live at a time — a newer handshake supersedes the old
+// stream (the standby that lost reconnects and catches up).
 type Primary struct {
-	srv *wire.Server
+	src Source
 	cfg PrimaryConfig
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	ln          net.Listener
-	conn        net.Conn
-	ackedSeq    uint64
+	sess        *session // the live session; nil when none is attached
+	acked       uint64   // highest sequence a live session acknowledged
 	lastShipped uint64
 	shippedAt   map[uint64]time.Time
 	closed      bool
 }
 
-// NewPrimary wires a shipping primary to srv. The caller still must
-// srv.SetShipper(p) and run Serve on a listener.
+// session is one standby connection, from its hello on.
+type session struct {
+	conn net.Conn
+	wmu  sync.Mutex // serializes whole frames on conn
+
+	// Guarded by Primary.mu. acked counts from the hello's watermark, so
+	// the acks of a catch-up still streaming are not lost.
+	acked uint64
+	dead  bool
+}
+
+// write sends one framed message under the write deadline.
+func (s *session) write(m Msg) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	err := WriteMsg(s.conn, m)
+	s.conn.SetWriteDeadline(time.Time{})
+	return err
+}
+
+// NewPrimary wires a shipping primary to srv's admission journal. The
+// caller still must srv.SetShipper(p) and run Serve on a listener.
 func NewPrimary(srv *wire.Server, cfg PrimaryConfig) *Primary {
+	return NewPrimaryFrom(wireSource{srv}, cfg)
+}
+
+// NewPrimaryFrom returns a primary shipping src. The caller routes every
+// durable record of src's log through Ship, in log order, and runs Serve
+// on a listener.
+func NewPrimaryFrom(src Source, cfg PrimaryConfig) *Primary {
 	cfg.fill()
-	p := &Primary{srv: srv, cfg: cfg, shippedAt: make(map[uint64]time.Time)}
+	p := &Primary{src: src, cfg: cfg, shippedAt: make(map[uint64]time.Time)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -99,24 +146,22 @@ func (p *Primary) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		go p.handshake(conn)
+		go p.handshake(&session{conn: conn})
 	}
 }
 
 // Close stops accepting and drops the live session. Ships after Close
-// behave as if no standby were connected.
+// behave as if no standby were attached.
 func (p *Primary) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	ln, conn := p.ln, p.conn
-	p.conn = nil
-	p.cond.Broadcast()
+	ln := p.ln
+	if p.sess != nil {
+		p.dropLocked(p.sess)
+	}
 	p.mu.Unlock()
 	if ln != nil {
 		ln.Close()
-	}
-	if conn != nil {
-		conn.Close()
 	}
 	return nil
 }
@@ -124,143 +169,130 @@ func (p *Primary) Close() error {
 // handshake validates a standby's hello, streams its catch-up delta and
 // atomically activates the live session. Epoch conflicts resolve here:
 // a standby from a higher term means this node was superseded, so it
-// fences itself instead of feeding anyone.
-func (p *Primary) handshake(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	hello, err := ReadMsg(conn)
+// fences itself instead of feeding anyone. A fence message in place of
+// the hello is a promoted standby telling this node its term is over.
+func (p *Primary) handshake(s *session) {
+	s.conn.SetReadDeadline(time.Now().Add(writeTimeout))
+	hello, err := ReadMsg(s.conn)
 	if err != nil {
-		conn.Close()
+		s.conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-	if hello.Type == MsgFence {
-		// A promoted standby is telling us our term is over.
-		if hello.Epoch > p.srv.Epoch() {
-			p.srv.Fence(hello.Epoch)
+	s.conn.SetReadDeadline(time.Time{})
+	local := p.src.Epoch()
+	var reply *Msg // answers the first message and ends the connection
+	switch fenced, by := p.src.Fenced(); {
+	case hello.Type == MsgFence:
+		if hello.Epoch > local {
+			p.src.Fence(hello.Epoch)
 		}
-		p.writeTo(conn, Msg{Type: MsgAck, Epoch: hello.Epoch})
-		conn.Close()
-		return
-	}
-	if hello.Type != MsgHello {
-		p.writeTo(conn, Msg{Type: MsgReject, Code: CodeCatchUp, Text: fmt.Sprintf("expected hello, got %s", hello.Type)})
-		conn.Close()
-		return
-	}
-	localEpoch := p.srv.Epoch()
-	if hello.Epoch > localEpoch {
+		reply = &Msg{Type: MsgAck, Epoch: hello.Epoch}
+	case hello.Type != MsgHello:
+		reply = &Msg{Type: MsgReject, Code: CodeCatchUp, Text: fmt.Sprintf("expected hello, got %s", hello.Type)}
+	case hello.Epoch > local:
 		// The dialer lived through a later term than ours: a newer
 		// primary exists (or existed). Fence before it can be fed.
-		p.srv.Fence(hello.Epoch)
-		p.writeTo(conn, Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: hello.Epoch,
-			Text: fmt.Sprintf("hello epoch %d above local term %d", hello.Epoch, localEpoch)})
-		conn.Close()
+		p.src.Fence(hello.Epoch)
+		reply = &Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: hello.Epoch,
+			Text: fmt.Sprintf("hello epoch %d above local term %d", hello.Epoch, local)}
+	case fenced:
+		reply = &Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: by,
+			Text: "node is a fenced ex-primary; resync from the current primary"}
+	}
+	if reply != nil {
+		s.write(*reply)
+		s.conn.Close()
 		return
 	}
-	if fenced, by := p.srv.Fenced(); fenced {
-		p.writeTo(conn, Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: by,
-			Text: "node is a fenced ex-primary; resync from the current primary"})
-		conn.Close()
-		return
-	}
-	// A standby from an older term may hold journal records the new
-	// term never saw (its stint as primary); its delta is not trusted —
-	// force the full state.
-	force := hello.Code == "full" || hello.Epoch < localEpoch
+	// The standby acks the catch-up as it lands, so its acks are read
+	// from now on: unread, a large backlog fills both TCP buffers and
+	// wedges the catch-up — and the log's writers behind it.
+	s.acked = hello.Seq
+	go p.readLoop(s)
+	// A standby from an older term may hold records the new term never
+	// saw (its stint as primary); its delta is not trusted.
+	full := hello.Code == "full" || hello.Epoch < local
 	lastSent := hello.Seq
-	err = p.srv.CatchUp(hello.Seq, force,
-		func(st wire.PersistentState) error {
-			data, err := json.Marshal(st)
-			if err != nil {
+	send := func(typ string) func(seq, epoch uint64, payload []byte) error {
+		return func(seq, epoch uint64, payload []byte) error {
+			if err := s.write(Msg{Type: typ, Epoch: epoch, Seq: seq, Payload: payload}); err != nil {
 				return err
 			}
-			lastSent = st.LastSeq
-			return p.writeTo(conn, Msg{Type: MsgState, Epoch: st.Epoch, Seq: st.LastSeq, Payload: data})
-		},
-		func(entries []journal.Entry) error {
-			for _, e := range entries {
-				if err := p.writeTo(conn, Msg{Type: MsgRecord, Epoch: e.Rec.Epoch, Seq: e.Seq, Payload: e.Payload}); err != nil {
-					return err
-				}
-				lastSent = e.Seq
-			}
+			lastSent = seq
 			return nil
-		},
-		func() { p.attach(conn, hello.Seq, lastSent) },
-	)
+		}
+	}
+	err = p.src.CatchUp(hello.Seq, full, send(MsgRecord), send(MsgState), func() { p.attach(s, lastSent) })
 	if err != nil {
-		p.writeTo(conn, Msg{Type: MsgReject, Code: CodeCatchUp, Text: err.Error()})
-		conn.Close()
+		s.write(Msg{Type: MsgReject, Code: CodeCatchUp, Text: err.Error()})
+		p.drop(s)
 		return
 	}
-	go p.readLoop(conn)
-	go p.heartbeatLoop(conn)
+	go p.heartbeatLoop(s)
 }
 
-// attach makes conn the live session, superseding any previous one.
-// Runs inside CatchUp, between the journal's group commits, so no record
-// can slip between the catch-up batch and the live stream.
-func (p *Primary) attach(conn net.Conn, acked, lastSent uint64) {
+// attach makes s the live session, superseding any previous one. Runs
+// inside CatchUp, between the log's group commits, so no record can slip
+// between the catch-up batch and the live stream.
+func (p *Primary) attach(s *session, lastSent uint64) {
 	p.mu.Lock()
-	old := p.conn
-	p.conn = conn
-	p.ackedSeq = acked
+	defer p.mu.Unlock()
+	if s.dead || p.closed {
+		return
+	}
+	if p.sess != nil {
+		p.dropLocked(p.sess)
+	}
+	p.sess = s
+	p.acked = s.acked
 	p.lastShipped = lastSent
-	for seq := range p.shippedAt {
-		delete(p.shippedAt, seq)
-	}
+	clear(p.shippedAt)
 	p.cond.Broadcast()
-	p.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
 }
 
-// readLoop consumes acks (and rejections) from the live standby.
-func (p *Primary) readLoop(conn net.Conn) {
-	defer p.drop(conn)
+// readLoop consumes acks (and rejections) from one standby session.
+func (p *Primary) readLoop(s *session) {
+	defer p.drop(s)
 	for {
-		msg, err := ReadMsg(conn)
+		msg, err := ReadMsg(s.conn)
 		if err != nil {
 			return
 		}
 		switch msg.Type {
 		case MsgAck:
-			p.onAck(msg.Seq)
-		case MsgReject:
-			if msg.Code == wire.CodeFenced && msg.Epoch > p.srv.Epoch() {
-				// The standby is past our term: it was promoted. Fence.
-				p.srv.Fence(msg.Epoch)
-			}
-			// Any reject (divergence resync, decode failure) ends the
-			// session; the standby reconnects with a fresh hello.
-			return
-		case MsgFence:
-			if msg.Epoch > p.srv.Epoch() {
-				p.srv.Fence(msg.Epoch)
+			p.onAck(s, msg.Seq)
+		case MsgReject, MsgFence:
+			// A fence, or a fence-coded reject, means the standby is past
+			// our term: it was promoted. Any reject (divergence resync,
+			// decode failure) ends the session; the standby reconnects with
+			// a fresh hello.
+			fenced := msg.Type == MsgFence || msg.Code == wire.CodeFenced
+			if fenced && msg.Epoch > p.src.Epoch() {
+				p.src.Fence(msg.Epoch)
 			}
 			return
 		}
 	}
 }
 
-func (p *Primary) onAck(seq uint64) {
+func (p *Primary) onAck(s *session, seq uint64) {
 	now := time.Now()
 	p.mu.Lock()
-	if seq > p.ackedSeq {
-		p.ackedSeq = seq
-	}
+	s.acked = max(s.acked, seq)
 	var acked []time.Duration
-	for s, at := range p.shippedAt {
-		if s <= seq {
-			acked = append(acked, now.Sub(at))
-			delete(p.shippedAt, s)
+	if p.sess == s {
+		p.acked = s.acked
+		for sq, at := range p.shippedAt {
+			if sq <= seq {
+				acked = append(acked, now.Sub(at))
+				delete(p.shippedAt, sq)
+			}
 		}
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if tr := p.cfg.Tracer; tr != nil {
-		epoch := p.srv.Epoch()
+		epoch := p.src.Epoch()
 		for _, d := range acked {
 			tr.Trace(obs.Event{Kind: obs.KindReplAck, Outcome: obs.OutcomeOK, Duration: d, Epoch: epoch})
 		}
@@ -269,52 +301,45 @@ func (p *Primary) onAck(seq uint64) {
 
 // heartbeatLoop keeps the standby's failover timer fed while the
 // session is live.
-func (p *Primary) heartbeatLoop(conn net.Conn) {
+func (p *Primary) heartbeatLoop(s *session) {
 	tick := time.NewTicker(p.cfg.HeartbeatEvery)
 	defer tick.Stop()
 	for range tick.C {
 		p.mu.Lock()
-		live := p.conn == conn
+		live := p.sess == s
 		p.mu.Unlock()
 		if !live {
 			return
 		}
-		if err := p.writeTo(conn, Msg{Type: MsgHeartbeat, Epoch: p.srv.Epoch()}); err != nil {
-			p.drop(conn)
+		if err := s.write(Msg{Type: MsgHeartbeat, Epoch: p.src.Epoch()}); err != nil {
+			p.drop(s)
 			return
 		}
 	}
 }
 
-// writeTo writes one framed message with the write deadline applied.
-// Serialized with p.mu so ship, catch-up and heartbeat frames never
-// interleave on the wire.
-func (p *Primary) writeTo(conn net.Conn, m Msg) error {
+// drop closes s and, if it was the live session, detaches it and wakes
+// every Ship blocked on its acks.
+func (p *Primary) drop(s *session) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	err := WriteMsg(conn, m)
-	conn.SetWriteDeadline(time.Time{})
-	return err
+	p.dropLocked(s)
+	p.mu.Unlock()
 }
 
-// drop closes conn and, if it was the live session, detaches it and
-// wakes every Ship blocked on its acks.
-func (p *Primary) drop(conn net.Conn) {
-	p.mu.Lock()
-	if p.conn == conn {
-		p.conn = nil
+func (p *Primary) dropLocked(s *session) {
+	s.dead = true
+	if p.sess == s {
+		p.sess = nil
 		p.cond.Broadcast()
 	}
-	p.mu.Unlock()
-	conn.Close()
+	s.conn.Close()
 }
 
 // Ship implements wire.Shipper: forward one record and block per the
-// configured mode. Called from the journal's group commit once the
-// record is durable, in journal order — so stream order equals journal
-// order, and a refusal here happens before the client ack (the wire
-// layer then compensates the append).
+// configured mode. Called in log order once the record is durable — so
+// stream order equals log order, and a refusal here happens before the
+// client ack (the wire layer then compensates the append). With no
+// standby attached, async returns nil and the other modes ErrNoStandby.
 func (p *Primary) Ship(seq, epoch uint64, payload []byte) error {
 	start := time.Now()
 	err := p.ship(seq, epoch, payload, start)
@@ -330,80 +355,65 @@ func (p *Primary) Ship(seq, epoch uint64, payload []byte) error {
 }
 
 func (p *Primary) ship(seq, epoch uint64, payload []byte, start time.Time) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	conn := p.conn
-	if conn == nil {
-		if p.cfg.Mode == ModeAsync {
-			// No standby right now: catch-up heals the gap on reconnect.
-			return nil
-		}
-		return fmt.Errorf("replica: %s replication: no standby connected", p.cfg.Mode)
+	s, err := p.send(seq, epoch, payload)
+	if p.cfg.Mode == ModeAsync {
+		// Whatever did not reach the standby, catch-up heals.
+		return nil
 	}
-	conn.SetWriteDeadline(start.Add(p.cfg.WriteTimeout))
-	err := WriteMsg(conn, Msg{Type: MsgRecord, Epoch: epoch, Seq: seq, Payload: payload})
-	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
-		if p.conn == conn {
-			p.conn = nil
-			p.cond.Broadcast()
-		}
-		conn.Close()
-		if p.cfg.Mode == ModeAsync {
-			return nil
-		}
 		return fmt.Errorf("replica: %s replication: ship seq %d: %w", p.cfg.Mode, seq, err)
 	}
-	p.lastShipped = seq
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if len(p.shippedAt) < 1<<16 {
 		p.shippedAt[seq] = start
 	}
-	switch p.cfg.Mode {
-	case ModeAsync:
-		return nil
-	case ModeSemiSync:
-		if !p.waitLocked(func() bool { return p.lastShipped-p.ackedSeq <= p.cfg.MaxLag }, p.cfg.AckTimeout) {
-			return fmt.Errorf("replica: semi-sync replication: standby lag %d exceeds %d after %v",
-				p.lastShipped-p.ackedSeq, p.cfg.MaxLag, p.cfg.AckTimeout)
+	if p.cfg.Mode == ModeSemiSync {
+		if p.waitLocked(s, func() bool { return p.lastShipped-p.acked <= p.cfg.MaxLag }) {
+			return nil
 		}
-	case ModeSync:
-		if !p.waitLocked(func() bool { return p.ackedSeq >= seq }, p.cfg.AckTimeout) {
-			return fmt.Errorf("replica: sync replication: seq %d unacknowledged after %v", seq, p.cfg.AckTimeout)
+		err = fmt.Errorf("replica: semi-sync replication: standby lag %d exceeds %d after %v",
+			p.lastShipped-p.acked, p.cfg.MaxLag, p.cfg.AckTimeout)
+	} else {
+		if p.waitLocked(s, func() bool { return p.acked >= seq }) {
+			return nil
 		}
+		err = fmt.Errorf("replica: sync replication: seq %d unacknowledged after %v", seq, p.cfg.AckTimeout)
 	}
-	return nil
+	// A standby that stays silent past the timeout gets a fresh session.
+	p.dropLocked(s)
+	return err
 }
 
 // ShipBestEffort implements wire.Shipper for warning-only records and
 // compensations: one write attempt, no wait, no failure.
 func (p *Primary) ShipBestEffort(seq, epoch uint64, payload []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	conn := p.conn
-	if conn == nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	err := WriteMsg(conn, Msg{Type: MsgRecord, Epoch: epoch, Seq: seq, Payload: payload})
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		if p.conn == conn {
-			p.conn = nil
-			p.cond.Broadcast()
-		}
-		conn.Close()
-		return
-	}
-	if seq > p.lastShipped {
-		p.lastShipped = seq
-	}
+	p.send(seq, epoch, payload)
 }
 
-// waitLocked blocks on the session condition until pred holds, the
-// session drops, or timeout passes. Caller holds p.mu.
-func (p *Primary) waitLocked(pred func() bool, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
+// send writes one record to the live session and returns that session.
+func (p *Primary) send(seq, epoch uint64, payload []byte) (*session, error) {
+	p.mu.Lock()
+	s := p.sess
+	p.mu.Unlock()
+	if s == nil {
+		return nil, ErrNoStandby
+	}
+	if err := s.write(Msg{Type: MsgRecord, Epoch: epoch, Seq: seq, Payload: payload}); err != nil {
+		p.drop(s)
+		return nil, err
+	}
+	p.mu.Lock()
+	p.lastShipped = max(p.lastShipped, seq)
+	p.mu.Unlock()
+	return s, nil
+}
+
+// waitLocked blocks on the session condition until pred holds, s stops
+// being the live session, or the ack timeout passes. Caller holds p.mu.
+func (p *Primary) waitLocked(s *session, pred func() bool) bool {
+	deadline := time.Now().Add(p.cfg.AckTimeout)
+	timer := time.AfterFunc(p.cfg.AckTimeout, func() {
 		p.mu.Lock()
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -413,11 +423,32 @@ func (p *Primary) waitLocked(pred func() bool, timeout time.Duration) bool {
 		if pred() {
 			return true
 		}
-		if p.conn == nil || !time.Now().Before(deadline) {
+		if p.sess != s || !time.Now().Before(deadline) {
 			return false
 		}
 		p.cond.Wait()
 	}
+}
+
+// Attached reports whether a standby session is live.
+func (p *Primary) Attached() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sess != nil
+}
+
+// Lag returns how many records the log holds past the standby's last
+// acknowledgement. It reads the source's watermark before taking p.mu:
+// the log's flush calls Ship, which takes p.mu, so nothing may wait on
+// the log while holding it.
+func (p *Primary) Lag() uint64 {
+	last := p.src.Watermark()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if last <= p.acked {
+		return 0
+	}
+	return last - p.acked
 }
 
 // decorate fills the stream-level fields of a replication report.
@@ -425,10 +456,10 @@ func (p *Primary) decorate(rep *wire.ReplicationReport) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rep.Mode = string(p.cfg.Mode)
-	rep.Connected = p.conn != nil
-	rep.AckedSeq = p.ackedSeq
-	if rep.LastSeq > p.ackedSeq {
-		rep.Lag = rep.LastSeq - p.ackedSeq
+	rep.Connected = p.sess != nil
+	rep.AckedSeq = p.acked
+	if rep.LastSeq > p.acked {
+		rep.Lag = rep.LastSeq - p.acked
 	}
 }
 
@@ -436,23 +467,12 @@ func (p *Primary) decorate(rep *wire.ReplicationReport) {
 func (p *Primary) RegisterMetrics(reg *obs.Registry) {
 	role := obs.L("role", "primary")
 	reg.GaugeFunc("atmcac_repl_connected", func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.conn != nil {
+		if p.Attached() {
 			return 1
 		}
 		return 0
 	}, role)
 	reg.Help("atmcac_repl_connected", "Whether a live replication stream is attached (by role).")
-	reg.GaugeFunc("atmcac_repl_lag_records", func() float64 {
-		last := p.srv.JournalWatermark()
-		p.mu.Lock()
-		acked := p.ackedSeq
-		p.mu.Unlock()
-		if last > acked {
-			return float64(last - acked)
-		}
-		return 0
-	}, role)
-	reg.Help("atmcac_repl_lag_records", "Journal records not yet acknowledged by the standby.")
+	reg.GaugeFunc("atmcac_repl_lag_records", func() float64 { return float64(p.Lag()) }, role)
+	reg.Help("atmcac_repl_lag_records", "Records not yet acknowledged by the standby.")
 }

@@ -1,23 +1,28 @@
-// Package replica implements hot-standby replication by journal
-// shipping. The primary streams every appended journal record — the
-// exact payload bytes, re-framed with the journal's length+CRC32
-// header — over a persistent connection to a standby, which appends
-// them to its own journal byte-identically and keeps a warm in-memory
-// network by idempotent replay. Acknowledgements flow back per record;
-// the configured Mode decides how long the primary's write path blocks
-// on them before acking its own client.
+// Package replica is the fleet's one replication stream: log shipping
+// from a Primary to a Standby, for every record schema over
+// journal.FrameLog — the admission journal of a wire.Server and the
+// intent log of a shard coordinator. The primary streams every durable
+// record — the exact payload bytes, re-framed with the journal's
+// length+CRC32 header — over a persistent connection to a standby, which
+// appends them to its own log byte-identically. The standby applies every
+// record it has already read without fsyncing, then syncs once and
+// acknowledges the highest, so an acknowledgement never covers a record
+// that is not on its disk. The configured Mode decides how long the
+// primary's write path blocks on the acknowledgements before acking its
+// own client.
 //
 // Failover is fenced by a monotonic epoch carried in every shipped
-// record and in the snapshot trailer: promotion bumps the epoch and
-// persists it before the standby's write gate opens, and any node that
-// observes a higher epoch fences itself out of the write path, so a
-// partitioned ex-primary can never apply a split-brain mutation.
+// record: promotion bumps the epoch and persists it before the new
+// primary writes, and any node that observes a higher epoch fences itself
+// out of the write path, so a partitioned ex-primary can never apply a
+// split-brain mutation. A promoted standby tells the old primary with a
+// fence message, the first and only one it sends on a fresh connection.
 //
 // The package owns only the transport: handshake, catch-up delivery,
 // record/ack framing, reconnect backoff and the failover timer. All
 // state decisions (what to ship, how to apply, when an epoch is stale)
-// live behind the wire.Server seams — Shipper, ApplyShipped, CatchUp,
-// InstallState, Promote, Fence.
+// live behind two seams: a Source on the primary side and a Sink on the
+// standby side. NewPrimary and NewStandby bind them to a wire.Server.
 package replica
 
 import (
@@ -25,10 +30,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"atmcac/internal/journal"
 	"atmcac/internal/wire"
 )
+
+// writeTimeout bounds every stream write, and the primary's wait for a
+// hello: a peer stalled by TCP backpressure surfaces as a dead session,
+// not a wedged writer.
+const writeTimeout = 5 * time.Second
 
 // Mode is the replication acknowledgement discipline.
 type Mode string

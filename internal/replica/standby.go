@@ -1,14 +1,13 @@
 package replica
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"atmcac/internal/journal"
 	"atmcac/internal/obs"
 	"atmcac/internal/overload"
 	"atmcac/internal/wire"
@@ -18,6 +17,10 @@ import (
 // stale: the local epoch is ahead of the peer's, so this node should be
 // (or already is) the primary — following would invert the roles.
 var ErrSuperseded = errors.New("replica: peer is behind this node's epoch")
+
+// maxBatch bounds how many records the standby applies before it syncs
+// and acks, so a long catch-up still acknowledges as it goes.
+const maxBatch = 256
 
 // StandbyConfig tunes the consuming side of replication.
 type StandbyConfig struct {
@@ -33,43 +36,68 @@ type StandbyConfig struct {
 	// ReconnectBackoff shapes the jittered dial retry delays. The
 	// zero value uses overload's defaults (10ms base, 2s cap).
 	ReconnectBackoff overload.Backoff
-	// WriteTimeout bounds a single ack write. Defaults to 5s.
-	WriteTimeout time.Duration
-	// Tracer is reserved for stream events; nil disables.
-	Tracer obs.Tracer
+}
+
+// Sink is the log a Standby tails into: a wire.Server's admission
+// journal or a standby coordinator's intent log. It stores the shipped
+// payloads byte for byte under the primary's sequences.
+type Sink interface {
+	// Watermark returns the highest sequence in the log.
+	Watermark() uint64
+	// Epoch returns the highest term the sink has seen.
+	Epoch() uint64
+	// Apply writes one shipped record without fsyncing it and folds it
+	// into the sink's state. A record at or below the watermark is a
+	// redelivery and changes nothing. wire.ErrStaleEpoch refuses a record
+	// from a superseded term; any other error means the sink diverged and
+	// needs a full resync.
+	Apply(seq, epoch uint64, payload []byte) error
+	// Sync makes every applied record durable.
+	Sync() error
+	// Install replaces the sink's state with the full state the primary
+	// sent, at watermark seq and term epoch. A sink without a state form
+	// returns an error.
+	Install(seq, epoch uint64, payload []byte) error
+	// Promote takes over as the primary at a new, higher term, durably,
+	// and returns that term.
+	Promote() (uint64, error)
+	// Fence records that a primary at epoch, a newer term, exists.
+	Fence(epoch uint64)
 }
 
 // Standby maintains the replication session from the consuming side:
-// dial the primary with jittered backoff, hand every shipped record to
-// the server's idempotent ingestion path, acknowledge what is durable,
-// and promote itself — fencing the old primary — when the primary goes
-// silent past the failover timeout.
+// dial the primary with jittered backoff, apply every record already read
+// from the stream, sync once and acknowledge the highest, and promote
+// itself — fencing the old primary — when the primary goes silent past
+// the failover timeout.
 type Standby struct {
-	srv *wire.Server
-	cfg StandbyConfig
+	sink Sink
+	cfg  StandbyConfig
 
 	mu         sync.Mutex
 	conn       net.Conn
 	appliedSeq uint64
 	needFull   bool
-	promoted   bool
 
 	stopOnce sync.Once
 	stopped  chan struct{}
 }
 
-// NewStandby wires a consuming standby to srv. The caller still must
-// srv.SetStandby(true) and run Run in a goroutine.
+// NewStandby wires a consuming standby to srv's admission journal. The
+// caller still must srv.SetStandby(true) and run Run in a goroutine.
 func NewStandby(srv *wire.Server, cfg StandbyConfig) *Standby {
+	return NewStandbyInto(wireSink{srv}, cfg)
+}
+
+// NewStandbyInto returns a standby tailing the primary into sink. Run it
+// in a goroutine.
+func NewStandbyInto(sink Sink, cfg StandbyConfig) *Standby {
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
-	}
-	return &Standby{srv: srv, cfg: cfg, stopped: make(chan struct{})}
+	return &Standby{sink: sink, cfg: cfg, stopped: make(chan struct{})}
 }
 
 // Close stops the session loop without promoting.
@@ -88,46 +116,28 @@ func (s *Standby) Close() error {
 // Run drives the replication session until Close, promotion, or a
 // terminal role conflict. It returns nil after a promotion (manual or
 // automatic) — the node is then the primary and the standby loop's job
-// is done.
+// is done — and after Close.
 func (s *Standby) Run() error {
 	bo := s.cfg.ReconnectBackoff
-	var lostSince time.Time // zero while the primary is reachable
+	heard := time.Now() // the primary's last sign of life; boot counts as one
 	for {
-		select {
-		case <-s.stopped:
-			return nil
-		default:
-		}
-		if s.autoPromote(lostSince) {
+		if s.isStopped() || s.autoPromote(heard) {
 			return nil
 		}
-		conn, err := s.cfg.Dial(s.cfg.PrimaryAddr)
-		if err != nil {
-			if lostSince.IsZero() {
-				lostSince = time.Now()
-			}
-			if !s.sleep(bo.Next(0)) {
+		if conn, err := s.cfg.Dial(s.cfg.PrimaryAddr); err == nil {
+			contact, err := s.session(conn, &heard)
+			conn.Close()
+			if s.isStopped() {
 				return nil
 			}
-			continue
-		}
-		contact, err := s.session(conn)
-		conn.Close()
-		select {
-		case <-s.stopped:
-			return nil
-		default:
-		}
-		if errors.Is(err, ErrSuperseded) {
-			return err
-		}
-		if contact {
-			// The primary was alive this session: restart the loss
-			// clock and the backoff schedule.
-			lostSince = time.Now()
-			bo = s.cfg.ReconnectBackoff
-		} else if lostSince.IsZero() {
-			lostSince = time.Now()
+			if errors.Is(err, ErrSuperseded) {
+				return err
+			}
+			if contact {
+				// The primary was alive this session: restart the backoff
+				// schedule.
+				bo = s.cfg.ReconnectBackoff
+			}
 		}
 		if !s.sleep(bo.Next(0)) {
 			return nil
@@ -135,19 +145,38 @@ func (s *Standby) Run() error {
 	}
 }
 
-// session runs one connected stint: hello, then consume until the
-// stream breaks. Reports whether the primary showed any sign of life.
-func (s *Standby) session(conn net.Conn) (contact bool, err error) {
+func (s *Standby) isStopped() bool {
+	select {
+	case <-s.stopped:
+		return true
+	default:
+		return false
+	}
+}
+
+// session runs one connected stint: hello, then consume until the stream
+// breaks, stamping heard with every message. It applies each record
+// unsynced, and once the stream holds no further whole batch it syncs and
+// acknowledges the highest record applied: an ack never runs ahead of the
+// fsync that covers it. Reports whether the primary showed any sign of
+// life.
+func (s *Standby) session(conn net.Conn, heard *time.Time) (contact bool, err error) {
+	// What the hello reports as held must be on disk too.
+	if err := s.sink.Sync(); err != nil {
+		return false, err
+	}
+	hello := Msg{Type: MsgHello, Epoch: s.sink.Epoch(), Seq: s.sink.Watermark()}
 	s.mu.Lock()
+	if s.isStopped() {
+		// Close ran before conn was published, so nothing else closes it.
+		s.mu.Unlock()
+		return false, nil
+	}
 	s.conn = conn
-	hello := Msg{Type: MsgHello, Epoch: s.srv.Epoch(), Seq: s.srv.JournalWatermark()}
 	if s.needFull {
 		hello.Code = "full"
 	}
 	s.mu.Unlock()
-	if err := s.write(conn, hello); err != nil {
-		return false, err
-	}
 	defer func() {
 		s.mu.Lock()
 		if s.conn == conn {
@@ -155,66 +184,51 @@ func (s *Standby) session(conn net.Conn) (contact bool, err error) {
 		}
 		s.mu.Unlock()
 	}()
+	if err := write(conn, hello); err != nil {
+		return false, err
+	}
+	r := bufio.NewReaderSize(conn, 64<<10)
+	var pending uint64 // highest record applied and not yet acknowledged
+	batch := 0
 	for {
+		if pending != 0 && (r.Buffered() == 0 || batch >= maxBatch) {
+			if err := s.sink.Sync(); err != nil {
+				return contact, s.refuse(conn, err)
+			}
+			s.mu.Lock()
+			s.appliedSeq = pending
+			s.mu.Unlock()
+			if err := write(conn, Msg{Type: MsgAck, Seq: pending}); err != nil {
+				return contact, err
+			}
+			pending, batch = 0, 0
+		}
 		if s.cfg.FailoverTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.FailoverTimeout))
 		}
-		msg, err := ReadMsg(conn)
+		msg, err := ReadMsg(r)
 		if err != nil {
 			return contact, err
 		}
-		contact = true
+		contact, *heard = true, time.Now()
 		switch msg.Type {
 		case MsgHeartbeat:
 			// Nothing to do: the read itself fed the failover timer.
-		case MsgRecord:
-			var rec journal.Record
-			if uerr := json.Unmarshal(msg.Payload, &rec); uerr != nil {
-				// A corrupt payload would poison the standby journal;
-				// resync from scratch instead of applying it.
-				s.requestResync(conn, CodeResync, fmt.Sprintf("undecodable record seq %d: %v", msg.Seq, uerr))
-				return contact, fmt.Errorf("%w: record seq %d: %v", ErrStream, msg.Seq, uerr)
+		case MsgRecord, MsgState:
+			apply := s.sink.Apply
+			if msg.Type == MsgState {
+				apply = s.sink.Install
 			}
-			if aerr := s.srv.ApplyShipped(rec, msg.Payload); aerr != nil {
-				if errors.Is(aerr, wire.ErrStaleEpoch) {
-					// The sender's term is over; tell it so.
-					s.write(conn, Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: s.srv.Epoch(),
-						Text: aerr.Error()})
-					return contact, aerr
-				}
-				// Divergence (apply failed) or a broken local journal:
-				// ask for a full state session.
-				s.requestResync(conn, CodeResync, aerr.Error())
-				return contact, aerr
+			if err := apply(msg.Seq, msg.Epoch, msg.Payload); err != nil {
+				return contact, s.refuse(conn, err)
 			}
-			s.mu.Lock()
-			if rec.Seq > s.appliedSeq {
-				s.appliedSeq = rec.Seq
+			if msg.Type == MsgState {
+				s.mu.Lock()
+				s.needFull = false
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
-			if err := s.write(conn, Msg{Type: MsgAck, Seq: rec.Seq}); err != nil {
-				return contact, err
-			}
-		case MsgState:
-			var st wire.PersistentState
-			if uerr := json.Unmarshal(msg.Payload, &st); uerr != nil {
-				return contact, fmt.Errorf("%w: state payload: %v", ErrStream, uerr)
-			}
-			st.Epoch = msg.Epoch
-			if ierr := s.srv.InstallState(st); ierr != nil {
-				if errors.Is(ierr, wire.ErrStaleEpoch) {
-					s.write(conn, Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: s.srv.Epoch(),
-						Text: ierr.Error()})
-				}
-				return contact, ierr
-			}
-			s.mu.Lock()
-			s.needFull = false
-			s.appliedSeq = st.LastSeq
-			s.mu.Unlock()
-			if err := s.write(conn, Msg{Type: MsgAck, Seq: st.LastSeq}); err != nil {
-				return contact, err
-			}
+			pending = max(pending, msg.Seq)
+			batch++
 		case MsgReject:
 			if msg.Code == wire.CodeFenced {
 				// The peer says our epoch is ahead of its term: we are
@@ -225,8 +239,8 @@ func (s *Standby) session(conn net.Conn) (contact bool, err error) {
 		case MsgFence:
 			// A newer primary found us. Fence and resync as a follower
 			// of whoever we dial next time.
-			if msg.Epoch > s.srv.Epoch() {
-				s.srv.Fence(msg.Epoch)
+			if msg.Epoch > s.sink.Epoch() {
+				s.sink.Fence(msg.Epoch)
 			}
 			s.mu.Lock()
 			s.needFull = true
@@ -236,17 +250,25 @@ func (s *Standby) session(conn net.Conn) (contact bool, err error) {
 	}
 }
 
-// requestResync marks the local state divergent and tells the primary,
-// so the next hello opens a full-state session.
-func (s *Standby) requestResync(conn net.Conn, code, text string) {
+// refuse ends the session over a message the sink would not take. A
+// record from a superseded term is answered with the fence code, so its
+// sender fences itself; any other failure marks the sink diverged and
+// asks the primary for a full-state session.
+func (s *Standby) refuse(conn net.Conn, err error) error {
+	if errors.Is(err, wire.ErrStaleEpoch) {
+		write(conn, Msg{Type: MsgReject, Code: wire.CodeFenced, Epoch: s.sink.Epoch(), Text: err.Error()})
+		return err
+	}
 	s.mu.Lock()
 	s.needFull = true
 	s.mu.Unlock()
-	s.write(conn, Msg{Type: MsgReject, Code: code, Text: text})
+	write(conn, Msg{Type: MsgReject, Code: CodeResync, Text: err.Error()})
+	return err
 }
 
-func (s *Standby) write(conn net.Conn, m Msg) error {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+// write sends one framed message under the write deadline.
+func write(conn net.Conn, m Msg) error {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	err := WriteMsg(conn, m)
 	conn.SetWriteDeadline(time.Time{})
 	return err
@@ -256,17 +278,17 @@ func (s *Standby) write(conn net.Conn, m Msg) error {
 // the timeout. The jitter lives in the dial backoff that precedes each
 // check, so two standbys (in a future multi-standby world) would not
 // race the promotion deterministically.
-func (s *Standby) autoPromote(lostSince time.Time) bool {
-	if s.cfg.FailoverTimeout <= 0 || lostSince.IsZero() || time.Since(lostSince) < s.cfg.FailoverTimeout {
+func (s *Standby) autoPromote(heard time.Time) bool {
+	if s.cfg.FailoverTimeout <= 0 || time.Since(heard) < s.cfg.FailoverTimeout {
 		return false
 	}
-	epoch, err := s.srv.Promote()
+	epoch, err := s.sink.Promote()
 	if err != nil {
-		// Fenced (a newer primary exists): stay a standby and keep
-		// dialing — the fence already blocks split-brain writes.
+		// Fenced (a newer primary exists) or the log failed: stay a
+		// standby and keep dialing — the fence already blocks
+		// split-brain writes, and a broken log must not take over.
 		return false
 	}
-	s.markPromoted()
 	go s.notifyFence(epoch)
 	return true
 }
@@ -274,48 +296,40 @@ func (s *Standby) autoPromote(lostSince time.Time) bool {
 // Promote performs a manual (operator-driven) failover: stop following,
 // take over at a new epoch, and tell the old primary it is fenced.
 func (s *Standby) Promote() (uint64, error) {
-	epoch, err := s.srv.Promote()
+	epoch, err := s.sink.Promote()
 	if err != nil {
 		return 0, err
 	}
-	s.markPromoted()
 	s.Close()
 	go s.notifyFence(epoch)
 	return epoch, nil
 }
 
-func (s *Standby) markPromoted() {
-	s.mu.Lock()
-	s.promoted = true
-	s.mu.Unlock()
-}
-
 // notifyFence tells the old primary (best-effort, with backoff) that a
-// newer term exists so it fences itself the moment it is reachable.
-// Even if every attempt fails, the fence still lands the next time the
-// ex-primary touches the stream: any hello or record it exchanges
-// carries the lower epoch and is rejected.
+// newer term exists so it fences itself the moment it is reachable: the
+// fence message is the first and only one it sends. Even if every attempt
+// fails, the fence still lands the next time the ex-primary touches the
+// stream: any hello or record it exchanges carries the lower epoch and is
+// rejected.
 func (s *Standby) notifyFence(epoch uint64) {
 	var bo overload.Backoff
 	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 && !s.sleepDetached(bo.Next(0)) {
-			return
+		if attempt > 0 {
+			time.Sleep(bo.Next(0))
 		}
 		conn, err := s.cfg.Dial(s.cfg.PrimaryAddr)
 		if err != nil {
 			continue
 		}
-		werr := s.write(conn, Msg{Type: MsgFence, Epoch: epoch})
-		if werr == nil {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			_, rerr := ReadMsg(conn) // wait for the ack so the write flushed
-			conn.Close()
-			if rerr == nil {
-				return
-			}
-			continue
+		err = write(conn, Msg{Type: MsgFence, Epoch: epoch})
+		if err == nil {
+			conn.SetReadDeadline(time.Now().Add(writeTimeout))
+			_, err = ReadMsg(conn) // wait for the ack so the write flushed
 		}
 		conn.Close()
+		if err == nil {
+			return
+		}
 	}
 }
 
@@ -329,16 +343,6 @@ func (s *Standby) sleep(d time.Duration) bool {
 	case <-s.stopped:
 		return false
 	}
-}
-
-// sleepDetached is sleep for goroutines that may outlive Run (fence
-// notification keeps retrying briefly even after the loop stopped —
-// unless Close raced the promotion, in which case stopping is fine).
-func (s *Standby) sleepDetached(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	<-t.C
-	return true
 }
 
 // decorate fills the stream-level fields of a replication report.
@@ -366,5 +370,5 @@ func (s *Standby) RegisterMetrics(reg *obs.Registry) {
 		defer s.mu.Unlock()
 		return float64(s.appliedSeq)
 	}, role)
-	reg.Help("atmcac_repl_applied_seq", "Highest journal sequence applied from the primary.")
+	reg.Help("atmcac_repl_applied_seq", "Highest sequence applied from the primary.")
 }

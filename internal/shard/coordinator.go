@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
 	"atmcac/internal/obs"
 	"atmcac/internal/overload"
+	"atmcac/internal/replica"
 	"atmcac/internal/wire"
 )
 
@@ -114,6 +116,10 @@ type Coordinator struct {
 	// error abandons the transaction mid-flight, simulating a
 	// coordinator crash for the fault-injection harness.
 	hook func(point, txn string) error
+
+	// shipper is the intent log's replication primary, once
+	// NewIntentPrimary installed one.
+	shipper atomic.Pointer[replica.Primary]
 }
 
 // NewCoordinator opens the intent log at logPath and returns a
@@ -124,16 +130,12 @@ func NewCoordinator(m *Map, fsys journal.FS, logPath string) (*Coordinator, erro
 	if err != nil {
 		return nil, err
 	}
-	epoch := MaxIntentEpoch(recs)
-	if epoch == 0 {
-		epoch = 1
-	}
 	c := &Coordinator{
 		m: m, log: log,
 		PrepareTTL: wire.DefaultPrepareTTL,
 		OpTimeout:  2 * time.Second,
 		Retries:    3,
-		epoch:      epoch,
+		epoch:      log.term,
 		pools:      make(map[string]*wire.Pool),
 		ends:       make(map[string]*endpoint),
 		inDoubt:    make(map[string]struct{}),
@@ -202,6 +204,13 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	reg.Help("atmcac_shard_indoubt_outstanding", "In-doubt cross-shard transactions awaiting Recover.")
 	reg.GaugeFunc("atmcac_coord_epoch", func() float64 { return float64(c.epoch) })
 	reg.Help("atmcac_coord_epoch", "Coordinator replication term.")
+	reg.GaugeFunc("atmcac_coord_standby_lag_records", func() float64 {
+		if p := c.shipper.Load(); p != nil && p.Attached() {
+			return float64(p.Lag())
+		}
+		return 0
+	})
+	reg.Help("atmcac_coord_standby_lag_records", "Intent records shipped to but not yet acknowledged by the standby coordinator.")
 	reg.Help("atmcac_shard_standby_lag_records", "Per shard pair: records shipped to but not yet acknowledged by the shard's standby, as of the last status poll.")
 }
 

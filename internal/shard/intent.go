@@ -72,19 +72,6 @@ type IntentRecord struct {
 // transaction divergently. Match with errors.Is.
 var ErrNotReplicated = errors.New("not acknowledged by the standby coordinator")
 
-// MaxIntentEpoch returns the highest coordinator term recorded in recs;
-// zero when no epoch record exists (a coordinator that never failed
-// over runs at the implicit first term).
-func MaxIntentEpoch(recs []IntentRecord) uint64 {
-	var max uint64
-	for i := range recs {
-		if recs[i].State == IntentEpoch && recs[i].Epoch > max {
-			max = recs[i].Epoch
-		}
-	}
-	return max
-}
-
 // IntentLog is the coordinator's append-only decision log: the
 // IntentRecord schema over a journal.FrameLog, whose group commit lets N
 // transactions appending at once share one fsync, and whose frame format
@@ -96,6 +83,9 @@ type IntentLog struct {
 	*journal.FrameLog
 	fsys journal.FS
 	path string
+	// term is the highest coordinator term recorded in the log when it
+	// was opened; 1, the implicit first term, when none is.
+	term uint64
 
 	mu sync.Mutex
 	// shipper, when set, is called by a group's leader once the group is
@@ -107,8 +97,8 @@ type IntentLog struct {
 }
 
 // SetShipper installs the replication hook called for every durable
-// record (see IntentPrimary). Must be set before the log is appended to
-// concurrently.
+// record (see NewIntentPrimary). Must be set before the log is appended
+// to concurrently.
 func (l *IntentLog) SetShipper(ship func(seq uint64, payload []byte) error) {
 	l.mu.Lock()
 	l.shipper = ship
@@ -158,10 +148,14 @@ func OpenIntentLog(fsys journal.FS, path string) (log *IntentLog, recs []IntentR
 	if fsys == nil {
 		fsys = journal.OSFS{}
 	}
+	term := uint64(1)
 	frames, _, tornPath, err := journal.OpenFrames(fsys, path, func(payload []byte) (uint64, error) {
 		rec, err := decodeIntent(payload)
 		if err != nil {
 			return 0, err
+		}
+		if rec.State == IntentEpoch {
+			term = max(term, rec.Epoch)
 		}
 		recs = append(recs, rec)
 		return rec.Seq, nil
@@ -169,7 +163,7 @@ func OpenIntentLog(fsys journal.FS, path string) (log *IntentLog, recs []IntentR
 	if err != nil {
 		return nil, nil, tornPath != "", fmt.Errorf("shard: open intent log: %w", err)
 	}
-	return &IntentLog{FrameLog: frames, fsys: fsys, path: path}, recs, tornPath != "", nil
+	return &IntentLog{FrameLog: frames, fsys: fsys, path: path, term: term}, recs, tornPath != "", nil
 }
 
 // Append assigns the next sequence to rec and returns once the group
@@ -207,27 +201,6 @@ func (l *IntentLog) frame(rec *IntentRecord) *journal.Frame {
 		return nil
 	}
 	return f
-}
-
-// AppendShipped appends one replicated frame payload on a standby
-// coordinator, preserving the primary's sequence. A payload at or below
-// the local watermark is skipped (idempotent redelivery after a
-// reconnect). Sequences may jump forward: the primary's ReserveSeq
-// consumes sequence numbers for transaction names without writing a
-// frame, and the stream is ordered per session, so a forward jump is a
-// reserved-but-unwritten hole, not loss.
-func (l *IntentLog) AppendShipped(seq uint64, payload []byte) error {
-	rec, err := decodeIntent(payload)
-	if err != nil {
-		return fmt.Errorf("shard: shipped intent frame undecodable: %w", err)
-	}
-	if rec.Seq != seq {
-		return fmt.Errorf("shard: shipped intent frame seq %d disagrees with envelope %d", rec.Seq, seq)
-	}
-	if _, err := l.AppendAt(seq, payload, true, nil); err != nil {
-		return fmt.Errorf("shard: append shipped intent %d: %w", seq, err)
-	}
-	return nil
 }
 
 // openTxn is the folded state of one transaction after a log scan.

@@ -296,23 +296,7 @@ func crossReq2(id string) core.ConnRequest {
 // the log it promoted from boots a coordinator that recovers and serves.
 func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
 	c, m, activePath := twoShardFixture(t)
-	prim := NewIntentPrimary(c, nil)
-	prim.HeartbeatEvery = 20 * time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = prim.Serve(ln) }()
-
-	sbPath := filepath.Join(t.TempDir(), "intent-standby")
-	sb, err := NewStandbyCoordinator(StandbyConfig{
-		From: ln.Addr().String(), LogPath: sbPath, FailoverTimeout: 400 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDone := make(chan error, 1)
-	go func() { runDone <- sb.Run(context.Background()) }()
+	prim, sbLog, sbPath, runDone := coordinatorPair(t, c)
 
 	// Traffic while the standby tails: every intent ships synchronously.
 	ctx := context.Background()
@@ -340,17 +324,7 @@ func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
 	// The active coordinator dies; the standby must promote.
 	prim.Close()
 	_ = c.Close()
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatalf("standby run = %v, want promotion", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("standby never promoted")
-	}
-	if sb.Epoch() != 2 {
-		t.Fatalf("promoted term = %d, want 2", sb.Epoch())
-	}
+	awaitPromotion(t, runDone, sbLog)
 
 	// The promoted log boots a working coordinator at the bumped term.
 	c2, err := NewCoordinator(m, nil, sbPath)
@@ -390,30 +364,7 @@ func TestStandbyCoordinatorTailsPromotesAndResumes(t *testing.T) {
 func TestStandbyCoordinatorMidCommitTakeover(t *testing.T) {
 	c, m, _ := twoShardFixture(t)
 	c.OpTimeout = 500 * time.Millisecond
-	prim := NewIntentPrimary(c, nil)
-	prim.HeartbeatEvery = 20 * time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = prim.Serve(ln) }()
-
-	sbPath := filepath.Join(t.TempDir(), "intent-standby")
-	sb, err := NewStandbyCoordinator(StandbyConfig{
-		From: ln.Addr().String(), LogPath: sbPath, FailoverTimeout: 400 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDone := make(chan error, 1)
-	go func() { runDone <- sb.Run(context.Background()) }()
-	// Let the tail attach before traffic so the commit intent ships.
-	for start := time.Now(); !prim.Attached(); {
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("standby coordinator never attached")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	prim, sbLog, sbPath, runDone := coordinatorPair(t, c)
 
 	ctx := context.Background()
 	crashAt(c, "mid-commit")
@@ -422,14 +373,7 @@ func TestStandbyCoordinatorMidCommitTakeover(t *testing.T) {
 	}
 	prim.Close()
 	_ = c.Close()
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatalf("standby run = %v, want promotion", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("standby never promoted")
-	}
+	awaitPromotion(t, runDone, sbLog)
 
 	c2, err := NewCoordinator(m, nil, sbPath)
 	if err != nil {
@@ -454,28 +398,32 @@ func TestStandbyCoordinatorMidCommitTakeover(t *testing.T) {
 	}
 }
 
-// TestAppendShippedIdempotentAndHoleTolerant pins the standby apply
+// TestIntentSinkIdempotentAndHoleTolerant pins the standby apply
 // contract: redelivered frames are skipped, forward sequence jumps (a
 // reserved-but-unwritten hole on the primary) are accepted.
-func TestAppendShippedIdempotentAndHoleTolerant(t *testing.T) {
+func TestIntentSinkIdempotentAndHoleTolerant(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "intent")
 	log, _, _, err := OpenIntentLog(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &intentSink{log: log, epoch: log.term}
 	frame := func(seq uint64) []byte {
 		return []byte(fmt.Sprintf(`{"seq":%d,"state":"begin","txn":"x%d-c"}`, seq, seq))
 	}
 	for _, seq := range []uint64{1, 1, 3, 2, 7} { // dup and stale skipped, hole 4-6 accepted
-		if err := log.AppendShipped(seq, frame(seq)); err != nil {
-			t.Fatalf("AppendShipped(%d): %v", seq, err)
+		if err := sink.Apply(seq, 1, frame(seq)); err != nil {
+			t.Fatalf("Apply(%d): %v", seq, err)
 		}
 	}
 	if got := log.LastSeq(); got != 7 {
 		t.Fatalf("LastSeq = %d, want 7", got)
 	}
-	if err := log.AppendShipped(5, []byte(`{"seq":9}`)); err == nil {
+	if err := sink.Apply(5, 1, []byte(`{"seq":9}`)); err == nil {
 		t.Fatal("seq/envelope disagreement accepted")
+	}
+	if err := sink.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	_ = log.Close()
 	log2, recs, torn, err := OpenIntentLog(nil, path)
@@ -485,6 +433,54 @@ func TestAppendShippedIdempotentAndHoleTolerant(t *testing.T) {
 	defer log2.Close()
 	if len(recs) != 3 || recs[0].Seq != 1 || recs[1].Seq != 3 || recs[2].Seq != 7 {
 		t.Fatalf("records = %+v", recs)
+	}
+}
+
+// coordinatorPair ships c's intent log to a standby coordinator tailing
+// into a fresh log, and returns once the standby is attached, so every
+// intent from here on ships synchronously. runDone receives Run's result.
+func coordinatorPair(t *testing.T, c *Coordinator) (prim *replica.Primary, sbLog *IntentLog, sbPath string, runDone chan error) {
+	t.Helper()
+	prim = NewIntentPrimary(c, replica.PrimaryConfig{HeartbeatEvery: 20 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = prim.Serve(ln) }()
+	sbPath = filepath.Join(t.TempDir(), "intent-standby")
+	sbLog, _, _, err = OpenIntentLog(nil, sbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sbLog.Close() })
+	sb := NewStandbyCoordinator(sbLog, replica.StandbyConfig{
+		PrimaryAddr: ln.Addr().String(), FailoverTimeout: 400 * time.Millisecond,
+	})
+	runDone = make(chan error, 1)
+	go func() { runDone <- sb.Run() }()
+	for start := time.Now(); !prim.Attached(); {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("standby coordinator never attached")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return prim, sbLog, sbPath, runDone
+}
+
+// awaitPromotion waits for the standby coordinator to promote after the
+// active's death, then closes its log so a coordinator can reopen it.
+func awaitPromotion(t *testing.T, runDone chan error, sbLog *IntentLog) {
+	t.Helper()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("standby run = %v, want promotion", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("standby never promoted")
+	}
+	if err := sbLog.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -524,8 +520,7 @@ func muteStandby(t *testing.T, addr string, fromSeq uint64) (stall *atomic.Bool,
 // would re-drive it while the shards saw aborts.
 func TestUnreplicatedCommitIntentGoesInDoubt(t *testing.T) {
 	c, _, _ := twoShardFixture(t)
-	prim := NewIntentPrimary(c, nil)
-	prim.AckTimeout = 200 * time.Millisecond
+	prim := NewIntentPrimary(c, replica.PrimaryConfig{AckTimeout: 200 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -577,8 +572,7 @@ func TestUnreplicatedCommitIntentGoesInDoubt(t *testing.T) {
 // the scrape and the append deadlock each other permanently.
 func TestLagDuringBlockedShipDoesNotDeadlock(t *testing.T) {
 	c, _, _ := twoShardFixture(t)
-	prim := NewIntentPrimary(c, nil)
-	prim.AckTimeout = 300 * time.Millisecond
+	prim := NewIntentPrimary(c, replica.PrimaryConfig{AckTimeout: 300 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -173,12 +173,14 @@ func (s *Server) Promote() (uint64, error) {
 }
 
 // ApplyShipped is the standby's ingestion path for one shipped record:
-// persist the payload byte-identically under the primary's sequence,
-// fold it into the durable view, and apply it to the warm network —
-// idempotently, so at-least-once delivery after a reconnect is safe. A
-// stale-epoch record is refused with ErrStaleEpoch (the sender must
-// fence); an apply failure is returned wrapped in journal.ErrApply and
-// means the standby diverged and needs a full resync.
+// write the payload byte-identically under the primary's sequence, fold
+// it into the durable view, and apply it to the warm network —
+// idempotently, so at-least-once delivery after a reconnect is safe. The
+// write is not fsynced: the standby applies what it has read, then calls
+// SyncShipped once before it acknowledges any of it. A stale-epoch record
+// is refused with ErrStaleEpoch (the sender must fence); an apply failure
+// is returned wrapped in journal.ErrApply and means the standby diverged
+// and needs a full resync.
 func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
@@ -191,14 +193,14 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	if rec.Epoch > s.epoch.Load() {
 		s.epoch.Store(rec.Epoch)
 	}
-	appended, err := s.dur.log.AppendAt(rec.Seq, payload, s.dur.sync,
+	appended, err := s.dur.log.AppendAt(rec.Seq, payload, false,
 		func(uint64, []byte) error {
 			s.dur.applyView(&rec)
 			return nil
 		})
 	if err != nil || !appended {
 		// Not appended without an error: a duplicate from a reconnect
-		// replay, already persisted and therefore already applied.
+		// replay, already written and therefore already applied.
 		return err
 	}
 	if err := journal.ApplyToNetwork(s.network, rec); err != nil {
@@ -206,6 +208,19 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	}
 	s.compactIfDue()
 	return nil
+}
+
+// SyncShipped makes every record ApplyShipped wrote durable, as the
+// journal's mode asks: one fsync in journal-sync mode, nothing in
+// journal mode.
+func (s *Server) SyncShipped() error {
+	if s.dur == nil {
+		return fmt.Errorf("wire: sync shipped records: node has no journal")
+	}
+	if !s.dur.sync {
+		return nil
+	}
+	return s.dur.log.Sync()
 }
 
 // CatchUp feeds a (re)connecting standby everything it is missing and
