@@ -37,9 +37,8 @@
 // file (the snapshot) at the -compact-records/-compact-bytes thresholds.
 // -durability journal-sync (the default) fsyncs each group commit before
 // the ack, so an acknowledged operation survives power loss; journal
-// skips the fsync and survives a process crash only. -durability
-// snapshot, the retired full-rewrite mode, is accepted as an alias for
-// journal-sync. On restart the server loads the snapshot, replays
+// skips the fsync and survives a process crash only. On restart the
+// server loads the snapshot, replays
 // journal records past its sequence watermark, re-fails the recorded
 // links, and re-admits every surviving connection through the full CAC
 // check (cacctl state verify inspects both files offline).
@@ -159,7 +158,7 @@ func run(args []string) error {
 		policy       = fs.String("policy", "hard", "CDV accumulation: hard or soft")
 		state        = fs.String("state", "", "persist established connections to this JSON file")
 		stateStrict  = fs.Bool("state-strict", false, "exit non-zero when any stored connection cannot be restored")
-		durability   = fs.String("durability", string(wire.DurabilityJournalSync), "persistence mode: journal-sync (write-ahead log, fsynced before the ack) or journal (no fsync); snapshot is an alias for journal-sync")
+		durability   = fs.String("durability", string(wire.DurabilityJournalSync), "persistence mode: journal-sync (write-ahead log, fsynced before the ack) or journal (no fsync)")
 		journalPath  = fs.String("journal", "", "write-ahead journal file; defaults to STATE.journal")
 		compactRecs  = fs.Int("compact-records", wire.DefaultCompactRecords, "fold the journal into the snapshot after this many records")
 		compactBytes = fs.Int64("compact-bytes", wire.DefaultCompactBytes, "fold the journal into the snapshot after this many bytes")
@@ -257,12 +256,6 @@ func run(args []string) error {
 		srv.SetLimiter(lim)
 		fmt.Printf("cacd: overload control %s (high-priority floor %d per burst)\n",
 			lim, lim.HighPriorityFloor())
-	}
-	if *durability == "snapshot" {
-		// The retired snapshot-per-op mode could ack a setup whose state
-		// rewrite failed; its state files open as-is under the journal.
-		fmt.Println("cacd: -durability snapshot is retired; using journal-sync")
-		*durability = string(wire.DurabilityJournalSync)
 	}
 	mode, err := wire.ParseDurabilityMode(*durability)
 	if err != nil {

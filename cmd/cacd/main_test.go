@@ -89,56 +89,19 @@ func awaitLine(t *testing.T, lines <-chan string, prefix string) string {
 	}
 }
 
-// TestEndToEndSnapshotAlias: -durability snapshot, the retired mode, runs
-// as journal-sync and says so, and a setup acked before a kill -9 (no
-// drain, no final snapshot) is restored by the next boot.
+// TestEndToEndSnapshotAlias: -durability snapshot, the retired
+// full-rewrite mode, is refused like any unknown mode, before a file is
+// opened. (A state file it wrote still opens under journal-sync; see
+// wire's TestSnapshotModeFileOpens.)
 func TestEndToEndSnapshotAlias(t *testing.T) {
 	stateFile := filepath.Join(t.TempDir(), "state.json")
-	args := []string{"-listen", "127.0.0.1:0", "-ring", "4", "-terminals", "1",
-		"-state", stateFile, "-durability", "snapshot"}
-	// boot starts cacd and waits for the alias line, then for each line
-	// in expect, in order, before the daemon serves.
-	boot := func(expect ...string) (*exec.Cmd, *wire.Client) {
-		cmd, lines := startCacd(t, args...)
-		awaitLine(t, lines, "cacd: -durability snapshot is retired; using journal-sync")
-		for _, prefix := range expect {
-			awaitLine(t, lines, prefix)
-		}
-		managing := strings.Fields(awaitLine(t, lines, "cacd: managing "))
-		client, err := wire.Dial(managing[len(managing)-1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = client.Close() })
-		return cmd, client
+	err := run([]string{"-listen", "127.0.0.1:0", "-ring", "4", "-terminals", "1",
+		"-state", stateFile, "-durability", "snapshot"})
+	if err == nil || !strings.Contains(err.Error(), `unknown durability mode "snapshot"`) {
+		t.Fatalf("-durability snapshot: run = %v, want an unknown durability mode refusal", err)
 	}
-
-	cmd, client := boot()
-	ref, err := rtnet.New(rtnet.Config{RingNodes: 4, TerminalsPerNode: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	route, err := ref.BroadcastRoute(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Setup(context.Background(), core.ConnRequest{
-		ID: "acked", Spec: traffic.CBR(0.02), Priority: 1, Route: route,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = cmd.Wait()
-
-	_, client2 := boot("cacd: restored 1 connections from " + stateFile + " (1 journal records replayed, journal-sync durability)")
-	ids, err := client2.List(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "acked" {
-		t.Fatalf("after kill -9 and restart List = %v, want [acked]", ids)
+	if _, serr := os.Stat(stateFile); !errors.Is(serr, os.ErrNotExist) {
+		t.Fatalf("the refused run touched %s: %v", stateFile, serr)
 	}
 }
 
