@@ -377,7 +377,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sbLog.Close() // a no-op once the promotion closed it
+	defer sbLog.Close() // a no-op once closed for the successor
 	coordSb := shard.NewStandbyCoordinator(sbLog, replica.StandbyConfig{
 		PrimaryAddr:     intentLn.Addr().String(),
 		FailoverTimeout: h.CoordFailoverTimeout,
