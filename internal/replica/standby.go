@@ -214,21 +214,19 @@ func (s *Standby) session(conn net.Conn, heard *time.Time) (contact bool, err er
 		switch msg.Type {
 		case MsgHeartbeat:
 			// Nothing to do: the read itself fed the failover timer.
-		case MsgRecord, MsgState:
-			apply := s.sink.Apply
-			if msg.Type == MsgState {
-				apply = s.sink.Install
-			}
-			if err := apply(msg.Seq, msg.Epoch, msg.Payload); err != nil {
+		case MsgRecord:
+			if err := s.sink.Apply(msg.Seq, msg.Epoch, msg.Payload); err != nil {
 				return contact, s.refuse(conn, err)
 			}
-			if msg.Type == MsgState {
-				s.mu.Lock()
-				s.needFull = false
-				s.mu.Unlock()
+			pending, batch = max(pending, msg.Seq), batch+1
+		case MsgState:
+			if err := s.sink.Install(msg.Seq, msg.Epoch, msg.Payload); err != nil {
+				return contact, s.refuse(conn, err)
 			}
-			pending = max(pending, msg.Seq)
-			batch++
+			s.mu.Lock()
+			s.needFull = false
+			s.mu.Unlock()
+			pending, batch = max(pending, msg.Seq), batch+1
 		case MsgReject:
 			if msg.Code == wire.CodeFenced {
 				// The peer says our epoch is ahead of its term: we are
