@@ -347,7 +347,13 @@ func run(args []string) error {
 				FailoverTimeout: *failoverTmo,
 			})
 			sb.RegisterMetrics(reg)
-			go func() { _ = sb.Run() }()
+			go func() {
+				// A standby that stops (its log failed, or it is the newer
+				// node) serves reads and no longer fails over on its own.
+				if err := sb.Run(); err != nil {
+					fmt.Fprintln(os.Stderr, "cacd: standby stopped:", err)
+				}
+			}()
 			defer sb.Close()
 			if *failoverTmo > 0 {
 				fmt.Printf("cacd: warm standby of %s (auto-failover after %s of silence)\n", *replFrom, *failoverTmo)
@@ -535,7 +541,10 @@ func runCoordinator(cfg coordinatorConfig, sigCh chan os.Signal) error {
 		if err != nil {
 			return err
 		}
-		prim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{Tracer: tracer})
+		prim, err := shard.NewIntentPrimary(coord, replica.PrimaryConfig{Tracer: tracer})
+		if err != nil {
+			return err
+		}
 		prim.RegisterMetrics(reg)
 		go func() { _ = prim.Serve(rln) }()
 		defer prim.Close()

@@ -283,7 +283,10 @@ func TestEndToEndCoordinatorTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{HeartbeatEvery: 50 * time.Millisecond})
+	prim, err := shard.NewIntentPrimary(coord, replica.PrimaryConfig{HeartbeatEvery: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() { _ = prim.Serve(rln) }()
 
 	addrCh := make(chan net.Addr, 1)

@@ -362,10 +362,13 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	coordObs := activeObs
 	defer func() { _ = coord.Close() }()
-	intentPrim := shard.NewIntentPrimary(coord, replica.PrimaryConfig{
+	intentPrim, err := shard.NewIntentPrimary(coord, replica.PrimaryConfig{
 		HeartbeatEvery: 50 * time.Millisecond,
 		Tracer:         activeObs.tracer,
 	})
+	if err != nil {
+		return nil, err
+	}
 	intentPrim.RegisterMetrics(activeObs.reg)
 	intentLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -237,7 +237,10 @@ func (p *Primary) handshake(s *session) {
 func (p *Primary) attach(s *session, lastSent uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s.dead || p.closed {
+	if p.closed {
+		p.dropLocked(s) // Close raced the catch-up: end this session too
+	}
+	if s.dead {
 		return
 	}
 	if p.sess != nil {
@@ -449,6 +452,17 @@ func (p *Primary) Lag() uint64 {
 		return 0
 	}
 	return last - p.acked
+}
+
+// Unacked returns how many records the live standby was shipped and has
+// not acknowledged; unlike Lag, it leaves out the unshipped tail.
+func (p *Primary) Unacked() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sess == nil || p.lastShipped <= p.acked {
+		return 0
+	}
+	return p.lastShipped - p.acked
 }
 
 // decorate fills the stream-level fields of a replication report.

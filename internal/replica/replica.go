@@ -7,7 +7,9 @@
 // appends them to its own log byte-identically. The standby applies every
 // record it has already read without fsyncing, then syncs once and
 // acknowledges the highest, so an acknowledgement never covers a record
-// that is not on its disk. The configured Mode decides how long the
+// that is not on its disk. If that sync fails the standby stops: it acks
+// nothing more and never promotes over what its disk may have dropped.
+// The configured Mode decides how long the
 // primary's write path blocks on the acknowledgements before acking its
 // own client.
 //

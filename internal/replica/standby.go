@@ -18,6 +18,10 @@ import (
 // (or already is) the primary — following would invert the roles.
 var ErrSuperseded = errors.New("replica: peer is behind this node's epoch")
 
+// errLocalLog marks a failure of the standby's own log: Run stops on it,
+// so a failed disk is never read as the primary's silence.
+var errLocalLog = errors.New("replica: local log failed")
+
 // maxBatch bounds how many records the standby applies before it syncs
 // and acks, so a long catch-up still acknowledges as it goes.
 const maxBatch = 256
@@ -52,14 +56,14 @@ type Sink interface {
 	// from a superseded term; any other error means the sink diverged and
 	// needs a full resync.
 	Apply(seq, epoch uint64, payload []byte) error
-	// Sync makes every applied record durable.
+	// Sync makes every applied record durable; an error stops Run.
 	Sync() error
 	// Install replaces the sink's state with the full state the primary
 	// sent, at watermark seq and term epoch. A sink without a state form
 	// returns an error.
 	Install(seq, epoch uint64, payload []byte) error
 	// Promote takes over as the primary at a new, higher term, durably,
-	// and returns that term.
+	// and returns that term. A sink whose log failed refuses.
 	Promote() (uint64, error)
 	// Fence records that a primary at epoch, a newer term, exists.
 	Fence(epoch uint64)
@@ -113,10 +117,10 @@ func (s *Standby) Close() error {
 	return nil
 }
 
-// Run drives the replication session until Close, promotion, or a
-// terminal role conflict. It returns nil after a promotion (manual or
-// automatic) — the node is then the primary and the standby loop's job
-// is done — and after Close.
+// Run drives the replication session until Close, promotion, a terminal
+// role conflict (ErrSuperseded) or a failure of the sink's own log. It
+// returns nil after a promotion (manual or automatic) — the node is then
+// the primary and the standby loop's job is done — and after Close.
 func (s *Standby) Run() error {
 	bo := s.cfg.ReconnectBackoff
 	heard := time.Now() // the primary's last sign of life; boot counts as one
@@ -130,7 +134,7 @@ func (s *Standby) Run() error {
 			if s.isStopped() {
 				return nil
 			}
-			if errors.Is(err, ErrSuperseded) {
+			if errors.Is(err, ErrSuperseded) || errors.Is(err, errLocalLog) {
 				return err
 			}
 			if contact {
@@ -163,7 +167,7 @@ func (s *Standby) isStopped() bool {
 func (s *Standby) session(conn net.Conn, heard *time.Time) (contact bool, err error) {
 	// What the hello reports as held must be on disk too.
 	if err := s.sink.Sync(); err != nil {
-		return false, err
+		return false, fmt.Errorf("%w: %w", errLocalLog, err)
 	}
 	hello := Msg{Type: MsgHello, Epoch: s.sink.Epoch(), Seq: s.sink.Watermark()}
 	s.mu.Lock()
@@ -193,7 +197,7 @@ func (s *Standby) session(conn net.Conn, heard *time.Time) (contact bool, err er
 	for {
 		if pending != 0 && (r.Buffered() == 0 || batch >= maxBatch) {
 			if err := s.sink.Sync(); err != nil {
-				return contact, s.refuse(conn, err)
+				return contact, fmt.Errorf("%w: %w", errLocalLog, err)
 			}
 			s.mu.Lock()
 			s.appliedSeq = pending

@@ -22,7 +22,8 @@ import (
 )
 
 // fsyncFS counts fsyncs, and for the one file at path tracks how many of
-// its bytes the last fsync covered.
+// its bytes the last fsync covered. With fail set, every fsync of that
+// file fails.
 type fsyncFS struct {
 	journal.OSFS
 	path string
@@ -30,6 +31,7 @@ type fsyncFS struct {
 	mu              sync.Mutex
 	syncs           int
 	written, synced int64
+	fail            bool
 }
 
 type fsyncFile struct {
@@ -71,13 +73,16 @@ func (f *fsyncFile) Write(p []byte) (int, error) {
 }
 
 func (f *fsyncFile) Sync() error {
-	err := f.File.Sync()
 	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
 	f.fs.syncs++
+	if f.tracked && f.fs.fail {
+		return errors.New("injected fsync failure")
+	}
+	err := f.File.Sync()
 	if f.tracked && err == nil {
 		f.fs.synced = f.fs.written
 	}
-	f.fs.mu.Unlock()
 	return err
 }
 
@@ -133,7 +138,8 @@ func (c *fakePrimary) SetWriteDeadline(time.Time) error { return nil }
 // then syncs once and acknowledges the highest — for both sinks, the
 // admission journal and the coordinator's intent log. The tailer's file
 // is byte-identical to the primary's, and no ack runs ahead of the fsync
-// that covers it.
+// that covers it. A failed fsync stops the tailer without an ack, a
+// promotion or a fence.
 func TestTailerBatchesFsyncs(t *testing.T) {
 	const records = 2000
 	route := fuzzRoute(t)
@@ -268,6 +274,74 @@ func TestTailerBatchesFsyncs(t *testing.T) {
 			}
 			if !bytes.Equal(got, source.Bytes()) {
 				t.Errorf("the tailer's log (%d bytes) is not byte-identical to the primary's (%d bytes)", len(got), source.Len())
+			}
+		})
+
+		// A tailer whose fsync fails acknowledges nothing and stops: its
+		// dead disk is not the primary's silence, so it neither promotes
+		// past the failover timeout nor dials the primary to fence it, and
+		// a manual promotion is refused too.
+		t.Run(tc.name+"-failed-fsync", func(t *testing.T) {
+			var stream bytes.Buffer
+			for seq := uint64(1); seq <= 50; seq++ {
+				payload, err := json.Marshal(tc.payload(seq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := replica.WriteMsg(&stream, replica.Msg{Type: replica.MsgRecord, Epoch: 1, Seq: seq, Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join(t.TempDir(), "tail.log")
+			fsys := &fsyncFS{path: path}
+			var mu sync.Mutex
+			var sent []string
+			dials := 0
+			conn := &fakePrimary{stream: bytes.NewReader(stream.Bytes()), closed: make(chan struct{}), onMsg: func(m replica.Msg) {
+				mu.Lock()
+				sent = append(sent, m.Type)
+				mu.Unlock()
+			}}
+			sb, closeLog := tc.tail(t, fsys, path, replica.StandbyConfig{
+				PrimaryAddr:     "primary",
+				FailoverTimeout: 20 * time.Millisecond,
+				Dial: func(string) (net.Conn, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					if dials++; dials > 1 {
+						return nil, errors.New("primary unreachable")
+					}
+					return conn, nil
+				},
+			})
+			defer closeLog()
+			fsys.mu.Lock()
+			fsys.fail = true
+			fsys.mu.Unlock()
+			runDone := make(chan error, 1)
+			go func() { runDone <- sb.Run() }()
+			select {
+			case err := <-runDone:
+				if err == nil {
+					t.Fatal("standby run = nil (promoted or closed) after its fsync failed, want the failure")
+				}
+			case <-time.After(5 * time.Second):
+				sb.Close()
+				t.Fatal("the standby kept running on a log whose fsync failed")
+			}
+			if _, err := sb.Promote(); err == nil {
+				t.Error("a standby whose fsync failed was promoted")
+			}
+			time.Sleep(50 * time.Millisecond) // a fence would be dialled by now
+			mu.Lock()
+			defer mu.Unlock()
+			if dials != 1 {
+				t.Errorf("the standby dialled %d times, want 1: no fence may reach the primary", dials)
+			}
+			for _, typ := range sent {
+				if typ != replica.MsgHello {
+					t.Errorf("the standby sent %s on a failed log; want only its hello", typ)
+				}
 			}
 		})
 	}

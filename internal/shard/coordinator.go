@@ -205,8 +205,8 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("atmcac_coord_epoch", func() float64 { return float64(c.epoch) })
 	reg.Help("atmcac_coord_epoch", "Coordinator replication term.")
 	reg.GaugeFunc("atmcac_coord_standby_lag_records", func() float64 {
-		if p := c.shipper.Load(); p != nil && p.Attached() {
-			return float64(p.Lag())
+		if p := c.shipper.Load(); p != nil {
+			return float64(p.Unacked())
 		}
 		return 0
 	})

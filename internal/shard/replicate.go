@@ -30,9 +30,12 @@ import (
 
 // NewIntentPrimary returns the shipper of c's intent log: a sync-mode
 // replica.Primary, installed as the log's shipper hook. Serve it on a
-// listener. cfg.Mode is ignored: the coordinator ships synchronously
-// while a standby is attached and unreplicated while none is.
-func NewIntentPrimary(c *Coordinator, cfg replica.PrimaryConfig) *replica.Primary {
+// listener. Its mode is fixed (sync while a standby is attached,
+// unreplicated while none is): cfg may set neither Mode nor MaxLag.
+func NewIntentPrimary(c *Coordinator, cfg replica.PrimaryConfig) (*replica.Primary, error) {
+	if cfg.Mode != "" || cfg.MaxLag != 0 {
+		return nil, errors.New("shard: the intent shipper's mode is fixed; set only AckTimeout, HeartbeatEvery and Tracer")
+	}
 	cfg.Mode = replica.ModeSync
 	p := replica.NewPrimaryFrom(intentSource{c}, cfg)
 	c.log.SetShipper(func(seq uint64, payload []byte) error {
@@ -42,7 +45,7 @@ func NewIntentPrimary(c *Coordinator, cfg replica.PrimaryConfig) *replica.Primar
 		return nil
 	})
 	c.shipper.Store(p)
-	return p
+	return p, nil
 }
 
 // intentSource ships the coordinator's intent log, which has no state

@@ -436,12 +436,34 @@ func TestIntentSinkIdempotentAndHoleTolerant(t *testing.T) {
 	}
 }
 
+// intentPrimary is NewIntentPrimary for a config it must accept.
+func intentPrimary(t *testing.T, c *Coordinator, cfg replica.PrimaryConfig) *replica.Primary {
+	t.Helper()
+	prim, err := NewIntentPrimary(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prim
+}
+
+// TestIntentPrimaryRefusesModeFields: the intent shipper's mode is fixed
+// (sync while a standby is attached), so a config setting Mode or MaxLag
+// is refused rather than silently overridden.
+func TestIntentPrimaryRefusesModeFields(t *testing.T) {
+	c, _, _ := twoShardFixture(t)
+	for _, cfg := range []replica.PrimaryConfig{{Mode: replica.ModeAsync}, {MaxLag: 8}} {
+		if _, err := NewIntentPrimary(c, cfg); err == nil {
+			t.Errorf("NewIntentPrimary(%+v) accepted a field it cannot honour", cfg)
+		}
+	}
+}
+
 // coordinatorPair ships c's intent log to a standby coordinator tailing
 // into a fresh log, and returns once the standby is attached, so every
 // intent from here on ships synchronously. runDone receives Run's result.
 func coordinatorPair(t *testing.T, c *Coordinator) (prim *replica.Primary, sbLog *IntentLog, sbPath string, runDone chan error) {
 	t.Helper()
-	prim = NewIntentPrimary(c, replica.PrimaryConfig{HeartbeatEvery: 20 * time.Millisecond})
+	prim = intentPrimary(t, c, replica.PrimaryConfig{HeartbeatEvery: 20 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +542,7 @@ func muteStandby(t *testing.T, addr string, fromSeq uint64) (stall *atomic.Bool,
 // would re-drive it while the shards saw aborts.
 func TestUnreplicatedCommitIntentGoesInDoubt(t *testing.T) {
 	c, _, _ := twoShardFixture(t)
-	prim := NewIntentPrimary(c, replica.PrimaryConfig{AckTimeout: 200 * time.Millisecond})
+	prim := intentPrimary(t, c, replica.PrimaryConfig{AckTimeout: 200 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -567,12 +589,12 @@ func TestUnreplicatedCommitIntentGoesInDoubt(t *testing.T) {
 }
 
 // TestLagDuringBlockedShipDoesNotDeadlock pins the lock order between
-// the intent log and the shipper: Lag (a registered metrics gauge) must
-// not reach for the log's lock while an append is parked in waitAck, or
+// the intent log and the shipper: Lag and Unacked (metrics gauges) must
+// not wait on the log while an append is parked waiting for its ack, or
 // the scrape and the append deadlock each other permanently.
 func TestLagDuringBlockedShipDoesNotDeadlock(t *testing.T) {
 	c, _, _ := twoShardFixture(t)
-	prim := NewIntentPrimary(c, replica.PrimaryConfig{AckTimeout: 300 * time.Millisecond})
+	prim := intentPrimary(t, c, replica.PrimaryConfig{AckTimeout: 300 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -597,7 +619,7 @@ func TestLagDuringBlockedShipDoesNotDeadlock(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = prim.Lag()
+				_, _ = prim.Lag(), prim.Unacked()
 				time.Sleep(time.Millisecond)
 			}
 		}

@@ -144,8 +144,10 @@ func (s *Server) Fenced() (bool, uint64) {
 // term is persisted (snapshot trailer) before it is published or the
 // standby gate opens, so a crash straight after promotion still recovers
 // into the new term, the fenced ex-primary stays fenced, and a failed
-// persist never takes back a term a reader has already seen. Returns the
-// new epoch.
+// persist never takes back a term a reader has already seen. A node whose
+// journal cannot sync what it holds — out of service after a failed
+// fsync — refuses: a standby's view may hold records its disk dropped.
+// Returns the new epoch.
 func (s *Server) Promote() (uint64, error) {
 	s.replMu.RLock()
 	fenced, by := s.fenced, s.fencedBy
@@ -157,6 +159,9 @@ func (s *Server) Promote() (uint64, error) {
 	defer s.opMu.Unlock()
 	epoch := s.epoch.Load() + 1
 	if s.dur != nil {
+		if err := s.dur.log.Sync(); err != nil {
+			return 0, fmt.Errorf("wire: promote: %w", err)
+		}
 		err := s.dur.log.Between(func() error { return s.compactLocked(epoch) })
 		if err != nil && !errors.Is(err, errJournalReset) {
 			return 0, fmt.Errorf("wire: promote: persist epoch %d: %w", epoch, err)
@@ -177,7 +182,9 @@ func (s *Server) Promote() (uint64, error) {
 // it into the durable view, and apply it to the warm network —
 // idempotently, so at-least-once delivery after a reconnect is safe. The
 // write is not fsynced: the standby applies what it has read, then calls
-// SyncShipped once before it acknowledges any of it. A stale-epoch record
+// SyncShipped once before it acknowledges any of it. If that sync fails,
+// the view is ahead of the disk; the journal is then out of service and
+// Promote refuses. A stale-epoch record
 // is refused with ErrStaleEpoch (the sender must fence); an apply failure
 // is returned wrapped in journal.ErrApply and means the standby diverged
 // and needs a full resync.
