@@ -3,72 +3,82 @@ package bitstream
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Add implements Algorithm 3.2 (bit stream multiplexing): the worst-case
-// aggregate of two streams arriving at the same queueing point has rate
-// r(t) = r1(t) + r2(t) at every instant.
-func Add(a, b Stream) Stream {
-	if a.IsZero() {
-		return b
-	}
-	if b.IsZero() {
-		return a
-	}
-	s, err := combine(a, b, func(x, y float64) float64 { return x + y })
-	if err != nil {
-		// Addition of two valid (monotone non-increasing, non-negative)
-		// streams is always valid; this is unreachable by construction.
-		panic(fmt.Sprintf("bitstream: Add produced invalid stream: %v", err))
-	}
-	return s
+// Add implements Algorithm 3.2 (bit stream multiplexing) for two streams:
+// the worst-case aggregate of two streams arriving at the same queueing
+// point has rate r(t) = r1(t) + r2(t) at every instant. It is Sum(a, b).
+func Add(a, b Stream) Stream { return Sum(a, b) }
+
+// fanIn is how many non-zero inputs Sum merges with its cursors on the
+// stack: enough for a ring node's output port, fed by 16 terminal links and
+// the two ring inputs. More inputs cost one more allocation.
+const fanIn = 18
+
+// cursor is one input of Sum's merge: segs[i] is the segment in force at
+// the merge's current breakpoint, rate its rate and next the start of
+// segs[i+1], +Inf past the last.
+type cursor struct {
+	segs       []Segment
+	i          int
+	rate, next float64
 }
 
-// Sum multiplexes any number of streams. It merges all breakpoints in a
-// single pass, which is substantially cheaper than repeated pairwise Add for
-// large aggregates.
+// seek moves c to segment i.
+func (c *cursor) seek(i int) {
+	c.i, c.rate, c.next = i, c.segs[i].Rate, math.Inf(1)
+	if i+1 < len(c.segs) {
+		c.next = c.segs[i+1].Start
+	}
+}
+
+// Sum multiplexes any number of streams in one k-way merge. A cursor per
+// non-zero input walks that input's breakpoints, which are already in
+// order; at each distinct breakpoint the rates in force are added in
+// argument order, starting from 0, so the float result is a function of the
+// arguments and their order. The output slice is the only allocation for up
+// to fanIn arguments.
 func Sum(streams ...Stream) Stream {
-	nonzero := make([]Stream, 0, len(streams))
+	var buf [fanIn]cursor
+	cs := buf[:0]
+	if len(streams) > fanIn {
+		cs = make([]cursor, 0, len(streams))
+	}
 	total := 0
 	for _, s := range streams {
 		if !s.IsZero() {
-			nonzero = append(nonzero, s)
-			total += s.Len()
+			c := cursor{segs: s.segs}
+			c.seek(0)
+			cs = append(cs, c)
+			total += len(s.segs)
 		}
 	}
-	switch len(nonzero) {
+	switch len(cs) {
 	case 0:
 		return Zero()
 	case 1:
-		return nonzero[0]
+		return Stream{segs: cs[0].segs}
 	}
-	// Gather all breakpoints, sort, and evaluate the sum rate on each
-	// interval. Rates are evaluated with per-stream cursors for linearity.
-	points := make([]float64, 0, total)
-	for _, s := range nonzero {
-		for _, sg := range s.segs {
-			points = append(points, sg.Start)
-		}
-	}
-	sortFloats(points)
-	points = dedupFloats(points)
-
-	cursors := make([]int, len(nonzero))
-	segs := make([]Segment, 0, len(points))
-	for _, t := range points {
-		rate := 0.0
-		for i, s := range nonzero {
-			for cursors[i]+1 < len(s.segs) && s.segs[cursors[i]+1].Start <= t {
-				cursors[i]++
+	segs := make([]Segment, 0, total)
+	for t := cs[0].segs[0].Start; ; {
+		rate, next := 0.0, math.Inf(1)
+		for i := range cs {
+			c := &cs[i]
+			if c.next <= t {
+				c.seek(c.i + 1)
 			}
-			if s.segs[cursors[i]].Start <= t {
-				rate += s.segs[cursors[i]].Rate
+			rate += c.rate
+			if c.next < next {
+				next = c.next
 			}
 		}
 		segs = append(segs, Segment{Start: t, Rate: rate})
+		if math.IsInf(next, 1) {
+			break
+		}
+		t = next
 	}
-	out, err := New(segs)
+	out, err := own(segs)
 	if err != nil {
 		panic(fmt.Sprintf("bitstream: Sum produced invalid stream: %v", err))
 	}
@@ -78,22 +88,13 @@ func Sum(streams ...Stream) Stream {
 // Sub implements Algorithm 3.3 (bit stream demultiplexing): removing a
 // component stream b from an aggregate a yields r(t) = ra(t) - rb(t).
 // Sub returns ErrNotComponent if b was not a component of a (the difference
-// would be negative or rate-increasing beyond tolerance).
+// would be negative or rate-increasing beyond tolerance); |rate| <= Eps
+// noise is clamped to zero.
 func Sub(a, b Stream) (Stream, error) {
 	if b.IsZero() {
 		return a, nil
 	}
-	return combine(a, b, func(x, y float64) float64 { return x - y })
-}
-
-// combine merges the breakpoints of a and b and applies op to the rates.
-// It validates and canonicalizes the result, clamping |rate| <= Eps noise
-// to zero.
-func combine(a, b Stream, op func(x, y float64) float64) (Stream, error) {
 	points := mergedBreakpoints(a, b)
-	if len(points) == 0 {
-		return Stream{}, nil
-	}
 	segs := make([]Segment, 0, len(points))
 	ia, ib := -1, -1
 	for _, t := range points {
@@ -110,7 +111,7 @@ func combine(a, b Stream, op func(x, y float64) float64) (Stream, error) {
 		if ib >= 0 {
 			rb = b.segs[ib].Rate
 		}
-		r := op(ra, rb)
+		r := ra - rb
 		if r < 0 {
 			if r < -Eps {
 				return Stream{}, fmt.Errorf("%w: rate %g at t=%g", ErrNotComponent, r, t)
@@ -126,7 +127,7 @@ func combine(a, b Stream, op func(x, y float64) float64) (Stream, error) {
 		}
 		segs = append(segs, Segment{Start: t, Rate: r})
 	}
-	return New(segs)
+	return own(segs)
 }
 
 // Delayed implements Algorithm 3.1: the worst-case distortion of the stream
@@ -180,7 +181,7 @@ func (s Stream) Delayed(cdv float64) (Stream, error) {
 			segs = append(segs, Segment{Start: sg.Start - cdv, Rate: clamp(sg.Rate)})
 		}
 	}
-	return New(segs)
+	return own(segs)
 }
 
 // crossLine finds the smallest t >= offset with A(t) = t - offset, i.e. where
@@ -264,7 +265,7 @@ func (s Stream) Filtered() Stream {
 			segs = append(segs, Segment{Start: sg.Start, Rate: sg.Rate})
 		}
 	}
-	out, err := New(segs)
+	out, err := own(segs)
 	if err != nil {
 		panic(fmt.Sprintf("bitstream: Filtered produced invalid stream: %v", err))
 	}
@@ -448,18 +449,4 @@ func MaxBacklog(s, higher Stream) (float64, error) {
 		}
 	}
 	return best, nil
-}
-
-func sortFloats(x []float64) {
-	sort.Float64s(x)
-}
-
-func dedupFloats(x []float64) []float64 {
-	out := x[:0]
-	for i, v := range x {
-		if i == 0 || v != x[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -24,12 +24,19 @@
 //   - DelayBound: Algorithm 4.1, the worst-case queueing delay at a
 //     static-priority FIFO queueing point.
 //   - MaxBacklog: the companion buffer bound (AREA1 of the paper's Figure 7).
+//
+// Admission re-runs Algorithms 3.1, 3.2 and 3.4 on every setup, so each
+// operation that builds a stream allocates its segments once: Sum is one
+// k-way merge over its inputs' breakpoints, which are already sorted, and
+// the constructors hand the slice they build to the same validation New
+// runs instead of having New copy it.
 package bitstream
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -84,7 +91,16 @@ type Stream struct {
 // New validates and canonicalizes segs into a Stream. The segments must start
 // at time 0, have strictly increasing start times, finite non-negative rates,
 // and non-increasing rates. Adjacent segments with equal rates are merged.
+// New does not retain segs.
 func New(segs []Segment) (Stream, error) {
+	return own(slices.Clone(segs))
+}
+
+// own is New for a slice the caller hands over: it validates segs, merges
+// equal rates in place, and the Stream it returns keeps segs' array. Every
+// constructor builds a fresh slice and passes it here, so each stream costs
+// one allocation.
+func own(segs []Segment) (Stream, error) {
 	if len(segs) == 0 {
 		return Stream{}, nil
 	}
@@ -109,7 +125,7 @@ func New(segs []Segment) (Stream, error) {
 			}
 		}
 	}
-	out := make([]Segment, 0, len(segs))
+	out := segs[:0]
 	for _, sg := range segs {
 		if n := len(out); n > 0 && math.Abs(out[n-1].Rate-sg.Rate) <= mergeEps {
 			continue // same rate: extend previous segment
@@ -168,7 +184,7 @@ func FromVBR(pcr, scr, mbs float64) (Stream, error) {
 		pcr = 1
 	}
 	tail := 1 + (mbs-1)/pcr // end of the PCR burst
-	segs := []Segment{{Start: 0, Rate: 1}}
+	segs := append(make([]Segment, 0, 3), Segment{Start: 0, Rate: 1})
 	if tail > 1 {
 		segs = append(segs, Segment{Start: 1, Rate: pcr})
 		segs = append(segs, Segment{Start: tail, Rate: scr})
@@ -176,7 +192,7 @@ func FromVBR(pcr, scr, mbs float64) (Stream, error) {
 		// MBS == 1: the single-cell burst is the initial unit-rate cell.
 		segs = append(segs, Segment{Start: 1, Rate: scr})
 	}
-	return New(segs)
+	return own(segs)
 }
 
 // Len returns the number of segments.
@@ -284,7 +300,7 @@ func (s Stream) Scaled(f float64) (Stream, error) {
 	for i := range segs {
 		segs[i].Rate *= f
 	}
-	return New(segs)
+	return own(segs)
 }
 
 // String renders the stream as {(r0,t0),(r1,t1),...} in the paper's notation.

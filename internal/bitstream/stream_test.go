@@ -47,9 +47,13 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNewCanonicalizesEqualRates(t *testing.T) {
-	s := MustNew([]Segment{{0, 1}, {1, 0.5}, {2, 0.5}, {3, 0.5}})
+	in := []Segment{{0, 1}, {1, 0.5}, {2, 0.5}, {3, 0.5}}
+	s := MustNew(in)
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2 (equal-rate segments merged); stream %v", got, s)
+	}
+	if in[2] != (Segment{2, 0.5}) {
+		t.Fatalf("New merged in the caller's slice: %v", in)
 	}
 }
 
