@@ -1,0 +1,44 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"atmcac/internal/traffic"
+)
+
+// admitResidentAllocs is what one Admit + Release costs on the switch
+// below: the path-copied tree nodes of the ConnID index and of the cell's
+// envelope tree, the port and link slices, one stream per re-summed node,
+// and the HopResult. The sort-based Algorithm 3.2 kernel cost 129.
+const admitResidentAllocs = 57
+
+// TestAdmitResidentAllocs pins the allocations of admission on a switch
+// shaped like a loaded ring node (the root BenchmarkAdmitResident at 1k):
+// one output port fed by 16 incoming links at two priorities, five CDV
+// classes per cell.
+func TestAdmitResidentAllocs(t *testing.T) {
+	sw := newTestSwitch(t, map[Priority]float64{1: 1e6, 2: 2e6})
+	spec := traffic.VBR(0.0004, 0.00001, 4)
+	for i := 0; i < 1<<10; i++ {
+		if err := sw.Install(HopRequest{
+			Conn: ConnID(fmt.Sprintf("r%06d", i)), Spec: spec,
+			In: PortID(i % 16), Out: 0,
+			Priority: Priority(1 + i/16%2), CDV: float64(4096 * (i / 32 % 5)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := HopRequest{Conn: "probe", Spec: spec, In: 5, Out: 0, Priority: 1, CDV: 8192}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := sw.Admit(probe); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Release("probe"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > admitResidentAllocs {
+		t.Errorf("Admit + Release: %v allocations, want <= %d", got, admitResidentAllocs)
+	}
+}

@@ -59,8 +59,15 @@ func (n *Network) routeLinks(route Route) []Link {
 }
 
 // routeLinkDown returns an ErrLinkDown-wrapping error when the route
-// traverses a currently failed link.
+// traverses a currently failed link. With no link down it returns before
+// running the link mapper, which every setup calls twice.
 func (n *Network) routeLinkDown(route Route) error {
+	n.linkMu.RLock()
+	none := len(n.downLinks) == 0
+	n.linkMu.RUnlock()
+	if none {
+		return nil
+	}
 	links := n.routeLinks(route)
 	n.linkMu.RLock()
 	defer n.linkMu.RUnlock()

@@ -451,6 +451,15 @@ func (sw *Switch) drop(st *switchState, id ConnID) (*switchState, hops, error) {
 	return next, hs, nil
 }
 
+// editCell gathers the streams it re-sums by appending into stack arrays of
+// these sizes: the priority levels, and the incoming links of a ring node's
+// output port (16 terminal links and the two ring inputs). More cost one
+// allocation; make with a variable length would always escape.
+const (
+	stackPrios = 4
+	stackLinks = 18
+)
+
 // editCell returns a successor of ports in which connection id has joined
 // or left the Sia tree of e's cell and everything derived from that tree is
 // re-summed: the cell's Sif, the link's higher-priority shares below e's
@@ -483,7 +492,9 @@ func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []out
 		port.queues[k].members--
 	}
 	cells[k].sif = cells[k].sia.total().Filtered()
-	above := make([]bitstream.Stream, 0, nprio) // Sia of the priorities above m, most urgent first
+	// Sia of the priorities above m, most urgent first.
+	var aboveBuf [stackPrios]bitstream.Stream
+	above := aboveBuf[:0]
 	empty := true
 	for m := range cells {
 		if m > k {
@@ -496,9 +507,10 @@ func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []out
 		port.links = slices.Delete(port.links, li, li+1)
 	}
 
-	parts := make([]bitstream.Stream, len(port.links))
-	for i, l := range port.links {
-		parts[i] = l.cells[k].sif
+	var partsBuf [stackLinks]bitstream.Stream
+	parts := partsBuf[:0]
+	for _, l := range port.links {
+		parts = append(parts, l.cells[k].sif)
 	}
 	port.queues[k].soa = bitstream.Sum(parts...)
 	for m := k + 1; m < nprio; m++ {
