@@ -2,6 +2,8 @@ package rtnet
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"atmcac/internal/core"
 	"atmcac/internal/traffic"
@@ -140,8 +142,9 @@ func (n *Network) WrappedRouteTo(origin, t, dest, failedFrom int) (core.Route, e
 // NodeIndex parses a ring-node switch name (as produced by SwitchName)
 // back to its ring index.
 func NodeIndex(name string) (int, error) {
-	var i int
-	if _, err := fmt.Sscanf(name, "ring%d", &i); err != nil || i < 0 || SwitchName(i) != name {
+	digits, ok := strings.CutPrefix(name, "ring")
+	i, err := strconv.Atoi(digits)
+	if !ok || err != nil || i < 0 || SwitchName(i) != name {
 		return 0, fmt.Errorf("%w: %q is not a ring node name", ErrConfig, name)
 	}
 	return i, nil

@@ -177,7 +177,7 @@ func TestNodeAndTerminalIndex(t *testing.T) {
 			t.Errorf("NodeIndex(SwitchName(%d)) = %d, %v", i, got, err)
 		}
 	}
-	for _, bad := range []string{"", "ring", "ring-1", "ring3x", "term00-00", "sw0"} {
+	for _, bad := range []string{"", "ring", "ring-1", "ring3x", "ring+3", "ring 3", "ring003", "term00-00", "sw0"} {
 		if _, err := NodeIndex(bad); err == nil {
 			t.Errorf("NodeIndex(%q) succeeded", bad)
 		}
