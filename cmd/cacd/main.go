@@ -622,41 +622,23 @@ func dumpFinalMetrics(reg *obs.Registry) {
 	}
 }
 
-// failoverHandler adapts the RTnet wrapped-ring re-admission engine to the
-// wire server's fail-link operation: after the server has failed the link
-// and evicted the traversing connections, each is re-admitted over the
-// wrapped route through the full CAC check.
+// failoverHandler is failover.Handler with the daemon's per-connection
+// stdout lines.
 func failoverHandler(rt *rtnet.Network) wire.FailoverHandler {
-	eng := failover.New(rt, failover.Options{})
+	readmit := failover.Handler(rt, failover.Options{})
 	return func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
-		node, err := rtnet.NodeIndex(from)
-		if err == nil {
-			if l, lerr := rt.PrimaryLink(node); lerr != nil || l.To != to {
-				err = fmt.Errorf("%s->%s is not a primary ring link; wrapped re-admission unavailable", from, to)
-			}
-		}
-		if err != nil {
-			outs := make([]wire.ReadmitOutcome, 0, len(evicted))
-			for _, r := range evicted {
-				fmt.Printf("cacd: connection %q down after %s->%s failure: %v\n", r.ID, from, to, err)
-				outs = append(outs, wire.ReadmitOutcome{ID: r.ID, Error: err.Error()})
-			}
-			return outs
-		}
-		rep := eng.Readmit(evicted, node, core.Link{From: from, To: to})
-		outs := make([]wire.ReadmitOutcome, 0, len(rep.Outcomes))
-		for _, o := range rep.Outcomes {
-			out := wire.ReadmitOutcome{ID: o.ID, Readmitted: o.Readmitted, Attempts: o.Attempts, Hops: len(o.Route)}
-			if o.Err != nil {
-				out.Error = o.Err.Error()
-			}
-			if o.Readmitted {
+		outs := readmit(from, to, evicted)
+		_, linkErr := failover.PrimaryFrom(rt, from, to)
+		for _, o := range outs {
+			switch {
+			case linkErr != nil:
+				fmt.Printf("cacd: connection %q down after %s->%s failure: %s\n", o.ID, from, to, o.Error)
+			case o.Readmitted:
 				fmt.Printf("cacd: re-admitted %q over the wrapped ring (%d hops, %d attempts)\n",
-					o.ID, len(o.Route), o.Attempts)
-			} else {
-				fmt.Printf("cacd: connection %q rejected in degraded mode: %v\n", o.ID, o.Err)
+					o.ID, o.Hops, o.Attempts)
+			default:
+				fmt.Printf("cacd: connection %q rejected in degraded mode: %s\n", o.ID, o.Error)
 			}
-			outs = append(outs, out)
 		}
 		return outs
 	}

@@ -22,6 +22,7 @@ import (
 
 	"atmcac/internal/core"
 	"atmcac/internal/rtnet"
+	"atmcac/internal/wire"
 )
 
 // Options tunes the re-admission loop.
@@ -146,6 +147,49 @@ func (e *Engine) Readmit(evicted []core.ConnRequest, failedFrom int, link core.L
 		rep.Outcomes = append(rep.Outcomes, e.readmitOne(req, failedFrom))
 	}
 	return rep
+}
+
+// Handler adapts the engine to the wire server's fail-link operation:
+// after the server has failed the link from->to and evicted the
+// connections traversing it, each is re-admitted over the wrapped route
+// through the full CAC check. A link that is not a primary ring link has
+// no wrapped route, so every connection it evicted stays down with that
+// error.
+func Handler(rt *rtnet.Network, opt Options) wire.FailoverHandler {
+	eng := New(rt, opt)
+	return func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
+		node, err := PrimaryFrom(rt, from, to)
+		if err != nil {
+			outs := make([]wire.ReadmitOutcome, 0, len(evicted))
+			for _, r := range evicted {
+				outs = append(outs, wire.ReadmitOutcome{ID: r.ID, Error: err.Error()})
+			}
+			return outs
+		}
+		rep := eng.Readmit(evicted, node, core.Link{From: from, To: to})
+		outs := make([]wire.ReadmitOutcome, 0, len(rep.Outcomes))
+		for _, o := range rep.Outcomes {
+			out := wire.ReadmitOutcome{ID: o.ID, Readmitted: o.Readmitted, Attempts: o.Attempts, Hops: len(o.Route)}
+			if o.Err != nil {
+				out.Error = o.Err.Error()
+			}
+			outs = append(outs, out)
+		}
+		return outs
+	}
+}
+
+// PrimaryFrom returns the ring node transmitting the primary link
+// from->to, or an error when from->to is not a primary ring link.
+func PrimaryFrom(rt *rtnet.Network, from, to string) (int, error) {
+	node, err := rtnet.NodeIndex(from)
+	if err != nil {
+		return 0, err
+	}
+	if l, lerr := rt.PrimaryLink(node); lerr != nil || l.To != to {
+		return 0, fmt.Errorf("%s->%s is not a primary ring link; wrapped re-admission unavailable", from, to)
+	}
+	return node, nil
 }
 
 // readmitOne maps one evicted healthy-ring request to its wrapped

@@ -273,3 +273,59 @@ func TestReadmitUnicast(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerNonPrimaryLinkStaysDown: a link the wrap cannot replace
+// yields one error outcome per evicted connection and re-admits none.
+func TestHandlerNonPrimaryLinkStaysDown(t *testing.T) {
+	n := newRing(t, 6)
+	admitBroadcast(t, n, 0.3)
+	evicted, err := n.FailPrimaryLink(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ from, to string }{
+		{rtnet.SwitchName(2), rtnet.SwitchName(1)}, // the secondary ring's direction
+		{"sw9", rtnet.SwitchName(3)},               // not a ring node
+	} {
+		outs := Handler(n, Options{Sleep: func(time.Duration) {}})(tc.from, tc.to, evicted)
+		if len(outs) != len(evicted) {
+			t.Fatalf("%s->%s: %d outcomes for %d evictions", tc.from, tc.to, len(outs), len(evicted))
+		}
+		for i, o := range outs {
+			if o.ID != evicted[i].ID || o.Readmitted || o.Attempts != 0 || o.Hops != 0 || o.Error == "" {
+				t.Errorf("%s->%s: outcome %+v, want %s down with an error and no attempt", tc.from, tc.to, o, evicted[i].ID)
+			}
+		}
+	}
+	if got := len(n.Core().Connections()); got != 6-len(evicted) {
+		t.Fatalf("%d connections carried after a refused re-admission, want %d", got, 6-len(evicted))
+	}
+}
+
+// TestHandlerReadmitsWithHops: over a primary link every evicted
+// connection is re-admitted and its outcome reports the wrapped route's
+// queueing points.
+func TestHandlerReadmitsWithHops(t *testing.T) {
+	n := newRing(t, 6)
+	admitBroadcast(t, n, 0.3)
+	evicted, err := n.FailPrimaryLink(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := Handler(n, Options{Sleep: func(time.Duration) {}})(rtnet.SwitchName(2), rtnet.SwitchName(3), evicted)
+	if len(outs) != len(evicted) {
+		t.Fatalf("%d outcomes for %d evictions", len(outs), len(evicted))
+	}
+	hops := make(map[core.ConnID]int)
+	for _, req := range n.Core().AdmittedRequests() {
+		hops[req.ID] = len(req.Route)
+	}
+	for _, o := range outs {
+		if !o.Readmitted || o.Error != "" || o.Attempts != 1 {
+			t.Errorf("outcome %+v, want re-admitted on the first attempt", o)
+		}
+		if o.Hops == 0 || o.Hops != hops[o.ID] {
+			t.Errorf("%s reports %d hops, its wrapped route has %d", o.ID, o.Hops, hops[o.ID])
+		}
+	}
+}

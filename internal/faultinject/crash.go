@@ -11,22 +11,17 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
-	"net"
 	"os"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"atmcac/internal/core"
-	"atmcac/internal/failover"
 	"atmcac/internal/journal"
 	"atmcac/internal/rtnet"
-	"atmcac/internal/traffic"
 	"atmcac/internal/wire"
 )
 
@@ -382,91 +377,15 @@ func (h *CrashHarness) defaults() {
 	}
 }
 
-// crashEpoch is one server lifetime between boots.
-type crashEpoch struct {
-	rt     *rtnet.Network
-	srv    *wire.Server
-	dur    *wire.Durable
-	client *wire.Client
-	done   chan struct{}
-	report *wire.RecoveryReport
-	obs    *procObs
-}
-
-// boot builds a network, recovers it from the files through fsys, and
-// serves it on an ephemeral port.
-func (h *CrashHarness) boot(fsys journal.FS) (*crashEpoch, error) {
-	rt, err := rtnet.New(rtnet.Config{
-		RingNodes:        h.Ring,
-		TerminalsPerNode: h.Terminals,
+// boot recovers the harness's files through fsys and serves them.
+func (h *CrashHarness) boot(fsys journal.FS) (*node, error) {
+	return boot(nodeConfig{
+		state:   h.StatePath,
+		fs:      fsys,
+		mode:    h.Mode,
+		compact: h.CompactRecords,
+		ring:    rtnet.Config{RingNodes: h.Ring, TerminalsPerNode: h.Terminals},
 	})
-	if err != nil {
-		return nil, err
-	}
-	dur, err := wire.OpenDurable(wire.DurableConfig{
-		StatePath:      h.StatePath,
-		Mode:           h.Mode,
-		FS:             fsys,
-		CompactRecords: h.CompactRecords,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := dur.Recover(rt.Core())
-	if err != nil {
-		_ = dur.Close()
-		return nil, err
-	}
-	srv := wire.NewServer(rt.Core())
-	srv.SetDurable(dur)
-	eng := failover.New(rt, failover.Options{MaxAttempts: 2, Sleep: func(time.Duration) {}})
-	srv.SetFailoverHandler(func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
-		node, nerr := rtnet.NodeIndex(from)
-		outs := make([]wire.ReadmitOutcome, 0, len(evicted))
-		if nerr != nil {
-			for _, r := range evicted {
-				outs = append(outs, wire.ReadmitOutcome{ID: r.ID, Error: nerr.Error()})
-			}
-			return outs
-		}
-		rep := eng.Readmit(evicted, node, core.Link{From: from, To: to})
-		for _, o := range rep.Outcomes {
-			out := wire.ReadmitOutcome{ID: o.ID, Readmitted: o.Readmitted, Attempts: o.Attempts}
-			if o.Err != nil {
-				out.Error = o.Err.Error()
-			}
-			outs = append(outs, out)
-		}
-		return outs
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = dur.Close()
-		return nil, err
-	}
-	o := newProcObs()
-	srv.SetObservability(o.reg, o.tracer)
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve(l) }()
-	client, err := wire.Dial(l.Addr().String())
-	if err != nil {
-		_ = srv.Close()
-		_ = dur.Close()
-		<-done
-		o.close()
-		return nil, err
-	}
-	return &crashEpoch{rt: rt, srv: srv, dur: dur, client: client, done: done, report: rep, obs: o}, nil
-}
-
-// stop tears an epoch down without a final snapshot — a crash, not a
-// graceful drain.
-func (e *crashEpoch) stop() {
-	_ = e.client.Close()
-	_ = e.srv.Close()
-	<-e.done
-	_ = e.dur.Close()
-	e.obs.close()
 }
 
 // CrashResult reports one injected-crash run.
@@ -522,7 +441,7 @@ func (h *CrashHarness) Run(crashAt int) (*CrashResult, *CrashFS, error) {
 	res := &CrashResult{CrashedAt: -1}
 	exp := newExpectation()
 
-	epoch, err := h.boot(cfs)
+	first, err := h.boot(cfs)
 	next := 0
 	if err != nil {
 		// The crash landed inside boot-time recovery/compaction; nothing
@@ -534,13 +453,12 @@ func (h *CrashHarness) Run(crashAt int) (*CrashResult, *CrashFS, error) {
 		}
 		res.CrashedAt = crashAt
 	} else {
-		failedFrom := -1
+		defer first.crash()
 		for ; next < len(h.Script); next++ {
 			ev := h.Script[next]
 			pre := exp.clone()
-			ok, err := h.applyWire(epoch, ev, exp, &failedFrom)
+			ok, err := h.applyAcked(first, ev, exp)
 			if err != nil {
-				epoch.stop()
 				return nil, cfs, err
 			}
 			if crashed := cfs.Crashed(); crashed {
@@ -560,61 +478,49 @@ func (h *CrashHarness) Run(crashAt int) (*CrashResult, *CrashFS, error) {
 				break
 			}
 			if !ok {
-				epoch.stop()
 				return nil, cfs, fmt.Errorf("faultinject: event %d (%s %s) failed without a crash",
 					next, ev.Kind, ev.ID)
 			}
 		}
-		epoch.stop()
+		first.crash()
 	}
 
 	// Second epoch on the pristine filesystem: recover, check the
-	// contract, finish the script, check again after a clean shutdown.
-	epoch2, err := h.boot(journal.OSFS{})
+	// contract, finish the script, check again.
+	second, err := h.boot(journal.OSFS{})
 	if err != nil {
 		return nil, cfs, fmt.Errorf("faultinject: recovery boot: %w", err)
 	}
-	if epoch2.report.TornPath != "" {
+	defer second.crash()
+	if second.report.TornPath != "" {
 		res.TornRepaired = true
 	}
-	if len(epoch2.report.Failed) > 0 {
-		epoch2.stop()
+	if len(second.report.Failed) > 0 {
 		return nil, cfs, fmt.Errorf("faultinject: recovery rejected %d stored connections: %+v",
-			len(epoch2.report.Failed), epoch2.report.Failed)
+			len(second.report.Failed), second.report.Failed)
 	}
-	if err := h.checkRecovered(epoch2, exp); err != nil {
-		epoch2.stop()
+	if err := checkRecovered(second, exp); err != nil {
 		return nil, cfs, err
-	}
-	failedFrom := -1
-	for _, l := range epoch2.rt.Core().FailedLinks() {
-		if node, err := rtnet.NodeIndex(l.From); err == nil {
-			failedFrom = node
-		}
 	}
 	exp.ambiguous = false
 	for ; next < len(h.Script); next++ {
-		if _, err := h.applyWire(epoch2, h.Script[next], exp, &failedFrom); err != nil {
-			epoch2.stop()
+		if _, err := h.applyAcked(second, h.Script[next], exp); err != nil {
 			return nil, cfs, err
 		}
 	}
-	if err := h.checkRecovered(epoch2, exp); err != nil {
-		epoch2.stop()
+	if err := checkRecovered(second, exp); err != nil {
 		return nil, cfs, err
 	}
-	if v, err := epoch2.rt.Core().Audit(); err != nil || len(v) > 0 {
-		epoch2.stop()
+	if v, err := second.net.Audit(); err != nil || len(v) > 0 {
 		return nil, cfs, fmt.Errorf("faultinject: audit after recovery: violations=%v err=%v", v, err)
 	}
-	epoch2.stop()
 	return res, cfs, nil
 }
 
 // checkRecovered asserts the recovery contract against the live state.
-func (h *CrashHarness) checkRecovered(e *crashEpoch, exp *expectation) error {
+func checkRecovered(n *node, exp *expectation) error {
 	got := make(map[core.ConnID]struct{})
-	for _, id := range e.rt.Core().Connections() {
+	for _, id := range n.net.Connections() {
 		got[id] = struct{}{}
 	}
 	want := exp.ids
@@ -636,75 +542,38 @@ func ambiguousNote(exp *expectation) string {
 	return ""
 }
 
-// applyWire executes one event over the wire client, updating the acked
-// expectation. It returns ok=false when the crash interrupted the op
-// (error response, dead connection, or a persistence warning on a
-// warning-only op) — the epoch is over.
-func (h *CrashHarness) applyWire(e *crashEpoch, ev Event, exp *expectation, failedFrom *int) (bool, error) {
+// applyAcked executes one event on n, updating the acked expectation.
+// It returns ok=false when the crash interrupted the op (error response,
+// dead connection, or a persistence warning on a warning-only op) — the
+// epoch is over.
+func (h *CrashHarness) applyAcked(n *node, ev Event, exp *expectation) (bool, error) {
+	rep, refused, err := n.apply(ev)
+	if err != nil {
+		return false, err
+	}
+	var remote *wire.RemoteError
+	switch {
+	case ev.Kind == KindSetup && errors.As(refused, &remote) && remote.Code == core.CodeDuplicate:
+		// Replayed after a restart against an op that did land.
+		refused = nil
+	case ev.Kind == KindTeardown && errors.As(refused, &remote) && remote.Code == core.CodeUnknownConn:
+		refused = nil
+	}
+	if refused != nil {
+		// A journal-refused op was rolled back and not acked.
+		return false, nil
+	}
 	switch ev.Kind {
 	case KindSetup:
-		var route core.Route
-		var err error
-		if *failedFrom < 0 {
-			route, err = e.rt.BroadcastRoute(ev.Origin, ev.Terminal)
-		} else {
-			route, err = e.rt.WrappedBroadcastRoute(ev.Origin, ev.Terminal, *failedFrom)
-		}
-		if err != nil {
-			return false, fmt.Errorf("faultinject: route for %s: %w", ev.ID, err)
-		}
-		_, serr := e.client.Setup(context.Background(), core.ConnRequest{
-			ID: ev.ID, Spec: traffic.CBR(ev.PCR), Priority: 1,
-			Route: route, DelayBound: ev.DelayBound,
-		})
-		if serr != nil {
-			if isDuplicate(serr) {
-				// Replayed after a restart against an op that did land.
-				exp.ids[ev.ID] = struct{}{}
-				return true, nil
-			}
-			// A journal-refused setup was rolled back and not acked.
-			return false, nil
-		}
 		exp.ids[ev.ID] = struct{}{}
-		return true, nil
 	case KindTeardown:
-		if terr := e.client.Teardown(context.Background(), ev.ID); terr != nil {
-			if isUnknownConn(terr) {
-				delete(exp.ids, ev.ID)
-				return true, nil
-			}
-			return false, nil
-		}
 		delete(exp.ids, ev.ID)
-		return true, nil
 	case KindFail:
-		report, ferr := e.client.FailLink(context.Background(), rtnet.SwitchName(ev.Node), rtnet.SwitchName((ev.Node+1)%h.Ring))
-		if ferr != nil {
-			return false, nil
-		}
-		for _, o := range report.Outcomes {
+		for _, o := range rep.Outcomes {
 			if !o.Readmitted {
 				delete(exp.ids, o.ID)
 			}
 		}
-		*failedFrom = ev.Node
-		return true, nil
-	case KindRestore:
-		if rerr := e.client.RestoreLink(context.Background(), rtnet.SwitchName(ev.Node), rtnet.SwitchName((ev.Node+1)%h.Ring)); rerr != nil {
-			return false, nil
-		}
-		*failedFrom = -1
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: unknown kind %q", ErrScript, ev.Kind)
 	}
-}
-
-func isDuplicate(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "duplicate")
-}
-
-func isUnknownConn(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown connection")
+	return true, nil
 }

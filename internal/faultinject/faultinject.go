@@ -1,9 +1,27 @@
-// Package faultinject is a deterministic fault-injection harness for the
-// live failure-handling path: scripted setup/teardown/fail/restore
-// sequences over an RTnet ring, with invariant checks (no admitted
-// connection traverses a dead link, hard guarantees hold after recovery,
-// the state audit is clean) and a serial-replay oracle that re-runs a
-// script on a fresh replica and demands the identical final state.
+// Package faultinject holds the fault harnesses that check, end to end,
+// the paper's promise that no admitted connection ever exceeds its bound
+// — across the ring-wrap failover of Section 5 and across every process,
+// disk and link fault of the daemons that serve it.
+//
+// Harness, in this file, runs scripted setup/teardown/fail/restore
+// sequences over an in-memory RTnet ring, with invariant checks (no
+// admitted connection traverses a dead link, hard guarantees hold after
+// recovery, the state audit is clean) and a serial-replay oracle that
+// re-runs a script on a fresh replica and demands the identical final
+// state.
+//
+// The other harnesses drive live daemons over real TCP, and all but the
+// overload harness stand their fleet up from one fixture (fleet.go). A
+// node is one daemon as cacd runs it: a network recovered from its
+// journaled files (optionally through a CrashFS and crash points), a wire
+// server with cacd's own fail-link adapter (failover.Handler), the
+// process's observability wiring, and by role a shipping primary or a
+// following standby; crash kills it and inspect reads its state. A
+// tcpProxy is the one cuttable link: every partition is a Cut of one, and
+// point re-aims it at a node rebooted on a new port. CrashHarness,
+// ReplicaHarness, ShardHarness and HAShardHarness differ only in the
+// fleet they boot and the faults they arm; the two shard harnesses share
+// one scenario (shardScenario) from the map spec to the oracle.
 //
 // Determinism is deliberate: the failover engine is run with a no-op Sleep
 // so scripts never depend on wall-clock timing, and every event outcome —

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -31,7 +30,6 @@ import (
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
 	"atmcac/internal/obs"
-	"atmcac/internal/overload"
 	"atmcac/internal/replica"
 	"atmcac/internal/shard"
 	"atmcac/internal/traffic"
@@ -93,176 +91,21 @@ func (h *HAShardHarness) defaults() {
 	}
 }
 
-// haMember is one member of a shard pair: a journaled wire server with
-// replication attached on the appropriate side.
-type haMember struct {
-	id   string
-	dir  string
-	addr string
-
-	network *core.Network
-	dur     *wire.Durable
-	srv     *wire.Server
-	prim    *replica.Primary
-	sb      *replica.Standby
-	replLn  net.Listener
-	obs     *procObs
-	done    chan struct{}
-	alive   bool
-}
-
-// bootHAMember builds one pair member. A primary gets a replication
-// listener (replLn), sync-mode shipping and the crash points cp (may be
-// nil); a standby follows primaryRepl and starts read-only.
-func bootHAMember(id, dir string, switches []string, replLn net.Listener, cp *wire.CrashPoints, primaryRepl string) (*haMember, error) {
-	network := core.NewNetwork(core.HardCDV{})
-	for _, sw := range switches {
-		if _, err := network.AddSwitch(core.SwitchConfig{
-			Name: sw, QueueCells: map[core.Priority]float64{1: 32},
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	dur, err := wire.OpenDurable(wire.DurableConfig{
-		StatePath: filepath.Join(dir, "state.json"),
-		Mode:      wire.DurabilityJournalSync,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := dur.Recover(network); err != nil {
-		_ = dur.Close()
-		return nil, err
-	}
-	srv := wire.NewServer(network)
-	srv.SetShardID(id)
-	srv.SetDurable(dur)
-	srv.SetCrashPoints(cp)
-	m := &haMember{id: id, dir: dir, network: network, dur: dur, srv: srv, replLn: replLn, obs: newProcObs()}
-	if replLn != nil {
-		m.prim = replica.NewPrimary(srv, replica.PrimaryConfig{
-			Mode:           replica.ModeSync,
-			AckTimeout:     2 * time.Second,
-			HeartbeatEvery: 50 * time.Millisecond,
-			Tracer:         m.obs.tracer,
-		})
-		srv.SetShipper(m.prim)
-		m.prim.RegisterMetrics(m.obs.reg)
-		go func() { _ = m.prim.Serve(replLn) }()
-	}
-	if primaryRepl != "" {
-		srv.SetStandby(true)
-		// FailoverTimeout stays zero: in this topology promotion is the
-		// COORDINATOR's decision (shard-level failover), not the pair's.
-		m.sb = replica.NewStandby(srv, replica.StandbyConfig{
-			PrimaryAddr:      primaryRepl,
-			ReconnectBackoff: overload.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-		})
-		m.sb.RegisterMetrics(m.obs.reg)
-		go func() { _ = m.sb.Run() }()
-	}
-	srv.SetReplicationStatus(replica.Status(m.prim, m.sb))
-	srv.SetObservability(m.obs.reg, m.obs.tracer)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		m.crash()
-		return nil, err
-	}
-	m.addr = ln.Addr().String()
-	m.done = make(chan struct{})
-	go func() { defer close(m.done); _ = srv.Serve(ln) }()
-	m.alive = true
-	return m, nil
-}
-
-// crash kills the member without a final snapshot. Idempotent.
-func (m *haMember) crash() {
-	if !m.alive && m.done == nil {
-		return
-	}
-	m.alive = false
-	if m.sb != nil {
-		_ = m.sb.Close()
-	}
-	if m.prim != nil {
-		_ = m.prim.Close()
-	}
-	_ = m.srv.Close()
-	if m.done != nil {
-		<-m.done
-		m.done = nil
-	}
-	if m.replLn != nil {
-		_ = m.replLn.Close()
-	}
-	_ = m.dur.Close()
-	m.obs.close()
-}
-
-// haPair is one replicated shard: primary behind a cuttable proxy,
-// standby reachable directly.
+// haPair is one replicated shard: the primary behind a cuttable proxy
+// to the coordinator, the standby reachable directly.
 type haPair struct {
-	id        string
-	switches  []string
-	primary   *haMember
-	standby   *haMember
+	primary   *node
+	standby   *node
 	proxy     *tcpProxy // between the coordinator and the primary
 	replProxy *tcpProxy // between the standby and the primary's replication listener
 }
 
-// activeAddr is where the coordinator's pool currently points.
-func (p *haPair) activeMemberAddr(coord *shard.Coordinator) string {
-	addr := coord.ActiveAddr(p.id)
-	if addr == p.standby.addr {
-		return p.standby.addr
+// active is the member the coordinator's pool currently drives.
+func (p *haPair) active(coord *shard.Coordinator, id string) *node {
+	if coord.ActiveAddr(id) == p.standby.addr {
+		return p.standby
 	}
-	// The pool drives the primary through the proxy; inspect it direct.
-	return p.primary.addr
-}
-
-// standbyAttached reports whether the primary serving addr has a live
-// replication session.
-func standbyAttached(addr string) bool {
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		return false
-	}
-	defer cl.Close()
-	rep, err := cl.Replication(context.Background())
-	return err == nil && rep.Connected
-}
-
-// inspect lists one live member's state (reaping expired holds first so
-// the residual-hold oracle is about leaks, not pending TTLs).
-func inspectMember(addr string) (map[core.ConnID]bool, *wire.HealthReport, *wire.ShardStatusReport, error) {
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer cl.Close()
-	ids, err := cl.List(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set := make(map[core.ConnID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	health, err := cl.Health(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := cl.ShardReap(context.Background()); err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := cl.ShardStatus(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return set, health, st, nil
+	return p.primary
 }
 
 // Run executes the armed fault end to end against the composed fleet.
@@ -271,68 +114,62 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	if h.Dir == "" {
 		return nil, fmt.Errorf("faultinject: HAShardHarness needs a Dir")
 	}
+	victim, err := victimIndex(fault.Victim, fault.Partition || fault.ReplCut, fault.Point)
+	if err != nil {
+		return nil, err
+	}
+	s := newShardScenario(h.SwitchesPerShard, h.PrepareTTL, time.Second)
 
 	// Boot three replicated pairs.
 	pairs := make([]*haPair, shardCount)
-	spec := ""
-	sw := 0
 	var cutArmed atomic.Bool
 	for i := range pairs {
-		var owned []string
-		for j := 0; j < h.SwitchesPerShard; j++ {
-			owned = append(owned, fmt.Sprintf("sw%d", sw))
-			sw++
-		}
-		id := fmt.Sprintf("s%d", i)
-		replLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		p := &haPair{}
+		if p.replProxy, err = newTCPProxy(""); err != nil {
 			return nil, err
 		}
-		replProxy, err := newTCPProxy(replLn.Addr().String())
-		if err != nil {
-			replLn.Close()
-			return nil, err
-		}
-		defer replProxy.Close()
+		defer p.replProxy.Close()
 		var cp *wire.CrashPoints
-		if fault.ReplCut && id == fault.Victim {
+		if fault.ReplCut && i == victim {
 			cp = &wire.CrashPoints{PostAppend: func(op string, _ uint64) {
 				if op == string(journal.OpShardCommit) && cutArmed.CompareAndSwap(true, false) {
-					replProxy.Cut()
+					p.replProxy.Cut()
 				}
 			}}
 		}
-		prim, err := bootHAMember(id, filepath.Join(h.Dir, id+"-p"), owned, replLn, cp, "")
-		if err != nil {
-			replLn.Close()
-			return nil, fmt.Errorf("faultinject: boot %s primary: %w", id, err)
+		member := func(suffix string) nodeConfig {
+			return nodeConfig{
+				state:    filepath.Join(h.Dir, shardID(i)+suffix, "state.json"),
+				switches: s.slices[i],
+				shardID:  shardID(i),
+			}
 		}
-		defer prim.crash()
-		sb, err := bootHAMember(id, filepath.Join(h.Dir, id+"-s"), owned, nil, nil, replProxy.addr())
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: boot %s standby: %w", id, err)
+		cfg := member("-p")
+		cfg.crash, cfg.ship = cp, replica.ModeSync
+		if p.primary, err = boot(cfg); err != nil {
+			return nil, fmt.Errorf("faultinject: boot %s primary: %w", shardID(i), err)
 		}
-		defer sb.crash()
-		proxy, err := newTCPProxy(prim.addr)
-		if err != nil {
+		defer p.primary.crash()
+		p.replProxy.point(p.primary.replAddr())
+		cfg = member("-s")
+		cfg.follow = p.replProxy.addr()
+		if p.standby, err = boot(cfg); err != nil {
+			return nil, fmt.Errorf("faultinject: boot %s standby: %w", shardID(i), err)
+		}
+		defer p.standby.crash()
+		if p.proxy, err = newTCPProxy(p.primary.addr); err != nil {
 			return nil, err
 		}
-		defer proxy.Close()
-		pairs[i] = &haPair{id: id, switches: owned, primary: prim, standby: sb, proxy: proxy, replProxy: replProxy}
-		if spec != "" {
-			spec += ";"
-		}
-		spec += fmt.Sprintf("%s@%s|%s=%s", id, proxy.addr(), sb.addr, joinComma(owned))
+		defer p.proxy.Close()
+		pairs[i] = p
 	}
 	// Sync-mode shipping needs every standby attached before traffic.
-	for _, p := range pairs {
-		pp := p
-		if !waitFor(5*time.Second, func() bool { return standbyAttached(pp.primary.addr) }) {
-			return nil, fmt.Errorf("faultinject: %s standby never connected", p.id)
+	for i, p := range pairs {
+		if !waitFor(5*time.Second, p.primary.attached) {
+			return nil, fmt.Errorf("faultinject: %s standby never connected", shardID(i))
 		}
 	}
-	m, err := shard.ParseMap(spec)
-	if err != nil {
+	if err := s.mapFleet(func(i int) string { return pairs[i].proxy.addr() + "|" + pairs[i].standby.addr }); err != nil {
 		return nil, err
 	}
 
@@ -344,19 +181,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	defer standbyObs.close()
 	activeLog := filepath.Join(h.Dir, "intent-active.log")
 	standbyLog := filepath.Join(h.Dir, "intent-standby.log")
-	newCoord := func(logPath string, o *procObs) (*shard.Coordinator, error) {
-		c, err := shard.NewCoordinator(m, journal.OSFS{}, logPath)
-		if err != nil {
-			return nil, err
-		}
-		c.PrepareTTL = h.PrepareTTL
-		c.OpTimeout = time.Second
-		c.Retries = 2
-		c.SetTracer(o.tracer)
-		c.RegisterMetrics(o.reg)
-		return c, nil
-	}
-	coord, err := newCoord(activeLog, activeObs)
+	coord, err := s.newCoord(activeLog, activeObs)
 	if err != nil {
 		return nil, err
 	}
@@ -394,81 +219,29 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	}
 	ctx := context.Background()
 
-	victimPair := -1
-	for i, p := range pairs {
-		if p.id == fault.Victim {
-			victimPair = i
-		}
+	// Sync replication puts each acked setup on its standby before the
+	// ack, so the load must survive any single member's death.
+	if err := s.load(ctx, coord); err != nil {
+		return nil, err
 	}
-	if fault.Victim != VictimCoordinator && victimPair < 0 {
-		return nil, fmt.Errorf("faultinject: unknown victim %q", fault.Victim)
+	var hit func()
+	switch {
+	case victim < 0:
+	case fault.ReplCut:
+		hit = func() { cutArmed.Store(true) }
+	case fault.Partition:
+		hit = pairs[victim].proxy.Cut
+	default:
+		hit = pairs[victim].primary.crash
 	}
-	if (fault.Partition || fault.ReplCut) && victimPair < 0 {
-		return nil, fmt.Errorf("faultinject: partition needs a shard victim")
-	}
-	if fault.Point.pastAck() && fault.Victim != VictimCoordinator {
-		return nil, fmt.Errorf("faultinject: a fault at %s needs the coordinator as victim", fault.Point)
-	}
-
-	// Acked background load: one local setup per pair plus one acked
-	// cross-shard setup. Sync replication puts each on its standby
-	// before the ack, so they must survive any single member's death.
-	acked := make(map[core.ConnID][]int)
-	port := core.PortID(1)
-	for i, p := range pairs {
-		id := core.ConnID(fmt.Sprintf("base-%s", p.id))
-		req := core.ConnRequest{ID: id, Spec: traffic.CBR(0.05), Priority: 1,
-			Route: routeOver(p.switches, port)}
-		if _, err := coord.Setup(ctx, req); err != nil {
-			return nil, fmt.Errorf("faultinject: background setup %s: %w", id, err)
-		}
-		acked[id] = []int{i}
-	}
-	port++
-	baseX := core.ConnRequest{ID: "base-x", Spec: traffic.CBR(0.05), Priority: 1,
-		Route: routeOver(append(append([]string{}, pairs[0].switches...), pairs[1].switches...), port)}
-	if _, err := coord.Setup(ctx, baseX); err != nil {
-		return nil, fmt.Errorf("faultinject: background cross-shard setup: %w", err)
-	}
-	acked["base-x"] = []int{0, 1}
-
-	// Arm the fault and fire the victim transaction across all shards.
-	coord.SetTestHook(func(point, txn string) error {
-		if ShardPoint(point) != fault.Point {
-			return nil
-		}
-		coord.SetTestHook(nil)
-		switch {
-		case fault.Victim == VictimCoordinator:
-			return errShardCrash
-		case fault.ReplCut:
-			cutArmed.Store(true)
-		case fault.Partition:
-			pairs[victimPair].proxy.Cut()
-		default:
-			pairs[victimPair].primary.crash()
-		}
-		return nil
-	})
-	port++
-	var all []string
-	for _, p := range pairs {
-		all = append(all, p.switches...)
-	}
-	victimReq := core.ConnRequest{ID: "victim", Spec: traffic.CBR(0.05), Priority: 1,
-		Route: routeOver(all, port), DelayBound: float64(len(all)) * 40}
-	_, setupErr := coord.Setup(ctx, victimReq)
+	s.fire(ctx, coord, fault.Point, hit)
 
 	res := &HAResult{}
-	if fault.Victim == VictimCoordinator {
+	if victim < 0 {
 		// The active coordinator dies mid-protocol; its standby must
 		// promote, and the promoted log must drive recovery.
-		if fault.Point.pastAck() {
-			if err := checkPastAck(ctx, coord, fault.Point, setupErr); err != nil {
-				return nil, err
-			}
-		} else if !errors.Is(setupErr, errShardCrash) {
-			return nil, fmt.Errorf("faultinject: coordinator fault at %s never fired (err=%v)", fault.Point, setupErr)
+		if err := s.coordinatorFault(ctx, coord, fault.Point); err != nil {
+			return nil, err
 		}
 		intentPrim.Close()
 		coord.Kill()
@@ -484,7 +257,7 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		if err := sbLog.Close(); err != nil {
 			return nil, err
 		}
-		succ, err := newCoord(standbyLog, standbyObs)
+		succ, err := s.newCoord(standbyLog, standbyObs)
 		if err != nil {
 			return nil, err
 		}
@@ -498,115 +271,56 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 		// The victim's commit record is durable on its primary but
 		// unconfirmed by the standby: the commit is in doubt, not
 		// refused. Recover must re-drive it once the link is back.
-		if !errors.Is(setupErr, shard.ErrInDoubt) {
-			return nil, fmt.Errorf("faultinject: setup across a replication cut at %s: want in doubt, got %v", fault.Point, setupErr)
+		if !errors.Is(s.setupErr, shard.ErrInDoubt) {
+			return nil, fmt.Errorf("faultinject: setup across a replication cut at %s: want in doubt, got %v", fault.Point, s.setupErr)
 		}
-		p := pairs[victimPair]
+		p := pairs[victim]
 		p.replProxy.Heal()
-		if !waitFor(5*time.Second, func() bool { return standbyAttached(p.primary.addr) }) {
-			return nil, fmt.Errorf("faultinject: %s standby never reattached after the cut", p.id)
+		if !waitFor(5*time.Second, p.primary.attached) {
+			return nil, fmt.Errorf("faultinject: %s standby never reattached after the cut", fault.Victim)
 		}
-	} else if setupErr != nil && !errors.Is(setupErr, shard.ErrInDoubt) {
+	} else if s.setupErr != nil && !errors.Is(s.setupErr, shard.ErrInDoubt) {
 		// A single shard-pair fault must NOT lose the in-flight setup:
 		// shard-level failover completes it on the survivor, or — when
 		// the dying member's commit leg answered not-replicated — the
 		// Recover below re-drives the in-doubt commit there.
-		return nil, fmt.Errorf("faultinject: setup across %s fault did not survive failover: %v", fault.Point, setupErr)
+		return nil, fmt.Errorf("faultinject: setup across %s fault did not survive failover: %v", fault.Point, s.setupErr)
 	}
 
-	res.Recovered, err = coord.Recover(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("faultinject: recover: %w", err)
-	}
-	if remaining := coord.InDoubt(); len(remaining) != 0 {
-		return nil, fmt.Errorf("faultinject: transactions still in doubt after recovery: %v", remaining)
-	}
-	if fault.Point.pastAck() {
-		if err := checkPastAckRecovery(fault.Point, res.Recovered); err != nil {
-			return nil, err
-		}
-	}
-	// Liveness first: a fresh setup over the whole path must admit and
-	// tear down cleanly on the surviving fleet. At a post-commit fault
-	// nothing before this touches the dead member, so this is also what
-	// forces the pool's failover to the survivor.
-	var all2 []string
-	for _, p := range pairs {
-		all2 = append(all2, p.switches...)
-	}
-	probe := core.ConnRequest{ID: "probe", Spec: traffic.CBR(0.05), Priority: 1,
-		Route: routeOver(all2, port+1), DelayBound: float64(len(all2)) * 40}
-	if _, err := coord.Setup(ctx, probe); err != nil {
-		return nil, fmt.Errorf("faultinject: post-recovery probe setup refused: %w", err)
-	}
-	if err := coord.Teardown(ctx, "probe"); err != nil {
-		return nil, fmt.Errorf("faultinject: probe teardown: %w", err)
+	// Liveness comes before the oracle: at a post-commit fault nothing
+	// before the probe touches the dead member, so the probe is also
+	// what forces the pool's failover to the survivor.
+	if res.Recovered, err = s.settle(ctx, coord, fault.Point); err != nil {
+		return nil, err
 	}
 	res.ShardFailovers = coordObs.reg.Counter("atmcac_shard_failovers_total").Value()
 	switch {
 	case fault.ReplCut && res.ShardFailovers != 0:
 		return nil, fmt.Errorf("faultinject: a replication cut (no process death) caused %d shard failovers", res.ShardFailovers)
-	case fault.Victim != VictimCoordinator && !fault.ReplCut && res.ShardFailovers == 0:
+	case victim >= 0 && !fault.ReplCut && res.ShardFailovers == 0:
 		return nil, fmt.Errorf("faultinject: shard fault resolved without a recorded failover")
 	}
 
 	// Oracle. Inspect each pair's surviving active member.
-	sets := make([]map[core.ConnID]bool, shardCount)
+	active := make([]*node, shardCount)
 	for i, p := range pairs {
-		addr := p.activeMemberAddr(coord)
-		set, health, st, err := inspectMember(addr)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: inspect %s active member: %w", p.id, err)
-		}
-		if health.Violations != 0 {
-			return nil, fmt.Errorf("faultinject: %s reports %d delay-bound violations", p.id, health.Violations)
-		}
-		if len(st.Prepared) != 0 {
-			return nil, fmt.Errorf("faultinject: %s still holds %v after recovery", p.id, st.Prepared)
-		}
-		sets[i] = set
+		active[i] = p.active(coord, shardID(i))
 	}
-	for id, owners := range acked {
-		for _, i := range owners {
-			if !sets[i][id] {
-				return nil, fmt.Errorf("faultinject: acked connection %s lost on %s", id, pairs[i].id)
-			}
-		}
+	if res.VictimAdmitted, err = s.verify(fault.Point, active); err != nil {
+		return nil, err
 	}
-	on := 0
-	for i := range pairs {
-		if sets[i]["victim"] {
-			on++
-		}
-	}
-	switch on {
-	case 0:
-		res.VictimAdmitted = false
-	case shardCount:
-		res.VictimAdmitted = true
-	default:
-		return nil, fmt.Errorf("faultinject: interrupted setup admitted on %d of %d pairs", on, shardCount)
-	}
-	if released := fault.Point == ShardPostAckTeardown; setupErr == nil && res.VictimAdmitted == released {
-		return nil, fmt.Errorf("faultinject: acked victim setup (released=%v) admitted=%v after recovery", released, res.VictimAdmitted)
-	}
-	if fault.Victim != VictimCoordinator && !res.VictimAdmitted {
+	if victim >= 0 && !res.VictimAdmitted {
 		return nil, fmt.Errorf("faultinject: shard failover failed to complete the in-flight setup")
 	}
 	if fault.ReplCut {
 		// The re-driven commit was confirmed by the standby (sync mode),
 		// so the standby must agree with its primary.
-		cl, err := wire.Dial(pairs[victimPair].standby.addr)
+		ids, err := pairs[victim].standby.client.List(ctx)
 		if err != nil {
 			return nil, err
 		}
-		ids, err := cl.List(ctx)
-		_ = cl.Close()
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Contains(ids, "victim") {
-			return nil, fmt.Errorf("faultinject: %s standby lacks the re-driven commit: %v", pairs[victimPair].id, ids)
+		if !slices.Contains(ids, s.victim.ID) {
+			return nil, fmt.Errorf("faultinject: %s standby lacks the re-driven commit: %v", fault.Victim, ids)
 		}
 	}
 
@@ -614,23 +328,14 @@ func (h *HAShardHarness) Run(fault HAFault) (*HAResult, error) {
 	// its next replicated mutation is refused (the promoted standby
 	// rejects its stale-epoch ship) and the refusal fences it.
 	if fault.Partition {
-		pairs[victimPair].proxy.Heal()
-		zcl, err := wire.Dial(pairs[victimPair].primary.addr)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: redial partitioned ex-primary: %w", err)
-		}
+		p := pairs[victim]
+		p.proxy.Heal()
 		zombie := core.ConnRequest{ID: "zombie", Spec: traffic.CBR(0.02), Priority: 1,
-			Route: routeOver(pairs[victimPair].switches, port+5)}
-		if _, zerr := zcl.Setup(context.Background(), zombie); zerr == nil {
-			_ = zcl.Close()
+			Route: routeOver(s.slices[victim], portZombie)}
+		if _, zerr := p.primary.client.Setup(ctx, zombie); zerr == nil {
 			return nil, fmt.Errorf("faultinject: superseded ex-primary accepted a write")
 		}
-		fenced := waitFor(5*time.Second, func() bool {
-			rep, rerr := zcl.Replication(context.Background())
-			return rerr == nil && rep.Role == "fenced"
-		})
-		_ = zcl.Close()
-		if !fenced {
+		if !waitFor(5*time.Second, func() bool { return p.primary.role() == "fenced" }) {
 			return nil, fmt.Errorf("faultinject: superseded ex-primary never fenced")
 		}
 	}

@@ -117,30 +117,7 @@ func NewOverload(cfg rtnet.Config, lim overload.LimiterConfig) (*OverloadHarness
 	h.limiter = overload.NewLimiter(lim)
 	h.srv = wire.NewServer(rt.Core())
 	h.srv.SetLimiter(h.limiter)
-	eng := failover.New(rt, failover.Options{
-		MaxAttempts: 2,
-		Sleep:       func(time.Duration) {},
-	})
-	h.srv.SetFailoverHandler(func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
-		node, err := rtnet.NodeIndex(from)
-		if err != nil {
-			outs := make([]wire.ReadmitOutcome, 0, len(evicted))
-			for _, r := range evicted {
-				outs = append(outs, wire.ReadmitOutcome{ID: r.ID, Error: err.Error()})
-			}
-			return outs
-		}
-		rep := eng.Readmit(evicted, node, core.Link{From: from, To: to})
-		outs := make([]wire.ReadmitOutcome, 0, len(rep.Outcomes))
-		for _, o := range rep.Outcomes {
-			out := wire.ReadmitOutcome{ID: o.ID, Readmitted: o.Readmitted, Attempts: o.Attempts}
-			if o.Err != nil {
-				out.Error = o.Err.Error()
-			}
-			outs = append(outs, out)
-		}
-		return outs
-	})
+	h.srv.SetFailoverHandler(failover.Handler(rt, failover.Options{MaxAttempts: 2, Sleep: func(time.Duration) {}}))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

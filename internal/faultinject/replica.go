@@ -1,7 +1,7 @@
 // Replication chaos: a deterministic harness for the hot-standby pair.
-// A primary and a warm standby run as two full wire servers (own
-// network, own durability files, own replication endpoints) connected
-// by a real TCP stream. The harness kills the primary at every
+// A primary and a warm standby run as two nodes of the fleet fixture
+// (own network, own durability files, own replication endpoints), the
+// standby following the primary through a cuttable link. The harness kills the primary at every
 // replication-critical instant — before the local append, after the
 // append but before the ship, after the ship but before the client ack,
 // and at every filesystem write boundary including mid-compaction — or
@@ -17,19 +17,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"atmcac/internal/core"
-	"atmcac/internal/failover"
 	"atmcac/internal/journal"
-	"atmcac/internal/overload"
 	"atmcac/internal/replica"
 	"atmcac/internal/rtnet"
 	"atmcac/internal/traffic"
@@ -114,204 +109,17 @@ func (h *ReplicaHarness) defaults() {
 	}
 }
 
-// replicaNode is one member of the pair: a full wire server with its
-// own durability files, replication listener and shipping primary; the
-// standby role adds the consuming loop.
-type replicaNode struct {
-	rt     *rtnet.Network
-	srv    *wire.Server
-	dur    *wire.Durable
-	client *wire.Client
-	ln     net.Listener
-	replLn net.Listener
-	done   chan struct{}
-	obs    *procObs
-
-	mu       sync.Mutex
-	prim     *replica.Primary
-	sb       *replica.Standby
-	stopOnce sync.Once
-}
-
-// partitionDial is an injectable dialer whose link the harness can cut:
-// cutting refuses new dials and severs every live connection.
-type partitionDial struct {
-	mu    sync.Mutex
-	cut   bool
-	conns map[net.Conn]struct{}
-}
-
-func newPartitionDial() *partitionDial {
-	return &partitionDial{conns: make(map[net.Conn]struct{})}
-}
-
-func (p *partitionDial) dial(addr string) (net.Conn, error) {
-	p.mu.Lock()
-	cut := p.cut
-	p.mu.Unlock()
-	if cut {
-		return nil, fmt.Errorf("faultinject: replication link partitioned")
-	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.cut {
-		p.mu.Unlock()
-		conn.Close()
-		return nil, fmt.Errorf("faultinject: replication link partitioned")
-	}
-	p.conns[conn] = struct{}{}
-	p.mu.Unlock()
-	return conn, nil
-}
-
-// Cut severs the link; Heal restores it.
-func (p *partitionDial) Cut() {
-	p.mu.Lock()
-	p.cut = true
-	conns := make([]net.Conn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.conns = make(map[net.Conn]struct{})
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (p *partitionDial) Heal() {
-	p.mu.Lock()
-	p.cut = false
-	p.mu.Unlock()
-}
-
-// bootNode builds one pair member on its own ephemeral ports. replLn
-// is pre-created by the caller so the standby knows the primary's
-// replication address before the primary boots.
-func (h *ReplicaHarness) bootNode(statePath string, fsys journal.FS, replLn net.Listener, cp *wire.CrashPoints) (*replicaNode, error) {
-	rt, err := rtnet.New(rtnet.Config{RingNodes: h.Ring, TerminalsPerNode: h.Terminals})
-	if err != nil {
-		return nil, err
-	}
-	dur, err := wire.OpenDurable(wire.DurableConfig{
-		StatePath:      statePath,
-		Mode:           wire.DurabilityJournalSync,
-		FS:             fsys,
-		CompactRecords: h.CompactRecords,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := dur.Recover(rt.Core()); err != nil {
-		_ = dur.Close()
-		return nil, err
-	}
-	srv := wire.NewServer(rt.Core())
-	srv.SetDurable(dur)
-	srv.SetCrashPoints(cp)
-	eng := failover.New(rt, failover.Options{MaxAttempts: 2, Sleep: func(time.Duration) {}})
-	srv.SetFailoverHandler(func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
-		node, nerr := rtnet.NodeIndex(from)
-		outs := make([]wire.ReadmitOutcome, 0, len(evicted))
-		if nerr != nil {
-			for _, r := range evicted {
-				outs = append(outs, wire.ReadmitOutcome{ID: r.ID, Error: nerr.Error()})
-			}
-			return outs
-		}
-		rep := eng.Readmit(evicted, node, core.Link{From: from, To: to})
-		for _, o := range rep.Outcomes {
-			out := wire.ReadmitOutcome{ID: o.ID, Readmitted: o.Readmitted, Attempts: o.Attempts}
-			if o.Err != nil {
-				out.Error = o.Err.Error()
-			}
-			outs = append(outs, out)
-		}
-		return outs
-	})
-	n := &replicaNode{rt: rt, srv: srv, dur: dur, replLn: replLn, obs: newProcObs()}
-	n.prim = replica.NewPrimary(srv, replica.PrimaryConfig{
-		Mode:           h.Mode,
-		AckTimeout:     2 * time.Second,
-		HeartbeatEvery: 50 * time.Millisecond,
-		Tracer:         n.obs.tracer,
-	})
-	srv.SetShipper(n.prim)
-	n.prim.RegisterMetrics(n.obs.reg)
-	srv.SetReplicationStatus(func(rep *wire.ReplicationReport) {
-		n.mu.Lock()
-		prim, sb := n.prim, n.sb
-		n.mu.Unlock()
-		replica.Status(prim, sb)(rep)
-	})
-	srv.SetObservability(n.obs.reg, n.obs.tracer)
-	if replLn != nil {
-		go n.prim.Serve(replLn)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		n.stop()
-		return nil, err
-	}
-	n.ln = ln
-	n.done = make(chan struct{})
-	go func() { defer close(n.done); _ = srv.Serve(ln) }()
-	client, err := wire.Dial(ln.Addr().String())
-	if err != nil {
-		n.stop()
-		return nil, err
-	}
-	n.client = client
-	return n, nil
-}
-
-// startStandby puts the node in the consuming role, following
-// primaryAddr through the (cuttable) dialer.
-func (n *replicaNode) startStandby(primaryAddr string, dial func(string) (net.Conn, error)) {
-	n.srv.SetStandby(true)
-	sb := replica.NewStandby(n.srv, replica.StandbyConfig{
-		PrimaryAddr:      primaryAddr,
-		Dial:             dial,
-		ReconnectBackoff: overload.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-	})
-	sb.RegisterMetrics(n.obs.reg)
-	n.mu.Lock()
-	n.sb = sb
-	n.mu.Unlock()
-	go sb.Run()
-}
-
-func (n *replicaNode) standby() *replica.Standby {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sb
-}
-
-// stop kills the node without a final snapshot — a crash, not a drain.
-// Idempotent, so a mid-scenario stop and the deferred cleanup coexist.
-func (n *replicaNode) stop() {
-	n.stopOnce.Do(func() {
-		if sb := n.standby(); sb != nil {
-			_ = sb.Close()
-		}
-		if n.prim != nil {
-			_ = n.prim.Close()
-		}
-		if n.client != nil {
-			_ = n.client.Close()
-		}
-		_ = n.srv.Close()
-		if n.done != nil {
-			<-n.done
-		}
-		if n.replLn != nil {
-			_ = n.replLn.Close()
-		}
-		_ = n.dur.Close()
-		n.obs.close()
+// boot recovers and serves one pair member from dir: a primary shipping
+// in the harness's mode, and a standby of follow unless follow is empty.
+func (h *ReplicaHarness) boot(dir string, fsys journal.FS, cp *wire.CrashPoints, follow string) (*node, error) {
+	return boot(nodeConfig{
+		state:   filepath.Join(dir, "state.json"),
+		fs:      fsys,
+		compact: h.CompactRecords,
+		ring:    rtnet.Config{RingNodes: h.Ring, TerminalsPerNode: h.Terminals},
+		crash:   cp,
+		ship:    h.Mode,
+		follow:  follow,
 	})
 }
 
@@ -335,18 +143,6 @@ func stateKey(c *core.Network) string {
 	return "conns{" + strings.Join(ids, ",") + "} down{" + strings.Join(links, ",") + "}"
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(d time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
 // Run executes the armed fault scenario end to end: boot the pair, wait
 // for the stream, apply the script until the fault fires, fail the
 // primary over, verify the takeover oracle on the promoted standby,
@@ -358,58 +154,43 @@ func (h *ReplicaHarness) Run(fault ReplicaFault) (*ReplicaResult, *CrashFS, erro
 	if h.Dir == "" {
 		return nil, nil, fmt.Errorf("faultinject: ReplicaHarness needs a Dir")
 	}
+	pdir := filepath.Join(h.Dir, "primary")
+	// The standby boots first (with its own replication listener, which
+	// it will serve from after promotion), following the primary through
+	// a cuttable link that is pointed at the primary once it is up — so
+	// the standby is already dialing and retrying when the primary comes
+	// up, including when the primary's boot itself crashes.
+	link, err := newTCPProxy("")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer link.Close()
+	sn, err := h.boot(filepath.Join(h.Dir, "standby"), nil, nil, link.addr())
+	if err != nil {
+		return nil, nil, fmt.Errorf("faultinject: standby boot: %w", err)
+	}
+	defer sn.crash()
 	if fault.Point == PointPartition {
-		res, err := h.runPartition(fault)
+		res, err := h.runPartition(fault, pdir, link, sn)
 		return res, nil, err
 	}
-	return h.runCrash(fault)
+	return h.runCrash(fault, pdir, link, sn)
 }
 
 // runCrash kills the primary at the armed instant and fails over. With
 // PointFSBoundary and Boundary -1 nothing is armed: the whole script
 // runs clean and the failover is exercised fault-free — the dry run
 // that also measures the scenario's boundary count.
-func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS, error) {
-	pdir := filepath.Join(h.Dir, "primary")
-	sdir := filepath.Join(h.Dir, "standby")
-	for _, d := range []string{pdir, sdir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, nil, err
-		}
-	}
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	sReplLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		replLn.Close()
-		return nil, nil, err
-	}
+func (h *ReplicaHarness) runCrash(fault ReplicaFault, pdir string, link *tcpProxy, sn *node) (*ReplicaResult, *CrashFS, error) {
 	crashAt := -1
 	if fault.Point == PointFSBoundary {
 		crashAt = fault.Boundary
 	}
 	cfs := NewCrashFS(crashAt, h.Loss)
-
-	// The standby boots first (with its own replication listener, which
-	// it will serve from after promotion) so it is already dialing and
-	// retrying when the primary comes up — including when the primary's
-	// boot itself crashes.
-	sn, err := h.bootNode(filepath.Join(sdir, "state.json"), journal.OSFS{}, sReplLn, nil)
-	if err != nil {
-		replLn.Close()
-		sReplLn.Close()
-		return nil, cfs, fmt.Errorf("faultinject: standby boot: %w", err)
-	}
-	defer sn.stop()
-	pdial := newPartitionDial()
-	sn.startStandby(replLn.Addr().String(), pdial.dial)
-
 	res := &ReplicaResult{CrashedAtOp: -1}
 	var opIndex atomic.Int32 // index of the journaled op currently executing
 	opIndex.Store(-1)
-	var crashTarget atomic.Pointer[replicaNode]
+	var crashTarget atomic.Pointer[node]
 	var postAppendSeq atomic.Uint64 // the record a post-append kill interrupted
 	crash := func() {
 		cfs.ForceCrash()
@@ -438,7 +219,7 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 		},
 	}
 
-	pn, err := h.bootNode(filepath.Join(pdir, "state.json"), cfs, replLn, cp)
+	pn, err := h.boot(pdir, cfs, cp, "")
 	preKey, postKey := stateKey(nil), stateKey(nil)
 	if err != nil {
 		// The crash landed inside boot: nothing was served or acked, so
@@ -449,18 +230,15 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 		res.CrashedAtOp = 0
 	} else {
 		crashTarget.Store(pn)
-		defer pn.stop()
-		if !waitFor(5*time.Second, func() bool {
-			rep, rerr := pn.client.Replication(context.Background())
-			return rerr == nil && rep.Connected
-		}) {
+		defer pn.crash()
+		link.point(pn.replAddr())
+		if !waitFor(5*time.Second, pn.attached) {
 			return nil, cfs, fmt.Errorf("faultinject: standby never connected")
 		}
-		failedFrom := -1
 		for i, ev := range h.Script {
-			preKey = stateKey(pn.rt.Core())
-			_, aerr := h.apply(pn, ev, &failedFrom)
-			postKey = stateKey(pn.rt.Core())
+			preKey = stateKey(pn.net)
+			_, _, aerr := pn.apply(ev)
+			postKey = stateKey(pn.net)
 			if cfs.Crashed() {
 				res.CrashedAtOp = i
 				break
@@ -481,7 +259,7 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 		}
 		// Kill whatever survives of the primary (a hook crash leaves the
 		// process half-alive on purpose; a clean dry run leaves it all).
-		pn.stop()
+		pn.crash()
 		if seq := postAppendSeq.Load(); seq != 0 {
 			if err := requireOnDisk(filepath.Join(pdir, "state.json.journal"), seq); err != nil {
 				return nil, cfs, err
@@ -492,18 +270,18 @@ func (h *ReplicaHarness) runCrash(fault ReplicaFault) (*ReplicaResult, *CrashFS,
 	// Failover: promote the standby and check the takeover oracle — its
 	// state must be the serial replay of the acked operations, with only
 	// the interrupted operation allowed to be in either state.
-	epoch, err := sn.standby().Promote()
+	epoch, err := sn.sb.Promote()
 	if err != nil {
 		return nil, cfs, fmt.Errorf("faultinject: promote: %w", err)
 	}
 	res.PromotedEpoch = epoch
-	got := stateKey(sn.rt.Core())
+	got := stateKey(sn.net)
 	res.StandbyState = got
 	if got != postKey && got != preKey {
 		return nil, cfs, fmt.Errorf("faultinject: takeover state %s != acked state %s (nor pre-op %s)",
 			got, postKey, preKey)
 	}
-	if v, aerr := sn.rt.Core().Audit(); aerr != nil || len(v) > 0 {
+	if v, aerr := sn.net.Audit(); aerr != nil || len(v) > 0 {
 		return nil, cfs, fmt.Errorf("faultinject: audit on promoted standby: violations=%v err=%v", v, aerr)
 	}
 
@@ -535,43 +313,35 @@ func requireOnDisk(path string, seq uint64) error {
 // primary (sn), waits for convergence, and then requires post-failover
 // liveness: a fresh setup on the new primary must be admitted and
 // replicated.
-func (h *ReplicaHarness) rejoinAndVerify(exDir string, sn *replicaNode) error {
-	rn, err := h.bootNode(filepath.Join(exDir, "state.json"), journal.OSFS{}, nil, nil)
+func (h *ReplicaHarness) rejoinAndVerify(exDir string, sn *node) error {
+	rn, err := h.boot(exDir, nil, nil, sn.replAddr())
 	if err != nil {
 		return fmt.Errorf("faultinject: ex-primary rejoin boot: %w", err)
 	}
-	defer rn.stop()
-	rdial := newPartitionDial()
-	rn.startStandby(sn.replLn.Addr().String(), rdial.dial)
-	want := stateKey(sn.rt.Core())
-	if !waitFor(5*time.Second, func() bool { return stateKey(rn.rt.Core()) == want }) {
+	defer rn.crash()
+	want := stateKey(sn.net)
+	if !waitFor(5*time.Second, func() bool { return stateKey(rn.net) == want }) {
 		return fmt.Errorf("faultinject: rejoined ex-primary state %s never converged to %s",
-			stateKey(rn.rt.Core()), want)
+			stateKey(rn.net), want)
 	}
 	// Liveness: the promoted primary admits and replicates new work.
-	failedFrom := -1
-	for _, l := range sn.rt.Core().FailedLinks() {
-		if node, nerr := rtnet.NodeIndex(l.From); nerr == nil {
-			failedFrom = node
-		}
-	}
 	ev := Event{Kind: KindSetup, ID: "post-failover", Origin: 0, PCR: 0.02}
 	// A sync-mode refusal is clean (compensated, no mutation) and can
 	// happen transiently if the freshly rejoined standby's session blips;
 	// retry briefly before declaring the promoted primary dead.
-	var ok bool
+	var refused error
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if ok, err = h.apply(sn, ev, &failedFrom); err != nil || ok || time.Now().After(deadline) {
+		if _, refused, err = sn.apply(ev); err != nil || refused == nil || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if err != nil || !ok {
-		return fmt.Errorf("faultinject: post-failover setup refused (ok=%v err=%v)", ok, err)
+	if err != nil || refused != nil {
+		return fmt.Errorf("faultinject: post-failover setup refused (refused=%v err=%v)", refused, err)
 	}
-	want = stateKey(sn.rt.Core())
-	if !waitFor(5*time.Second, func() bool { return stateKey(rn.rt.Core()) == want }) {
+	want = stateKey(sn.net)
+	if !waitFor(5*time.Second, func() bool { return stateKey(rn.net) == want }) {
 		return fmt.Errorf("faultinject: post-failover setup did not replicate to the rejoined standby")
 	}
 	return nil
@@ -581,89 +351,54 @@ func (h *ReplicaHarness) rejoinAndVerify(exDir string, sn *replicaNode) error {
 // and rollback on the primary, promotes the standby, and verifies the
 // old primary is fenced with the split-brain code — with no zombie
 // mutation landing anywhere.
-func (h *ReplicaHarness) runPartition(fault ReplicaFault) (*ReplicaResult, error) {
-	pdir := filepath.Join(h.Dir, "primary")
-	sdir := filepath.Join(h.Dir, "standby")
-	for _, d := range []string{pdir, sdir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	sReplLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		replLn.Close()
-		return nil, err
-	}
-	sn, err := h.bootNode(filepath.Join(sdir, "state.json"), journal.OSFS{}, sReplLn, nil)
-	if err != nil {
-		replLn.Close()
-		sReplLn.Close()
-		return nil, fmt.Errorf("faultinject: standby boot: %w", err)
-	}
-	defer sn.stop()
-	pdial := newPartitionDial()
-	sn.startStandby(replLn.Addr().String(), pdial.dial)
-	pn, err := h.bootNode(filepath.Join(pdir, "state.json"), journal.OSFS{}, replLn, nil)
+func (h *ReplicaHarness) runPartition(fault ReplicaFault, pdir string, link *tcpProxy, sn *node) (*ReplicaResult, error) {
+	pn, err := h.boot(pdir, nil, nil, "")
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: primary boot: %w", err)
 	}
-	defer pn.stop()
-	if !waitFor(5*time.Second, func() bool {
-		rep, rerr := pn.client.Replication(context.Background())
-		return rerr == nil && rep.Connected
-	}) {
+	defer pn.crash()
+	link.point(pn.replAddr())
+	if !waitFor(5*time.Second, pn.attached) {
 		return nil, fmt.Errorf("faultinject: standby never connected")
 	}
 
 	res := &ReplicaResult{CrashedAtOp: -1}
-	failedFrom := -1
-	cutAt := fault.OpIndex
-	if cutAt > len(h.Script) {
-		cutAt = len(h.Script)
-	}
+	cutAt := min(fault.OpIndex, len(h.Script))
 	for i := 0; i < cutAt; i++ {
-		if ok, aerr := h.apply(pn, h.Script[i], &failedFrom); aerr != nil || !ok {
-			return nil, fmt.Errorf("faultinject: pre-cut event %d failed (ok=%v err=%v)", i, ok, aerr)
+		if _, refused, aerr := pn.apply(h.Script[i]); aerr != nil || refused != nil {
+			return nil, fmt.Errorf("faultinject: pre-cut event %d failed (refused=%v err=%v)", i, refused, aerr)
 		}
 	}
-	ackedKey := stateKey(pn.rt.Core())
-	pdial.Cut()
+	ackedKey := stateKey(pn.net)
+	link.Cut()
 	res.CrashedAtOp = cutAt
 
 	// Every further sync-mode mutation must be refused — and rolled
 	// back, so the primary's state stays exactly the acked set.
-	refused := 0
 	for i := cutAt; i < len(h.Script); i++ {
-		ok, aerr := h.apply(pn, h.Script[i], &failedFrom)
+		_, refused, aerr := pn.apply(h.Script[i])
 		if aerr != nil {
 			return nil, fmt.Errorf("faultinject: partitioned event %d errored: %v", i, aerr)
 		}
-		if ev := h.Script[i]; ev.Kind == KindSetup || ev.Kind == KindTeardown {
-			if ok {
-				return nil, fmt.Errorf("faultinject: partitioned %s %s was acked in %s mode",
-					ev.Kind, ev.ID, h.Mode)
-			}
-			refused++
+		if ev := h.Script[i]; (ev.Kind == KindSetup || ev.Kind == KindTeardown) && refused == nil {
+			return nil, fmt.Errorf("faultinject: partitioned %s %s was acked in %s mode",
+				ev.Kind, ev.ID, h.Mode)
 		}
 	}
-	if got := stateKey(pn.rt.Core()); got != ackedKey {
+	if got := stateKey(pn.net); got != ackedKey {
 		return nil, fmt.Errorf("faultinject: partitioned primary state %s != acked state %s (rollback failed)",
 			got, ackedKey)
 	}
 
 	// Fail over across the partition: heal the link just before the
 	// promotion so the fence notification can reach the old primary.
-	pdial.Heal()
-	epoch, err := sn.standby().Promote()
+	link.Heal()
+	epoch, err := sn.sb.Promote()
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: promote: %w", err)
 	}
 	res.PromotedEpoch = epoch
-	got := stateKey(sn.rt.Core())
+	got := stateKey(sn.net)
 	res.StandbyState = got
 	if got != ackedKey {
 		return nil, fmt.Errorf("faultinject: takeover state %s != acked state %s", got, ackedKey)
@@ -671,13 +406,10 @@ func (h *ReplicaHarness) runPartition(fault ReplicaFault) (*ReplicaResult, error
 
 	// The old primary must fence itself and refuse writes with the
 	// split-brain code; its state must not mutate (no zombie writes).
-	if !waitFor(5*time.Second, func() bool {
-		rep, rerr := pn.client.Replication(context.Background())
-		return rerr == nil && rep.Role == "fenced"
-	}) {
+	if !waitFor(5*time.Second, func() bool { return pn.role() == "fenced" }) {
 		return nil, fmt.Errorf("faultinject: ex-primary never fenced")
 	}
-	route, rerr := pn.rt.BroadcastRoute(0, 0)
+	route, rerr := pn.ring.BroadcastRoute(0, 0)
 	if rerr != nil {
 		return nil, rerr
 	}
@@ -686,50 +418,11 @@ func (h *ReplicaHarness) runPartition(fault ReplicaFault) (*ReplicaResult, error
 	if !errors.As(serr, &remote) || remote.Code != wire.CodeFenced {
 		return nil, fmt.Errorf("faultinject: fenced ex-primary setup error = %v, want code %s", serr, wire.CodeFenced)
 	}
-	if gotP := stateKey(pn.rt.Core()); gotP != ackedKey {
+	if gotP := stateKey(pn.net); gotP != ackedKey {
 		return nil, fmt.Errorf("faultinject: fenced ex-primary mutated: %s != %s", gotP, ackedKey)
 	}
 
 	// Rejoin and liveness, same contract as the crash path.
-	pn.stop()
+	pn.crash()
 	return res, h.rejoinAndVerify(pdir, sn)
-}
-
-// apply executes one script event over the node's wire client. ok=false
-// means the operation was refused or the connection died — not acked.
-func (h *ReplicaHarness) apply(n *replicaNode, ev Event, failedFrom *int) (bool, error) {
-	switch ev.Kind {
-	case KindSetup:
-		var route core.Route
-		var err error
-		if *failedFrom < 0 {
-			route, err = n.rt.BroadcastRoute(ev.Origin, ev.Terminal)
-		} else {
-			route, err = n.rt.WrappedBroadcastRoute(ev.Origin, ev.Terminal, *failedFrom)
-		}
-		if err != nil {
-			return false, fmt.Errorf("faultinject: route for %s: %w", ev.ID, err)
-		}
-		_, serr := n.client.Setup(context.Background(), core.ConnRequest{
-			ID: ev.ID, Spec: traffic.CBR(ev.PCR), Priority: 1,
-			Route: route, DelayBound: ev.DelayBound,
-		})
-		return serr == nil, nil
-	case KindTeardown:
-		return n.client.Teardown(context.Background(), ev.ID) == nil, nil
-	case KindFail:
-		if _, ferr := n.client.FailLink(context.Background(), rtnet.SwitchName(ev.Node), rtnet.SwitchName((ev.Node+1)%h.Ring)); ferr != nil {
-			return false, nil
-		}
-		*failedFrom = ev.Node
-		return true, nil
-	case KindRestore:
-		if rerr := n.client.RestoreLink(context.Background(), rtnet.SwitchName(ev.Node), rtnet.SwitchName((ev.Node+1)%h.Ring)); rerr != nil {
-			return false, nil
-		}
-		*failedFrom = -1
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: unknown kind %q", ErrScript, ev.Kind)
-	}
 }

@@ -22,18 +22,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"time"
 
 	"atmcac/internal/core"
 	"atmcac/internal/journal"
 	"atmcac/internal/shard"
 	"atmcac/internal/traffic"
-	"atmcac/internal/wire"
 )
 
 // ShardPoint selects the protocol instant where the fault fires. The
@@ -71,35 +67,6 @@ const (
 // pastAck reports whether the point lies after the client's ack, where
 // only the coordinator can be the victim and no boundary hook fires.
 func (p ShardPoint) pastAck() bool { return p == ShardPostAck || p == ShardPostAckTeardown }
-
-// checkPastAck validates a fault armed past the ack and, for
-// ShardPostAckTeardown, releases the victim connection through coord —
-// everything between the victim setup's return and the kill.
-func checkPastAck(ctx context.Context, coord *shard.Coordinator, point ShardPoint, setupErr error) error {
-	if setupErr != nil {
-		return fmt.Errorf("faultinject: victim setup before the %s fault: %w", point, setupErr)
-	}
-	if point == ShardPostAckTeardown {
-		if err := coord.Teardown(ctx, "victim"); err != nil {
-			return fmt.Errorf("faultinject: victim teardown before the %s fault: %w", point, err)
-		}
-	}
-	return nil
-}
-
-// checkPastAckRecovery asserts what recovery made of a fault past the
-// ack: the acked setup's commit re-driven once and nothing else, or —
-// with the connection released before the kill — nothing at all.
-func checkPastAckRecovery(point ShardPoint, rep *shard.RecoverReport) error {
-	want := 0
-	if point == ShardPostAck {
-		want = 1
-	}
-	if len(rep.Committed) != want || len(rep.Aborted) != 0 {
-		return fmt.Errorf("faultinject: recovery after the %s fault re-drove %+v, want %d commits and no abort", point, rep, want)
-	}
-	return nil
-}
 
 // VictimCoordinator names the coordinator as the process to kill.
 const VictimCoordinator = "coordinator"
@@ -146,216 +113,237 @@ func (h *ShardHarness) defaults() {
 
 const shardCount = 3
 
-// tcpProxy sits between the coordinator and one shard so the harness
-// can partition the pair without killing either.
-type tcpProxy struct {
-	ln     net.Listener
-	target string
-
-	mu    sync.Mutex
-	cut   bool
-	conns map[net.Conn]struct{}
-}
-
-func newTCPProxy(target string) (*tcpProxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	p := &tcpProxy{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
-	go p.acceptLoop()
-	return p, nil
-}
-
-func (p *tcpProxy) addr() string { return p.ln.Addr().String() }
-
-func (p *tcpProxy) acceptLoop() {
-	for {
-		c, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		cut := p.cut
-		if !cut {
-			p.conns[c] = struct{}{}
-		}
-		p.mu.Unlock()
-		if cut {
-			_ = c.Close()
-			continue
-		}
-		go p.pipe(c)
-	}
-}
-
-func (p *tcpProxy) pipe(c net.Conn) {
-	up, err := net.DialTimeout("tcp", p.target, 2*time.Second)
-	if err != nil {
-		_ = c.Close()
-		return
-	}
-	p.mu.Lock()
-	if p.cut {
-		p.mu.Unlock()
-		_ = c.Close()
-		_ = up.Close()
-		return
-	}
-	p.conns[up] = struct{}{}
-	p.mu.Unlock()
-	done := make(chan struct{}, 2)
-	cp := func(dst, src net.Conn) {
-		_, _ = io.Copy(dst, src)
-		_ = dst.Close()
-		_ = src.Close()
-		done <- struct{}{}
-	}
-	go cp(up, c)
-	go cp(c, up)
-	<-done
-	<-done
-	p.mu.Lock()
-	delete(p.conns, c)
-	delete(p.conns, up)
-	p.mu.Unlock()
-}
-
-// Cut severs present and future connections; Heal restores the link.
-func (p *tcpProxy) Cut() {
-	p.mu.Lock()
-	p.cut = true
-	conns := make([]net.Conn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.conns = make(map[net.Conn]struct{})
-	p.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
-
-func (p *tcpProxy) Heal() {
-	p.mu.Lock()
-	p.cut = false
-	p.mu.Unlock()
-}
-
-func (p *tcpProxy) Close() { _ = p.ln.Close(); p.Cut() }
-
-// shardNode is one shard: a journaled wire server owning a slice of the
-// switches, rebootable on a stable address.
-type shardNode struct {
-	id       string
-	dir      string
-	addr     string // stable across reboots (SO_REUSEADDR rebind)
-	switches []string
-
-	network *core.Network
-	dur     *wire.Durable
-	srv     *wire.Server
-	obs     *procObs
-	done    chan struct{}
-	alive   bool
-}
-
-// boot builds the network from the durable files and serves it. On the
-// first boot addr is empty and an ephemeral port is chosen; reboots
-// rebind the same address.
-func (n *shardNode) boot() error {
-	network := core.NewNetwork(core.HardCDV{})
-	for _, sw := range n.switches {
-		if _, err := network.AddSwitch(core.SwitchConfig{
-			Name: sw, QueueCells: map[core.Priority]float64{1: 32},
-		}); err != nil {
-			return err
-		}
-	}
-	dur, err := wire.OpenDurable(wire.DurableConfig{
-		StatePath: filepath.Join(n.dir, "state.json"),
-		Mode:      wire.DurabilityJournalSync,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := dur.Recover(network); err != nil {
-		_ = dur.Close()
-		return err
-	}
-	srv := wire.NewServer(network)
-	srv.SetShardID(n.id)
-	srv.SetDurable(dur)
-	listenAddr := n.addr
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	for attempt := 0; ; attempt++ {
-		ln, err = net.Listen("tcp", listenAddr)
-		if err == nil {
-			break
-		}
-		if attempt >= 20 {
-			_ = dur.Close()
-			return fmt.Errorf("faultinject: rebind %s: %w", listenAddr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	n.addr = ln.Addr().String()
-	n.network, n.dur, n.srv = network, dur, srv
-	n.obs = newProcObs()
-	srv.SetObservability(n.obs.reg, n.obs.tracer)
-	n.done = make(chan struct{})
-	go func(done chan struct{}) { defer close(done); _ = srv.Serve(ln) }(n.done)
-	n.alive = true
-	return nil
-}
-
-// crash kills the shard without a final snapshot.
-func (n *shardNode) crash() {
-	if !n.alive {
-		return
-	}
-	n.alive = false
-	_ = n.srv.Close()
-	<-n.done
-	_ = n.dur.Close()
-	n.obs.close()
-}
-
-// list asks the live shard for its admitted connections.
-func (n *shardNode) list() (map[core.ConnID]bool, *wire.HealthReport, *wire.ShardStatusReport, error) {
-	cl, err := wire.Dial(n.addr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer cl.Close()
-	ids, err := cl.List(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set := make(map[core.ConnID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	health, err := cl.Health(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if _, err := cl.ShardReap(context.Background()); err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := cl.ShardStatus(context.Background())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return set, health, st, nil
-}
+// Ports of the scenario's traffic: each connection class enters its
+// queues on its own port, so no two classes are link-filtered together.
+const (
+	portLocal  core.PortID = 1 // one acked setup local to each shard
+	portCross  core.PortID = 2 // the acked cross-shard setup
+	portVictim core.PortID = 3 // the setup the fault interrupts
+	portProbe  core.PortID = 4 // the post-recovery probe
+	portZombie core.PortID = 8 // a write to a superseded ex-primary
+)
 
 // errShardCrash is the sentinel the boundary hook aborts the coordinator
 // with when the coordinator itself is the victim.
 var errShardCrash = errors.New("faultinject: injected coordinator crash")
+
+// shardScenario is what the shard and HA-shard harnesses share: three
+// shards owning contiguous switch slices, the coordinator wiring, the
+// acked background load, the armed victim setup spanning every shard,
+// and the oracle run after recovery.
+type shardScenario struct {
+	slices    [][]string // switches of shard i
+	all       []string   // every switch, in path order
+	m         *shard.Map
+	ttl       time.Duration
+	opTimeout time.Duration
+	// acked maps each connection acked before the fault to its owning
+	// shards.
+	acked    map[core.ConnID][]int
+	victim   core.ConnRequest
+	setupErr error
+}
+
+func newShardScenario(perShard int, ttl, opTimeout time.Duration) *shardScenario {
+	s := &shardScenario{ttl: ttl, opTimeout: opTimeout, acked: make(map[core.ConnID][]int)}
+	for i := 0; i < shardCount; i++ {
+		var owned []string
+		for j := 0; j < perShard; j++ {
+			owned = append(owned, fmt.Sprintf("sw%d", i*perShard+j))
+		}
+		s.slices = append(s.slices, owned)
+		s.all = append(s.all, owned...)
+	}
+	s.victim = core.ConnRequest{ID: "victim", Spec: traffic.CBR(0.05), Priority: 1,
+		Route: routeOver(s.all, portVictim), DelayBound: float64(len(s.all)) * 40}
+	return s
+}
+
+func shardID(i int) string { return fmt.Sprintf("s%d", i) }
+
+// victimIndex validates a fault's victim and returns its shard index, -1
+// for the coordinator. cut reports a fault that cuts a link instead of
+// killing a process, which needs a shard victim.
+func victimIndex(victim string, cut bool, point ShardPoint) (int, error) {
+	i := -1
+	for j := 0; j < shardCount; j++ {
+		if shardID(j) == victim {
+			i = j
+		}
+	}
+	switch {
+	case victim != VictimCoordinator && i < 0:
+		return 0, fmt.Errorf("faultinject: unknown victim %q", victim)
+	case cut && i < 0:
+		return 0, fmt.Errorf("faultinject: partition needs a shard victim")
+	case point.pastAck() && i >= 0:
+		return 0, fmt.Errorf("faultinject: a fault at %s needs the coordinator as victim", point)
+	}
+	return i, nil
+}
+
+// mapFleet parses the shard map whose shard i is served at members(i).
+func (s *shardScenario) mapFleet(members func(i int) string) error {
+	entries := make([]string, len(s.slices))
+	for i, owned := range s.slices {
+		entries[i] = fmt.Sprintf("%s@%s=%s", shardID(i), members(i), strings.Join(owned, ","))
+	}
+	m, err := shard.ParseMap(strings.Join(entries, ";"))
+	s.m = m
+	return err
+}
+
+// newCoord opens one coordinator incarnation on the intent log at
+// logPath, wired to its process's observability o.
+func (s *shardScenario) newCoord(logPath string, o *procObs) (*shard.Coordinator, error) {
+	c, err := shard.NewCoordinator(s.m, journal.OSFS{}, logPath)
+	if err != nil {
+		return nil, err
+	}
+	c.PrepareTTL = s.ttl
+	c.OpTimeout = s.opTimeout
+	c.Retries = 2
+	c.SetTracer(o.tracer)
+	c.RegisterMetrics(o.reg)
+	return c, nil
+}
+
+// load runs the acked background load: one local setup per shard plus
+// one cross-shard setup — the set that must survive whatever happens
+// next.
+func (s *shardScenario) load(ctx context.Context, coord *shard.Coordinator) error {
+	for i, owned := range s.slices {
+		id := core.ConnID("base-" + shardID(i))
+		req := core.ConnRequest{ID: id, Spec: traffic.CBR(0.05), Priority: 1, Route: routeOver(owned, portLocal)}
+		if _, err := coord.Setup(ctx, req); err != nil {
+			return fmt.Errorf("faultinject: background setup %s: %w", id, err)
+		}
+		s.acked[id] = []int{i}
+	}
+	baseX := core.ConnRequest{ID: "base-x", Spec: traffic.CBR(0.05), Priority: 1,
+		Route: routeOver(append(append([]string{}, s.slices[0]...), s.slices[1]...), portCross)}
+	if _, err := coord.Setup(ctx, baseX); err != nil {
+		return fmt.Errorf("faultinject: background cross-shard setup: %w", err)
+	}
+	s.acked["base-x"] = []int{0, 1}
+	return nil
+}
+
+// fire arms the fault at point and runs the victim setup. The hook
+// aborts a coordinator victim at the point; for a shard victim it runs
+// hit there and lets the protocol go on.
+func (s *shardScenario) fire(ctx context.Context, coord *shard.Coordinator, point ShardPoint, hit func()) {
+	coord.SetTestHook(func(p, txn string) error {
+		if ShardPoint(p) != point {
+			return nil
+		}
+		coord.SetTestHook(nil)
+		if hit == nil {
+			return errShardCrash
+		}
+		hit()
+		return nil
+	})
+	_, s.setupErr = coord.Setup(ctx, s.victim)
+}
+
+// coordinatorFault checks that a coordinator victim's fault fired. Past
+// the ack nothing fires: the setup must have been acked, and for
+// ShardPostAckTeardown the client releases it before the kill.
+func (s *shardScenario) coordinatorFault(ctx context.Context, coord *shard.Coordinator, point ShardPoint) error {
+	if !point.pastAck() {
+		if !errors.Is(s.setupErr, errShardCrash) {
+			return fmt.Errorf("faultinject: coordinator fault at %s never fired (err=%v)", point, s.setupErr)
+		}
+		return nil
+	}
+	if s.setupErr != nil {
+		return fmt.Errorf("faultinject: victim setup before the %s fault: %w", point, s.setupErr)
+	}
+	if point == ShardPostAckTeardown {
+		if err := coord.Teardown(ctx, s.victim.ID); err != nil {
+			return fmt.Errorf("faultinject: victim teardown before the %s fault: %w", point, err)
+		}
+	}
+	return nil
+}
+
+// settle resolves the intent log on the surviving fleet and then requires
+// liveness: a fresh setup over the whole path admits and tears down — no
+// refused setup left residual bandwidth. Past the ack recovery must have
+// re-driven the acked setup's commit once and nothing else, or — with the
+// connection released before the kill — nothing at all.
+func (s *shardScenario) settle(ctx context.Context, coord *shard.Coordinator, point ShardPoint) (*shard.RecoverReport, error) {
+	rep, err := coord.Recover(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("faultinject: recover: %w", err)
+	}
+	if remaining := coord.InDoubt(); len(remaining) != 0 {
+		return nil, fmt.Errorf("faultinject: transactions still in doubt after recovery: %v", remaining)
+	}
+	if point.pastAck() {
+		want := 0
+		if point == ShardPostAck {
+			want = 1
+		}
+		if len(rep.Committed) != want || len(rep.Aborted) != 0 {
+			return nil, fmt.Errorf("faultinject: recovery after the %s fault re-drove %+v, want %d commits and no abort", point, rep, want)
+		}
+	}
+	probe := s.victim
+	probe.ID = "probe"
+	probe.Route = routeOver(s.all, portProbe)
+	if _, err := coord.Setup(ctx, probe); err != nil {
+		return nil, fmt.Errorf("faultinject: post-recovery probe setup refused: %w", err)
+	}
+	if err := coord.Teardown(ctx, probe.ID); err != nil {
+		return nil, fmt.Errorf("faultinject: probe teardown: %w", err)
+	}
+	return rep, nil
+}
+
+// verify inspects each shard's serving member and asserts the oracle: no
+// delay-bound violation, no residual hold, no acked setup lost, and the
+// interrupted setup on every shard or on none — admitted if the client
+// heard it acked, unless the client released it. It returns whether the
+// interrupted setup was admitted.
+func (s *shardScenario) verify(point ShardPoint, members []*node) (bool, error) {
+	sets := make([]map[core.ConnID]bool, len(members))
+	for i, n := range members {
+		set, health, st, err := n.inspect()
+		if err != nil {
+			return false, fmt.Errorf("faultinject: inspect %s: %w", shardID(i), err)
+		}
+		if health.Violations != 0 {
+			return false, fmt.Errorf("faultinject: %s reports %d delay-bound violations", shardID(i), health.Violations)
+		}
+		if len(st.Prepared) != 0 {
+			return false, fmt.Errorf("faultinject: %s still holds %v after recovery", shardID(i), st.Prepared)
+		}
+		sets[i] = set
+	}
+	for id, owners := range s.acked {
+		for _, i := range owners {
+			if !sets[i][id] {
+				return false, fmt.Errorf("faultinject: acked connection %s lost on %s", id, shardID(i))
+			}
+		}
+	}
+	on := 0
+	for _, set := range sets {
+		if set[s.victim.ID] {
+			on++
+		}
+	}
+	if on != 0 && on != len(sets) {
+		return false, fmt.Errorf("faultinject: interrupted setup admitted on %d of %d shards", on, len(sets))
+	}
+	admitted := on != 0
+	if released := point == ShardPostAckTeardown; s.setupErr == nil && admitted == released {
+		return false, fmt.Errorf("faultinject: acked victim setup (released=%v) admitted=%v after recovery", released, admitted)
+	}
+	return admitted, nil
+}
 
 // Run executes the armed fault end to end. See the package comment for
 // the oracle it asserts.
@@ -364,224 +352,95 @@ func (h *ShardHarness) Run(fault ShardFault) (*ShardResult, error) {
 	if h.Dir == "" {
 		return nil, fmt.Errorf("faultinject: ShardHarness needs a Dir")
 	}
-
-	// Boot the fleet: contiguous switch slices, one proxy per shard so a
-	// partition is a link property, not a process death.
-	nodes := make([]*shardNode, shardCount)
-	proxies := make([]*tcpProxy, shardCount)
-	spec := ""
-	sw := 0
-	for i := range nodes {
-		var owned []string
-		for j := 0; j < h.SwitchesPerShard; j++ {
-			owned = append(owned, fmt.Sprintf("sw%d", sw))
-			sw++
-		}
-		n := &shardNode{id: fmt.Sprintf("s%d", i), dir: filepath.Join(h.Dir, fmt.Sprintf("s%d", i)), switches: owned}
-		if err := os.MkdirAll(n.dir, 0o755); err != nil {
-			return nil, err
-		}
-		if err := n.boot(); err != nil {
-			return nil, fmt.Errorf("faultinject: boot %s: %w", n.id, err)
-		}
-		defer n.crash()
-		p, err := newTCPProxy(n.addr)
-		if err != nil {
-			return nil, err
-		}
-		defer p.Close()
-		nodes[i], proxies[i] = n, p
-		if spec != "" {
-			spec += ";"
-		}
-		spec += fmt.Sprintf("%s@%s=%s", n.id, p.addr(), joinComma(owned))
-	}
-	m, err := shard.ParseMap(spec)
+	victim, err := victimIndex(fault.Victim, fault.Partition, fault.Point)
 	if err != nil {
+		return nil, err
+	}
+	s := newShardScenario(h.SwitchesPerShard, h.PrepareTTL, 500*time.Millisecond)
+
+	// Boot the fleet, one proxy per shard so a partition is a link
+	// property, not a process death.
+	nodes := make([]*node, shardCount)
+	proxies := make([]*tcpProxy, shardCount)
+	defer func() {
+		for _, n := range nodes {
+			if n != nil {
+				n.crash()
+			}
+		}
+	}()
+	start := func(i int) (err error) {
+		nodes[i], err = boot(nodeConfig{
+			state:    filepath.Join(h.Dir, shardID(i), "state.json"),
+			switches: s.slices[i],
+			shardID:  shardID(i),
+		})
+		return err
+	}
+	for i := range nodes {
+		if err := start(i); err != nil {
+			return nil, fmt.Errorf("faultinject: boot %s: %w", shardID(i), err)
+		}
+		if proxies[i], err = newTCPProxy(nodes[i].addr); err != nil {
+			return nil, err
+		}
+		defer proxies[i].Close()
+	}
+	if err := s.mapFleet(func(i int) string { return proxies[i].addr() }); err != nil {
 		return nil, err
 	}
 	logPath := filepath.Join(h.Dir, "intent.log")
 	// Each coordinator incarnation is a process with its own wiring.
-	var coordObs []*procObs
-	defer func() {
-		for _, o := range coordObs {
-			o.close()
-		}
-	}()
-	newCoord := func() (*shard.Coordinator, error) {
-		c, err := shard.NewCoordinator(m, journal.OSFS{}, logPath)
-		if err != nil {
-			return nil, err
-		}
-		c.PrepareTTL = h.PrepareTTL
-		c.OpTimeout = 500 * time.Millisecond
-		c.Retries = 2
-		o := newProcObs()
-		coordObs = append(coordObs, o)
-		c.SetTracer(o.tracer)
-		c.RegisterMetrics(o.reg)
-		return c, nil
-	}
-	coord, err := newCoord()
+	o := newProcObs()
+	defer o.close()
+	coord, err := s.newCoord(logPath, o)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = coord.Close() }()
 	ctx := context.Background()
-
-	victimShard := -1
-	for i, n := range nodes {
-		if n.id == fault.Victim {
-			victimShard = i
-		}
-	}
-	if fault.Victim != VictimCoordinator && victimShard < 0 {
-		return nil, fmt.Errorf("faultinject: unknown victim %q", fault.Victim)
-	}
-	if fault.Partition && victimShard < 0 {
-		return nil, fmt.Errorf("faultinject: partition needs a shard victim")
-	}
-	if fault.Point.pastAck() && fault.Victim != VictimCoordinator {
-		return nil, fmt.Errorf("faultinject: a fault at %s needs the coordinator as victim", fault.Point)
+	if err := s.load(ctx, coord); err != nil {
+		return nil, err
 	}
 
-	// Acked background load: one local setup per shard plus one acked
-	// cross-shard setup — the set that must survive whatever happens next.
-	acked := make(map[core.ConnID][]int) // conn -> owning shard indexes
-	port := core.PortID(1)
-	for i, n := range nodes {
-		id := core.ConnID(fmt.Sprintf("base-%s", n.id))
-		req := core.ConnRequest{ID: id, Spec: traffic.CBR(0.05), Priority: 1,
-			Route: routeOver(n.switches, port)}
-		if _, err := coord.Setup(ctx, req); err != nil {
-			return nil, fmt.Errorf("faultinject: background setup %s: %w", id, err)
-		}
-		acked[id] = []int{i}
+	var hit func()
+	switch {
+	case victim < 0:
+	case fault.Partition:
+		hit = proxies[victim].Cut
+	default:
+		hit = nodes[victim].crash
 	}
-	port++
-	baseX := core.ConnRequest{ID: "base-x", Spec: traffic.CBR(0.05), Priority: 1,
-		Route: routeOver(append(append([]string{}, nodes[0].switches...), nodes[1].switches...), port)}
-	if _, err := coord.Setup(ctx, baseX); err != nil {
-		return nil, fmt.Errorf("faultinject: background cross-shard setup: %w", err)
-	}
-	acked["base-x"] = []int{0, 1}
-
-	// Arm the fault at the boundary and fire the victim transaction: a
-	// setup spanning all three shards.
-	coord.SetTestHook(func(point, txn string) error {
-		if ShardPoint(point) != fault.Point {
-			return nil
-		}
-		coord.SetTestHook(nil)
-		switch {
-		case fault.Victim == VictimCoordinator:
-			return errShardCrash
-		case fault.Partition:
-			proxies[victimShard].Cut()
-		default:
-			nodes[victimShard].crash()
-		}
-		return nil
-	})
-	port++
-	var all []string
-	for _, n := range nodes {
-		all = append(all, n.switches...)
-	}
-	victimReq := core.ConnRequest{ID: "victim", Spec: traffic.CBR(0.05), Priority: 1,
-		Route: routeOver(all, port), DelayBound: float64(len(all)) * 40}
-	_, setupErr := coord.Setup(ctx, victimReq)
+	s.fire(ctx, coord, fault.Point, hit)
 
 	// Recovery: restart whatever died, then resolve the intent log.
-	if fault.Victim == VictimCoordinator {
-		if fault.Point.pastAck() {
-			if err := checkPastAck(ctx, coord, fault.Point, setupErr); err != nil {
-				return nil, err
-			}
-		} else if !errors.Is(setupErr, errShardCrash) {
-			return nil, fmt.Errorf("faultinject: coordinator fault at %s never fired (err=%v)", fault.Point, setupErr)
+	switch {
+	case victim < 0:
+		if err := s.coordinatorFault(ctx, coord, fault.Point); err != nil {
+			return nil, err
 		}
 		coord.Kill()
-		if coord, err = newCoord(); err != nil {
+		o2 := newProcObs()
+		defer o2.close()
+		if coord, err = s.newCoord(logPath, o2); err != nil {
 			return nil, err
 		}
-	} else {
-		if fault.Partition {
-			proxies[victimShard].Heal()
-		} else if err := nodes[victimShard].boot(); err != nil {
+	case fault.Partition:
+		proxies[victim].Heal()
+	default:
+		// The shard that died mid-protocol replays its journal on boot:
+		// commit records restored, bare prepares reaped — never admitted.
+		if err := start(victim); err != nil {
 			return nil, fmt.Errorf("faultinject: reboot %s: %w", fault.Victim, err)
 		}
-		// The shard that died mid-protocol replayed its journal on boot:
-		// commit records restored, bare prepares reaped — never admitted.
+		proxies[victim].point(nodes[victim].addr)
 	}
 	res := &ShardResult{}
-	res.Recovered, err = coord.Recover(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("faultinject: recover: %w", err)
+	if res.Recovered, err = s.settle(ctx, coord, fault.Point); err != nil {
+		return nil, err
 	}
-	if remaining := coord.InDoubt(); len(remaining) != 0 {
-		return nil, fmt.Errorf("faultinject: transactions still in doubt after recovery: %v", remaining)
-	}
-	if fault.Point.pastAck() {
-		if err := checkPastAckRecovery(fault.Point, res.Recovered); err != nil {
-			return nil, err
-		}
-	}
-
-	// Oracle. Collect every shard's view once.
-	sets := make([]map[core.ConnID]bool, shardCount)
-	for i, n := range nodes {
-		set, health, st, err := n.list()
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: inspect %s: %w", n.id, err)
-		}
-		if health.Violations != 0 {
-			return nil, fmt.Errorf("faultinject: %s reports %d delay-bound violations", n.id, health.Violations)
-		}
-		if len(st.Prepared) != 0 {
-			return nil, fmt.Errorf("faultinject: %s still holds %v after recovery", n.id, st.Prepared)
-		}
-		sets[i] = set
-	}
-	// No acked setup lost.
-	for id, owners := range acked {
-		for _, i := range owners {
-			if !sets[i][id] {
-				return nil, fmt.Errorf("faultinject: acked connection %s lost on %s", id, nodes[i].id)
-			}
-		}
-	}
-	// The interrupted setup resolved uniformly.
-	on := 0
-	for i := range nodes {
-		if sets[i]["victim"] {
-			on++
-		}
-	}
-	switch on {
-	case 0:
-		res.VictimAdmitted = false
-	case shardCount:
-		res.VictimAdmitted = true
-	default:
-		return nil, fmt.Errorf("faultinject: interrupted setup admitted on %d of %d shards", on, shardCount)
-	}
-	// The coordinator must agree with the shards: an acked victim setup
-	// may not have vanished, a refused one may not have landed — and one
-	// the client released may not have come back.
-	if released := fault.Point == ShardPostAckTeardown; setupErr == nil && res.VictimAdmitted == released {
-		return nil, fmt.Errorf("faultinject: acked victim setup (released=%v) admitted=%v after recovery", released, res.VictimAdmitted)
-	}
-	// No refused setup leaves residual bandwidth: the identical request
-	// (fresh ID) admits cleanly after recovery.
-	probe := victimReq
-	probe.ID = "probe"
-	probe.Route = routeOver(all, port+1)
-	if _, err := coord.Setup(ctx, probe); err != nil {
-		return nil, fmt.Errorf("faultinject: post-recovery probe setup refused: %w", err)
-	}
-	if err := coord.Teardown(ctx, "probe"); err != nil {
-		return nil, fmt.Errorf("faultinject: probe teardown: %w", err)
+	if res.VictimAdmitted, err = s.verify(fault.Point, nodes); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -593,15 +452,4 @@ func routeOver(switches []string, in core.PortID) core.Route {
 		r[i] = core.Hop{Switch: sw, In: in, Out: 0}
 	}
 	return r
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
 }

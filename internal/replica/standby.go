@@ -30,9 +30,6 @@ const maxBatch = 256
 type StandbyConfig struct {
 	// PrimaryAddr is the primary's replication listener.
 	PrimaryAddr string
-	// Dial opens the replication connection; nil means net.Dial("tcp").
-	// Injectable so the chaos harness can partition the link.
-	Dial func(addr string) (net.Conn, error)
 	// FailoverTimeout promotes this standby automatically once the
 	// primary has been silent for this long. Zero disables automatic
 	// failover (promotion then only happens via cacctl promote).
@@ -77,6 +74,9 @@ type Sink interface {
 type Standby struct {
 	sink Sink
 	cfg  StandbyConfig
+	// dial opens the replication connection; tests stand an in-memory
+	// primary in through SetDial.
+	dial func(addr string) (net.Conn, error)
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -96,12 +96,11 @@ func NewStandby(srv *wire.Server, cfg StandbyConfig) *Standby {
 // NewStandbyInto returns a standby tailing the primary into sink. Run it
 // in a goroutine.
 func NewStandbyInto(sink Sink, cfg StandbyConfig) *Standby {
-	if cfg.Dial == nil {
-		cfg.Dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
-	}
-	return &Standby{sink: sink, cfg: cfg, stopped: make(chan struct{})}
+	return &Standby{sink: sink, cfg: cfg, dial: dialTCP, stopped: make(chan struct{})}
+}
+
+func dialTCP(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, 5*time.Second)
 }
 
 // Close stops the session loop without promoting.
@@ -128,7 +127,7 @@ func (s *Standby) Run() error {
 		if s.isStopped() || s.autoPromote(heard) {
 			return nil
 		}
-		if conn, err := s.cfg.Dial(s.cfg.PrimaryAddr); err == nil {
+		if conn, err := s.dial(s.cfg.PrimaryAddr); err == nil {
 			contact, err := s.session(conn, &heard)
 			conn.Close()
 			if s.isStopped() {
@@ -319,7 +318,7 @@ func (s *Standby) notifyFence(epoch uint64) {
 		if attempt > 0 {
 			time.Sleep(bo.Next(0))
 		}
-		conn, err := s.cfg.Dial(s.cfg.PrimaryAddr)
+		conn, err := s.dial(s.cfg.PrimaryAddr)
 		if err != nil {
 			continue
 		}

@@ -232,15 +232,13 @@ func TestTailerBatchesFsyncs(t *testing.T) {
 				acked = max(acked, m.Seq)
 			}}
 			dialed := false
-			sb, closeLog := tc.tail(t, fsys, path, replica.StandbyConfig{
-				PrimaryAddr: "primary",
-				Dial: func(string) (net.Conn, error) {
-					if dialed {
-						return nil, errors.New("one session only")
-					}
-					dialed = true
-					return conn, nil
-				},
+			sb, closeLog := tc.tail(t, fsys, path, replica.StandbyConfig{PrimaryAddr: "primary"})
+			replica.SetDial(sb, func(string) (net.Conn, error) {
+				if dialed {
+					return nil, errors.New("one session only")
+				}
+				dialed = true
+				return conn, nil
 			})
 			before, _ := fsys.counts()
 			runDone := make(chan error, 1)
@@ -305,14 +303,14 @@ func TestTailerBatchesFsyncs(t *testing.T) {
 			sb, closeLog := tc.tail(t, fsys, path, replica.StandbyConfig{
 				PrimaryAddr:     "primary",
 				FailoverTimeout: 20 * time.Millisecond,
-				Dial: func(string) (net.Conn, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					if dials++; dials > 1 {
-						return nil, errors.New("primary unreachable")
-					}
-					return conn, nil
-				},
+			})
+			replica.SetDial(sb, func(string) (net.Conn, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if dials++; dials > 1 {
+					return nil, errors.New("primary unreachable")
+				}
+				return conn, nil
 			})
 			defer closeLog()
 			fsys.mu.Lock()
