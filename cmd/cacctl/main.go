@@ -91,32 +91,9 @@ func main() {
 	}
 }
 
-// dialProto dials addr under the -proto policy.
-func dialProto(addr, proto string) (*wire.Client, error) {
-	switch proto {
-	case "auto":
-		return wire.Dial(addr)
-	case "json":
-		return wire.DialJSON(addr)
-	case "binary":
-		client, err := wire.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		if client.Proto() != wire.ProtoBinary {
-			_ = client.Close()
-			return nil, fmt.Errorf("server at %s declined the binary codec (use -proto auto or json)", addr)
-		}
-		return client, nil
-	default:
-		return nil, fmt.Errorf("unknown -proto %q (auto, binary, json)", proto)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("cacctl", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7801", "cacd address")
-	proto := fs.String("proto", "auto", "wire codec: auto (negotiate binary, fall back to JSON), binary (require it), or json")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -134,7 +111,7 @@ func run(args []string) error {
 	if rest[0] == "shard" && len(rest) > 1 && rest[1] == "route" {
 		return shardRoute(rest[2:])
 	}
-	client, err := dialProto(*addr, *proto)
+	client, err := wire.Dial(*addr)
 	if err != nil {
 		return err
 	}

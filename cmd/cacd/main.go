@@ -163,7 +163,6 @@ func run(args []string) error {
 		compactRecs  = fs.Int("compact-records", wire.DefaultCompactRecords, "fold the journal into the snapshot after this many records")
 		compactBytes = fs.Int64("compact-bytes", wire.DefaultCompactBytes, "fold the journal into the snapshot after this many bytes")
 		ioTimeout    = fs.Duration("io-timeout", 0, "per-request read/write deadline on client connections; 0 disables")
-		wireProto    = fs.String("wire-proto", "auto", "wire codecs offered to clients: auto (negotiate the binary framing per connection) or json (refuse binary hellos)")
 		drainTimeout = fs.Duration("drain-timeout", 5*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 		shedRate     = fs.Float64("shed-rate", 0, "sustained control-plane request rate (req/s) before shedding; 0 disables the token bucket")
 		shedBurst    = fs.Float64("shed-burst", 0, "token bucket capacity (requests); 0 derives from -shed-rate")
@@ -234,13 +233,6 @@ func run(args []string) error {
 
 	srv := wire.NewServer(rt.Core())
 	srv.SetIOTimeout(*ioTimeout)
-	switch *wireProto {
-	case "auto":
-	case "json":
-		srv.SetJSONOnly(true)
-	default:
-		return fmt.Errorf("unknown -wire-proto %q (auto or json)", *wireProto)
-	}
 	srv.SetFailoverHandler(failoverHandler(rt))
 	// The registry and tracer always exist — health carries the counter
 	// snapshot even without a scrape endpoint; -metrics-addr only decides

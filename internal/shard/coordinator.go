@@ -509,10 +509,9 @@ func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ct
 			switch {
 			case err == nil || errors.As(err, &re) || errors.As(err, &oe):
 				p.Put(cl) // the server answered; the connection is healthy
-			case ctx.Err() != nil && cl.Proto() == wire.ProtoBinary:
-				// The caller gave up. On the binary framing that abandons
-				// one tag and leaves the connection — which other callers
-				// are using — in order.
+			case ctx.Err() != nil:
+				// The caller gave up. That abandons one tag and leaves the
+				// connection — which other callers are using — in order.
 				p.Put(cl)
 			default:
 				p.Discard(cl)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"atmcac/internal/core"
@@ -18,91 +17,23 @@ import (
 // (list, health) fan out to the shards; everything else is answered
 // with unknown-op — per-shard inspection goes to the shard directly.
 type Server struct {
-	coord *Coordinator
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	coord    *Coordinator
+	sessions wire.Sessions
 }
 
 // NewServer returns a wire front end over coord.
 func NewServer(coord *Coordinator) *Server {
-	return &Server{coord: coord, conns: make(map[net.Conn]struct{})}
+	return &Server{coord: coord}
 }
 
 // Serve accepts connections on l until Close. It always returns a
 // non-nil error (wire.ErrServerClosed after a clean shutdown).
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return wire.ErrServerClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return wire.ErrServerClosed
-			}
-			return fmt.Errorf("shard: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return wire.ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
+	return s.sessions.Serve(l, s.handle, wire.SessionOptions{})
 }
 
 // Close stops accepting and closes every client connection.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	l := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
-	// The shared session loop handles framing, hello negotiation and
-	// pipelining; the coordinator front end supplies only the dispatch.
-	wire.ServeSession(conn, s.handle, wire.SessionOptions{})
-}
+func (s *Server) Close() error { return s.sessions.Close() }
 
 // errorResponse maps a coordinator error onto the wire taxonomy,
 // preserving the shard's typed code when one traveled back.

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -531,15 +533,8 @@ func TestCoordinatorRecoverRedrivesCommit(t *testing.T) {
 
 func TestCoordinatorServerFrontEnd(t *testing.T) {
 	c, _, _ := twoShardFixture(t)
-	front := NewServer(c)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = front.Serve(l) }()
-	t.Cleanup(func() { _ = front.Close(); <-done })
-	cl, err := wire.Dial(l.Addr().String())
+	_, addr, _ := serveFront(t, c)
+	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,6 +571,105 @@ func TestCoordinatorServerFrontEnd(t *testing.T) {
 	// Ops the coordinator does not aggregate are refused clearly.
 	if _, err := cl.Inspect(context.Background(), ""); err == nil {
 		t.Fatal("inspect through coordinator succeeded")
+	}
+}
+
+// serveFront serves the coordinator's wire front end on a loopback
+// listener; done closes when Serve returns, after checking it returned
+// wire.ErrServerClosed.
+func serveFront(t *testing.T, c *Coordinator) (front *Server, addr string, done <-chan struct{}) {
+	t.Helper()
+	front = NewServer(c)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if err := front.Serve(l); !errors.Is(err, wire.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	}()
+	t.Cleanup(func() { _ = front.Close(); <-served })
+	return front, l.Addr().String(), served
+}
+
+// TestCoordinatorServerLineProtocol: a peer that never sends the hello is
+// served newline-delimited JSON by the front end, as by a shard.
+func TestCoordinatorServerLineProtocol(t *testing.T) {
+	c, _, _ := twoShardFixture(t)
+	_, addr, _ := serveFront(t, c)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	call := func(req wire.Request) wire.Response {
+		t.Helper()
+		if err := json.NewEncoder(conn).Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatalf("response %q: %v", line, err)
+		}
+		return resp
+	}
+	req := crossReq("c1")
+	if resp := call(wire.Request{Op: wire.OpSetup, Request: &req}); !resp.OK || resp.Admission == nil || resp.Admission.ID != "c1" {
+		t.Fatalf("setup = %+v", resp)
+	}
+	if resp := call(wire.Request{Op: wire.OpList}); !resp.OK || len(resp.Connections) != 1 || resp.Connections[0] != "c1" {
+		t.Fatalf("list = %+v", resp)
+	}
+	if resp := call(wire.Request{Op: wire.OpTeardown, ID: "c1"}); !resp.OK {
+		t.Fatalf("teardown = %+v", resp)
+	}
+	if resp := call(wire.Request{Op: wire.OpList}); !resp.OK || len(resp.Connections) != 0 {
+		t.Fatalf("list after teardown = %+v", resp)
+	}
+}
+
+// TestCoordinatorServerLifecycle: Close ends the front end's live
+// sessions and its Serve, a second Close is a no-op, and Serve after
+// Close fails with wire.ErrServerClosed.
+func TestCoordinatorServerLifecycle(t *testing.T) {
+	c, _, _ := twoShardFixture(t)
+	front, addr, served := serveFront(t, c)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.List(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := cl.List(ctx); err == nil || ctx.Err() != nil {
+		t.Fatalf("list after Close = %v, want the session ended", err)
+	}
+	if err := front.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := front.Serve(l); !errors.Is(err, wire.ErrServerClosed) {
+		t.Fatalf("Serve after Close = %v, want wire.ErrServerClosed", err)
 	}
 }
 

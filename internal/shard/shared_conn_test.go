@@ -44,10 +44,10 @@ func (d *dialLog) to(addr string) []*wire.Client {
 
 // wideFixture is twoShardFixture with a counting dialer, over shards
 // whose queues have room for many concurrent test connections.
-func wideFixture(t *testing.T, configure func(*wire.Server)) (c *Coordinator, dials *dialLog, addrs [2]string) {
+func wideFixture(t *testing.T) (c *Coordinator, dials *dialLog, addrs [2]string) {
 	t.Helper()
-	addrs[0], _ = serveShard(t, "s0", 4096, configure, "sw0", "sw1")
-	addrs[1], _ = serveShard(t, "s1", 4096, configure, "sw2", "sw3")
+	addrs[0], _ = serveShard(t, "s0", 4096, nil, "sw0", "sw1")
+	addrs[1], _ = serveShard(t, "s1", 4096, nil, "sw2", "sw3")
 	m, err := ParseMap(fmt.Sprintf("s0@%s=sw0,sw1;s1@%s=sw2,sw3", addrs[0], addrs[1]))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func wideFixture(t *testing.T, configure func(*wire.Server)) (c *Coordinator, di
 // TestCoordinatorSharesOneConnectionPerShard: 64 concurrent set-ups and
 // teardowns — cross-shard and local — dial each shard once between them.
 func TestCoordinatorSharesOneConnectionPerShard(t *testing.T) {
-	c, dials, addrs := wideFixture(t, nil)
+	c, dials, addrs := wideFixture(t)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -102,7 +102,7 @@ func TestCoordinatorSharesOneConnectionPerShard(t *testing.T) {
 // retries, every one of them completes — and the drop costs one redial,
 // not one per caller.
 func TestCoordinatorRedialsOncePerDrop(t *testing.T) {
-	c, dials, addrs := wideFixture(t, nil)
+	c, dials, addrs := wideFixture(t)
 	ctx := context.Background()
 	if _, err := c.List(ctx); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestCoordinatorRedialsOncePerDrop(t *testing.T) {
 // shard's backoff window is open, and a dial inside it is refused with
 // errReconnectBackoff without touching the network.
 func TestCoordinatorReconnectBackoffGatesDials(t *testing.T) {
-	c, _, _ := wideFixture(t, nil)
+	c, _, _ := wideFixture(t)
 	attempts := 0
 	c.Dial = func(addr string) (*wire.Client, error) {
 		attempts++
@@ -166,45 +166,6 @@ func TestCoordinatorReconnectBackoffGatesDials(t *testing.T) {
 	}
 	if attempts != 1 {
 		t.Fatalf("%d dial attempts, want 1: the window did not gate the second", attempts)
-	}
-}
-
-// TestCoordinatorCrossShardOverJSONPinnedShards: shards pinned to the
-// JSON line codec cannot multiplex, so the coordinator falls back to one
-// exclusively checked-out connection per call in flight — and a
-// cross-shard set-up still runs end to end.
-func TestCoordinatorCrossShardOverJSONPinnedShards(t *testing.T) {
-	c, dials, addrs := wideFixture(t, func(srv *wire.Server) { srv.SetJSONOnly(true) })
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := core.ConnRequest{ID: core.ConnID(fmt.Sprintf("c%d", i)), Spec: traffic.CBR(0.001), Priority: 1,
-				Route: hops("sw0", "sw1", "sw2", "sw3")}
-			if _, err := c.Setup(ctx, req); err != nil {
-				t.Errorf("setup %s: %v", req.ID, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, addr := range addrs {
-		for _, cl := range dials.to(addr) {
-			if cl.Proto() != wire.ProtoJSON {
-				t.Fatalf("connection to pinned shard %s negotiated %q", addr, cl.Proto())
-			}
-		}
-	}
-	for _, id := range []string{"s0", "s1"} {
-		if ids := shardList(t, c, id); len(ids) != 8 {
-			t.Fatalf("%s lists %v, want all 8", id, ids)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if err := c.Teardown(ctx, core.ConnID(fmt.Sprintf("c%d", i))); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -453,118 +453,10 @@ func TestGroupCommitFsyncFailureFansOut(t *testing.T) {
 	}
 }
 
-// TestWithBatchCoalescesClientSide: concurrent Setup(..., WithBatch())
-// calls on one client coalesce into batch-setup requests while an
-// earlier flush is in flight, and each caller still gets its own
-// admission (or error) back.
-func TestWithBatchCoalescesClientSide(t *testing.T) {
-	client, _, route, capture := startDurableServer(t, nil)
-	const ops = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, ops)
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			adm, err := client.Setup(context.Background(), core.ConnRequest{
-				ID: core.ConnID(fmt.Sprintf("wb%d", i)), Spec: traffic.CBR(0.001),
-				Priority: 1, Route: batchRoute(route, i+1),
-			}, WithBatch())
-			if err != nil {
-				errs <- err
-				return
-			}
-			if adm.ID != core.ConnID(fmt.Sprintf("wb%d", i)) {
-				errs <- fmt.Errorf("admission for %q answered call %d", adm.ID, i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	ids, err := client.List(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != ops {
-		t.Fatalf("List = %d ids, want %d", len(ids), ops)
-	}
-	var batches, items int
-	for _, ev := range capture.byKind(obs.KindBatch) {
-		if ev.Op == OpBatchSetup {
-			batches++
-			items += ev.Records
-		}
-	}
-	if items != ops {
-		t.Fatalf("batch items = %d, want %d", items, ops)
-	}
-	if batches == 0 || batches > ops {
-		t.Fatalf("batches = %d for %d ops", batches, ops)
-	}
-	// Teardown through the coalescer too.
-	var tg sync.WaitGroup
-	terrs := make(chan error, ops)
-	for i := 0; i < ops; i++ {
-		tg.Add(1)
-		go func(i int) {
-			defer tg.Done()
-			terrs <- client.Teardown(context.Background(), core.ConnID(fmt.Sprintf("wb%d", i)), WithBatch())
-		}(i)
-	}
-	tg.Wait()
-	close(terrs)
-	for err := range terrs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, err = client.List(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 0 {
-		t.Fatalf("List after batched teardown = %v", ids)
-	}
-}
-
-// TestWithBatchReportsItemErrors: a WithBatch setup that the CAC rejects
-// surfaces the rejection to its caller alone, matching single-op error
-// taxonomy (errors.Is core.ErrRejected).
-func TestWithBatchReportsItemErrors(t *testing.T) {
-	client, _, route, _ := startDurableServer(t, nil)
-	good := make(chan error, 1)
-	bad := make(chan error, 1)
-	go func() {
-		_, err := client.Setup(context.Background(), core.ConnRequest{
-			ID: "ok", Spec: traffic.CBR(0.01), Priority: 1, Route: batchRoute(route, 1),
-		}, WithBatch())
-		good <- err
-	}()
-	go func() {
-		_, err := client.Setup(context.Background(), core.ConnRequest{
-			ID: "bad", Spec: traffic.CBR(0.01), Priority: 1,
-			Route: core.Route{{Switch: "nope", In: 1, Out: 0}},
-		}, WithBatch())
-		bad <- err
-	}()
-	if err := <-good; err != nil {
-		t.Fatalf("good item = %v", err)
-	}
-	if err := <-bad; err == nil {
-		t.Fatal("bad item acked through the batcher")
-	}
-	if err := client.Teardown(context.Background(), "ghost", WithBatch()); err == nil {
-		t.Fatal("batched teardown of unknown conn succeeded")
-	}
-}
-
 // TestPipelinedChurnSoak is the CI soak target: sustained concurrent
 // churn over one pipelined binary connection against a journal-sync
-// server, mixing single ops, WithBatch ops and explicit batches. Run
-// under -race it doubles as the pipelining data-race check.
+// server, mixing single ops and explicit batches. Run under -race it
+// doubles as the pipelining data-race check.
 func TestPipelinedChurnSoak(t *testing.T) {
 	client, _, route, _ := startDurableServer(t, nil)
 	const workers = 8
@@ -582,20 +474,13 @@ func TestPipelinedChurnSoak(t *testing.T) {
 				id := core.ConnID(fmt.Sprintf("soak-w%d-k%d", w, k))
 				r := batchRoute(route, w+1)
 				var err error
-				switch k % 3 {
+				switch k % 2 {
 				case 0:
 					_, err = client.Setup(context.Background(), core.ConnRequest{
 						ID: id, Spec: traffic.CBR(0.0001), Priority: 1, Route: r,
 					})
 					if err == nil {
 						err = client.Teardown(context.Background(), id)
-					}
-				case 1:
-					_, err = client.Setup(context.Background(), core.ConnRequest{
-						ID: id, Spec: traffic.CBR(0.0001), Priority: 1, Route: r,
-					}, WithBatch())
-					if err == nil {
-						err = client.Teardown(context.Background(), id, WithBatch())
 					}
 				default:
 					ids := []core.ConnID{id + "-a", id + "-b"}
@@ -645,21 +530,13 @@ func countingDial(dials *atomic.Int32, dial func(string) (*Client, error)) func(
 	}
 }
 
-// poolProtos runs a pool test once per negotiated codec: the shared
-// binary connection and the exclusively checked-out JSON one keep the
-// same contract wherever a single caller cannot tell them apart.
-func poolProtos(t *testing.T, run func(t *testing.T, dial func(string) (*Client, error))) {
-	t.Run(ProtoBinary, func(t *testing.T) { run(t, Dial) })
-	t.Run(ProtoJSON, func(t *testing.T) { run(t, DialJSON) })
-}
-
 // TestPoolReusesIdleConnection: Get-Put-Get hands the same connection
 // back instead of redialing, and a discarded one is replaced.
 func TestPoolReusesIdleConnection(t *testing.T) {
-	poolProtos(t, func(t *testing.T, dial func(string) (*Client, error)) {
+	t.Run(ProtoBinary, func(t *testing.T) {
 		client, _ := startServer(t, nil)
 		var dials atomic.Int32
-		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, dial)})
+		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
 		defer p.Close()
 		cl, err := p.Get(context.Background())
 		if err != nil {
@@ -698,7 +575,7 @@ func TestPoolReusesIdleConnection(t *testing.T) {
 func TestPoolSharesOneBinaryConnection(t *testing.T) {
 	client, _ := startServer(t, nil)
 	var dials atomic.Int32
-	p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial), MaxIdle: 1})
+	p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
 	defer p.Close()
 	const callers = 64
 	got := make([]*Client, callers)
@@ -817,11 +694,11 @@ func TestPoolDiscardRedialsOncePerDrop(t *testing.T) {
 // detected by the checkout health ping and replaced by a fresh dial —
 // the caller never sees the dead one.
 func TestPoolHealthChecksStaleIdle(t *testing.T) {
-	poolProtos(t, func(t *testing.T, dial func(string) (*Client, error)) {
+	t.Run(ProtoBinary, func(t *testing.T) {
 		client, _ := startServer(t, nil)
 		var dials atomic.Int32
 		p := NewPool(PoolConfig{
-			Addr: clientAddr(t, client), Dial: countingDial(&dials, dial),
+			Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial),
 			HealthAfter: time.Nanosecond, // every reuse is "stale"
 		})
 		defer p.Close()
@@ -852,13 +729,12 @@ func TestPoolHealthChecksStaleIdle(t *testing.T) {
 // coordinator's reconnect backoff) but a live connection is handed out
 // without consulting it.
 func TestPoolDialGateOnlyGatesFreshDials(t *testing.T) {
-	poolProtos(t, func(t *testing.T, dial func(string) (*Client, error)) {
+	t.Run(ProtoBinary, func(t *testing.T) {
 		client, _ := startServer(t, nil)
 		errGate := errors.New("backoff window open")
 		var gated atomic.Bool
 		p := NewPool(PoolConfig{
 			Addr: clientAddr(t, client),
-			Dial: dial,
 			DialGate: func() error {
 				if gated.Load() {
 					return errGate
@@ -884,43 +760,13 @@ func TestPoolDialGateOnlyGatesFreshDials(t *testing.T) {
 	})
 }
 
-// TestPoolClose: Get fails after Close and Close closes what the pool
-// holds. JSON connections are checked out one per caller and MaxIdle caps
-// how many are parked; the shared binary connection is neither parked nor
-// capped — MaxIdle never costs a binary caller a dial.
+// TestPoolClose: Get fails after Close and Close closes the shared
+// connection; returning it any number of times before that does not.
 func TestPoolClose(t *testing.T) {
-	t.Run(ProtoJSON, func(t *testing.T) {
-		client, _ := startServer(t, nil)
-		var dials atomic.Int32
-		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, DialJSON), MaxIdle: 1})
-		a, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a == b || dials.Load() != 2 {
-			t.Fatalf("two JSON checkouts share a connection (dials = %d)", dials.Load())
-		}
-		p.Put(a)
-		p.Put(b) // over MaxIdle: closed, not parked
-		if _, err := b.List(context.Background()); err == nil {
-			t.Error("connection over MaxIdle was not closed")
-		}
-		p.Close()
-		if _, err := p.Get(context.Background()); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)
-		}
-		if _, err := a.List(context.Background()); err == nil {
-			t.Error("idle connection not closed by Close")
-		}
-	})
 	t.Run(ProtoBinary, func(t *testing.T) {
 		client, _ := startServer(t, nil)
 		var dials atomic.Int32
-		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial), MaxIdle: 1})
+		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
 		a, err := p.Get(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -933,7 +779,7 @@ func TestPoolClose(t *testing.T) {
 			t.Fatalf("two binary callers did not share one connection (dials = %d)", dials.Load())
 		}
 		p.Put(a)
-		p.Put(b) // twice the MaxIdle of returns: still the live shared connection
+		p.Put(b) // a second return: still the live shared connection
 		if _, err := b.List(context.Background()); err != nil {
 			t.Errorf("returning the shared connection closed it: %v", err)
 		}

@@ -1,11 +1,8 @@
-// Client side of the wire protocol: the context-first API, the
-// negotiated binary pipelined transport, call options and client-side
-// batching.
+// Client side of the wire protocol: the context-first API over the
+// pipelined binary framing, and call options.
 //
-// Every method takes a context first and optional CallOptions last —
-// the PR-5 core.Setup unification applied to the client: one method per
-// operation instead of drifted Foo/FooContext pairs. The former pairs
-// survive as thin deprecated wrappers.
+// Every method takes a context first and optional CallOptions last: one
+// method per operation, the client-side mirror of core.Setup.
 package wire
 
 import (
@@ -14,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,24 +20,15 @@ import (
 	"atmcac/internal/overload"
 )
 
-// Client is a CAC client over one TCP connection; safe for concurrent
-// use. On the JSON codec its methods serialize requests; after Dial
-// negotiates the binary framing they pipeline — each in-flight request
-// owns a tag, a background reader matches responses (which may arrive
-// out of order) back to their waiters, and concurrent calls share the
-// connection without head-of-line blocking on the server's handling.
+// Client is a CAC client over one TCP connection speaking the binary
+// framing; safe for concurrent use. Its methods pipeline — each in-flight
+// request owns a tag, a background reader matches responses (which may
+// arrive out of order) back to their waiters, and concurrent calls share
+// the connection without head-of-line blocking on the server's handling.
 type Client struct {
 	conn   net.Conn
-	proto  string // ProtoJSON or ProtoBinary, fixed after negotiation
 	closed atomic.Bool
 
-	// JSON transport (also carries the hello exchange): one serialized
-	// request/response round trip under mu.
-	mu  sync.Mutex
-	br  *bufio.Reader
-	enc *json.Encoder
-
-	// Binary pipelined transport.
 	tags       atomic.Uint64
 	wmu        sync.Mutex // serializes frame writes
 	pmu        sync.Mutex // guards pending and readErr
@@ -52,81 +39,62 @@ type Client struct {
 	// coordEpoch, when non-zero, is stamped on every shard 2PC request
 	// (see Request.CoordEpoch). Set by a coordinator after dialing.
 	coordEpoch atomic.Uint64
-
-	// batch is the WithBatch coalescer, created on first use.
-	bmu   sync.Mutex
-	batch *batcher
 }
 
-// helloTimeout bounds the Dial negotiation round trip: a server that
-// cannot answer a hello in this long gets the legacy no-handshake
-// treatment instead of hanging the dial.
+// helloTimeout bounds the Dial negotiation round trip, so a peer that
+// never answers the hello fails the dial instead of hanging it.
 const helloTimeout = 3 * time.Second
 
-// Dial connects to a CAC server and negotiates the binary framing,
-// falling back to the JSON line codec when the server declines (an older
-// daemon answering unknown-op, or one pinned with -wire-proto=json).
+// Dial connects to a CAC server and negotiates the binary framing. A
+// server that refuses it (unknown-op, unsupported-proto) or does not
+// answer within helloTimeout fails the dial; the connection is closed.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	c := NewClient(conn)
-	if err := c.negotiate(); err != nil {
-		// The hello never completed, so this connection's framing state
-		// is unknown — a reply arriving later would desync the JSON
-		// stream. Close it and fall back to a fresh JSON-only connection,
-		// preserving the legacy contract that Dial itself does no
-		// protocol I/O a peer must answer.
+	c, err := negotiate(conn)
+	if err != nil {
 		_ = conn.Close()
-		return DialJSON(addr)
+		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	return c, nil
 }
 
-// DialJSON connects without negotiating: the connection speaks the JSON
-// line codec for its lifetime. For debugging and for peers predating the
-// hello exchange.
-func DialJSON(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// negotiate sends the hello as one JSON line and, once the server
+// confirms the binary framing, starts the response reader.
+func negotiate(conn net.Conn) (*Client, error) {
+	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
+	if err := json.NewEncoder(conn).Encode(Request{Op: OpHello, Proto: ProtoBinary}); err != nil {
+		return nil, fmt.Errorf("hello: send: %w", err)
+	}
+	br := bufio.NewReaderSize(conn, 64<<10)
+	line, err := readLimitedLine(br)
 	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("hello: receive: %w", err)
 	}
-	return NewClient(conn), nil
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return nil, fmt.Errorf("%w: hello: %v", ErrProtocol, err)
+	}
+	if !resp.OK {
+		return nil, remoteErr(OpHello, resp)
+	}
+	if resp.Proto != ProtoBinary {
+		return nil, fmt.Errorf("%w: hello answered proto %q, want %q", ErrProtocol, resp.Proto, ProtoBinary)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	c := &Client{
+		conn:       conn,
+		pending:    make(map[uint64]chan Response),
+		readerDone: make(chan struct{}),
+	}
+	go c.readLoop(br)
+	return c, nil
 }
 
-// NewClient wraps an established connection in the JSON codec without
-// negotiating (callers holding both ends of a pipe, tests).
-func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn:  conn,
-		proto: ProtoJSON,
-		br:    bufio.NewReaderSize(conn, 64<<10),
-		enc:   json.NewEncoder(conn),
-	}
-}
-
-// negotiate sends the hello. Any refusal — unknown-op from an old
-// server, unsupported-proto from a pinned one — keeps the JSON codec;
-// only a transport failure is an error.
-func (c *Client) negotiate() error {
-	ctx, cancel := context.WithTimeout(context.Background(), helloTimeout)
-	defer cancel()
-	resp, err := c.roundTripJSON(ctx, Request{Op: OpHello, Proto: ProtoBinary})
-	if err != nil {
-		return fmt.Errorf("wire: hello: %w", err)
-	}
-	if resp.OK && resp.Proto == ProtoBinary {
-		c.proto = ProtoBinary
-		c.pending = make(map[uint64]chan Response)
-		c.readerDone = make(chan struct{})
-		go c.readLoop()
-	}
-	return nil
-}
-
-// Proto reports the codec this connection negotiated.
-func (c *Client) Proto() string { return c.proto }
+// Proto reports the framing the connection speaks: always ProtoBinary.
+func (c *Client) Proto() string { return ProtoBinary }
 
 // SetShardCoordEpoch makes the client stamp every shard 2PC operation
 // with the coordinator term e; zero clears the stamp.
@@ -139,7 +107,7 @@ func (c *Client) Close() error {
 }
 
 // dead reports that the connection can serve no further call: it was
-// closed, or its binary reader hit a transport error.
+// closed, or its reader hit a transport error.
 func (c *Client) dead() bool {
 	if c.closed.Load() {
 		return true
@@ -147,54 +115,6 @@ func (c *Client) dead() bool {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	return c.readErr != nil
-}
-
-// roundTripJSON sends one request and decodes one response on the JSON
-// codec, bounded by ctx: the remaining deadline is propagated in the
-// request (so the server bounds its handling too), the connection I/O is
-// cut when ctx ends, and a typed overloaded response is surfaced as
-// *OverloadError. After a deadline or cancellation cuts the I/O
-// mid-exchange the connection is out of sync and should not be reused.
-func (c *Client) roundTripJSON(ctx context.Context, req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
-	if err := stampDeadline(ctx, &req); err != nil {
-		return Response{}, err
-	}
-	// Unblock the read when ctx ends; restore the idle state after.
-	stop := context.AfterFunc(ctx, func() { _ = c.conn.SetDeadline(time.Now()) })
-	defer func() {
-		if stop() {
-			return
-		}
-		// AfterFunc already ran: clear the poisoned deadline so a caller
-		// that retries on a fresh context is not instantly expired.
-		_ = c.conn.SetDeadline(time.Time{})
-	}()
-	if err := c.enc.Encode(req); err != nil {
-		if ctx.Err() != nil {
-			return Response{}, ctx.Err()
-		}
-		return Response{}, fmt.Errorf("wire: send: %w", err)
-	}
-	line, err := readLimitedLine(c.br)
-	if err != nil {
-		if ctx.Err() != nil {
-			return Response{}, ctx.Err()
-		}
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return Response{}, fmt.Errorf("wire: receive: %w", err)
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return finishResponse(req.Op, resp)
 }
 
 // stampDeadline propagates ctx's remaining deadline into the request.
@@ -223,12 +143,12 @@ func finishResponse(op string, resp Response) (Response, error) {
 	return resp, nil
 }
 
-// readLoop is the binary transport's reader: it matches each arriving
-// frame to the waiter that sent its tag. On any read error the
-// connection is dead — every current and future waiter fails.
-func (c *Client) readLoop() {
+// readLoop is the connection's reader: it matches each arriving frame
+// to the waiter that sent its tag. On any read error the connection is
+// dead — every current and future waiter fails.
+func (c *Client) readLoop(br *bufio.Reader) {
 	for {
-		tag, payload, err := readBinFrame(c.br)
+		tag, payload, err := readBinFrame(br)
 		var resp Response
 		if err == nil {
 			if uerr := json.Unmarshal(payload, &resp); uerr != nil {
@@ -253,11 +173,13 @@ func (c *Client) readLoop() {
 	}
 }
 
-// callBinary sends one pipelined request and waits for its tagged
-// response. A cancelled context abandons the waiter — the connection
-// stays healthy and the late response is discarded, unlike the JSON
-// codec where cancellation poisons the stream.
-func (c *Client) callBinary(ctx context.Context, req Request) (Response, error) {
+// call sends one pipelined request and waits for its tagged response,
+// bounded by ctx: the remaining deadline is propagated in the request
+// (so the server bounds its handling too), and a typed overloaded
+// response is surfaced as *OverloadError. A cancelled context abandons
+// the waiter — the connection stays healthy and the late response is
+// discarded.
+func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
@@ -314,23 +236,13 @@ func (c *Client) forget(tag uint64) {
 	c.pmu.Unlock()
 }
 
-// call routes one request through the negotiated transport.
-func (c *Client) call(ctx context.Context, req Request) (Response, error) {
-	if c.proto == ProtoBinary {
-		return c.callBinary(ctx, req)
-	}
-	return c.roundTripJSON(ctx, req)
-}
-
-// CallOption tunes one client call; see WithTimeout, WithRetry and
-// WithBatch.
+// CallOption tunes one client call; see WithTimeout and WithRetry.
 type CallOption func(*callOptions)
 
 type callOptions struct {
 	timeout time.Duration
 	retry   bool
 	policy  *overload.Backoff
-	batch   bool
 }
 
 // WithTimeout bounds the call by d (a derived context deadline, also
@@ -350,14 +262,6 @@ func WithRetry(policy *overload.Backoff) CallOption {
 	return func(o *callOptions) { o.retry, o.policy = true, policy }
 }
 
-// WithBatch coalesces the call with concurrent WithBatch calls on the
-// same client into one batch-setup/batch-teardown request, sharing the
-// server's single batch fsync. Only Setup and Teardown honor it; other
-// operations ignore it.
-func WithBatch() CallOption {
-	return func(o *callOptions) { o.batch = true }
-}
-
 func evalOptions(opts []CallOption) callOptions {
 	var o callOptions
 	for _, opt := range opts {
@@ -368,7 +272,7 @@ func evalOptions(opts []CallOption) callOptions {
 	return o
 }
 
-// withOptions applies the timeout option and returns the possibly-derived
+// withContext applies the timeout option and returns the possibly-derived
 // context plus its cancel (always non-nil).
 func (o *callOptions) withContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if o.timeout > 0 {
@@ -407,11 +311,7 @@ func (c *Client) do(ctx context.Context, req Request, o callOptions) (Response, 
 // ErrOverloaded. The remaining ctx deadline travels with the request and
 // bounds the server-side admission as well.
 func (c *Client) Setup(ctx context.Context, req core.ConnRequest, opts ...CallOption) (*Admission, error) {
-	o := evalOptions(opts)
-	if o.batch {
-		return c.batchedSetup(ctx, req, o)
-	}
-	resp, err := c.do(ctx, Request{Op: OpSetup, Request: &req}, o)
+	resp, err := c.do(ctx, Request{Op: OpSetup, Request: &req}, evalOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -426,11 +326,7 @@ func (c *Client) Setup(ctx context.Context, req core.ConnRequest, opts ...CallOp
 
 // Teardown releases a connection.
 func (c *Client) Teardown(ctx context.Context, id core.ConnID, opts ...CallOption) error {
-	o := evalOptions(opts)
-	if o.batch {
-		return c.batchedTeardown(ctx, id, o)
-	}
-	resp, err := c.do(ctx, Request{Op: OpTeardown, ID: id}, o)
+	resp, err := c.do(ctx, Request{Op: OpTeardown, ID: id}, evalOptions(opts))
 	if err != nil {
 		return err
 	}
@@ -690,161 +586,4 @@ func (c *Client) ShardStatusFleet(ctx context.Context, opts ...CallOption) (*Sha
 		return nil, nil, "", fmt.Errorf("%w: shard-status response without report", ErrProtocol)
 	}
 	return resp.Shard, resp.Shards, resp.Warning, nil
-}
-
-// batcher coalesces concurrent WithBatch setups and teardowns on one
-// client into batch requests: the first enqueuer starts a flusher
-// goroutine that drains the queue in MaxBatchOps-sized chunks until it
-// runs dry, so operations arriving while a batch is in flight form the
-// next one — the client-side mirror of the server's group commit.
-type batcher struct {
-	c         *Client
-	mu        sync.Mutex
-	setups    []clientBatchOp
-	teardowns []clientBatchOp
-	flushing  bool
-}
-
-type clientBatchOp struct {
-	req  *core.ConnRequest // setup payload (nil for teardown)
-	id   core.ConnID       // teardown target
-	done chan clientBatchOutcome
-}
-
-type clientBatchOutcome struct {
-	res BatchResult
-	err error
-}
-
-func (c *Client) batcher() *batcher {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if c.batch == nil {
-		c.batch = &batcher{c: c}
-	}
-	return c.batch
-}
-
-// batchedSetup enqueues one setup on the coalescer and waits for its
-// batch's outcome. The flusher runs on its own context: a caller
-// abandoning its wait does not cancel the batch its siblings share.
-func (c *Client) batchedSetup(ctx context.Context, req core.ConnRequest, o callOptions) (*Admission, error) {
-	ctx, cancel := o.withContext(ctx)
-	defer cancel()
-	b := c.batcher()
-	op := clientBatchOp{req: &req, done: make(chan clientBatchOutcome, 1)}
-	b.enqueue(op, false)
-	select {
-	case out := <-op.done:
-		if out.err != nil {
-			return nil, out.err
-		}
-		if !out.res.OK {
-			return nil, &RemoteError{Op: "setup", Code: out.res.Code, Msg: out.res.Error, rejected: out.res.Rejected}
-		}
-		if out.res.Admission == nil {
-			return nil, fmt.Errorf("%w: batch result without admission", ErrProtocol)
-		}
-		return out.res.Admission, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// batchedTeardown is batchedSetup for teardowns.
-func (c *Client) batchedTeardown(ctx context.Context, id core.ConnID, o callOptions) error {
-	ctx, cancel := o.withContext(ctx)
-	defer cancel()
-	b := c.batcher()
-	op := clientBatchOp{id: id, done: make(chan clientBatchOutcome, 1)}
-	b.enqueue(op, true)
-	select {
-	case out := <-op.done:
-		if out.err != nil {
-			return out.err
-		}
-		if !out.res.OK {
-			return &RemoteError{Op: "teardown", Code: out.res.Code, Msg: out.res.Error}
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (b *batcher) enqueue(op clientBatchOp, teardown bool) {
-	b.mu.Lock()
-	if teardown {
-		b.teardowns = append(b.teardowns, op)
-	} else {
-		b.setups = append(b.setups, op)
-	}
-	kick := !b.flushing
-	if kick {
-		b.flushing = true
-	}
-	b.mu.Unlock()
-	if kick {
-		go b.flushLoop()
-	}
-}
-
-func (b *batcher) flushLoop() {
-	for {
-		b.mu.Lock()
-		setups, teardowns := b.setups, b.teardowns
-		b.setups, b.teardowns = nil, nil
-		if len(setups) == 0 && len(teardowns) == 0 {
-			b.flushing = false
-			b.mu.Unlock()
-			return
-		}
-		b.mu.Unlock()
-		b.flushSetups(setups)
-		b.flushTeardowns(teardowns)
-	}
-}
-
-func (b *batcher) flushSetups(ops []clientBatchOp) {
-	for len(ops) > 0 {
-		chunk := ops
-		if len(chunk) > MaxBatchOps {
-			chunk = chunk[:MaxBatchOps]
-		}
-		ops = ops[len(chunk):]
-		reqs := make([]core.ConnRequest, len(chunk))
-		for i, op := range chunk {
-			reqs[i] = *op.req
-		}
-		results, err := b.c.BatchSetup(context.Background(), reqs)
-		for i, op := range chunk {
-			out := clientBatchOutcome{err: err}
-			if err == nil {
-				out.res = results[i]
-			}
-			op.done <- out
-		}
-	}
-}
-
-func (b *batcher) flushTeardowns(ops []clientBatchOp) {
-	for len(ops) > 0 {
-		chunk := ops
-		if len(chunk) > MaxBatchOps {
-			chunk = chunk[:MaxBatchOps]
-		}
-		ops = ops[len(chunk):]
-		ids := make([]core.ConnID, len(chunk))
-		for i, op := range chunk {
-			ids[i] = op.id
-		}
-		results, err := b.c.BatchTeardown(context.Background(), ids)
-		for i, op := range chunk {
-			out := clientBatchOutcome{err: err}
-			if err == nil {
-				out.res = results[i]
-			}
-			op.done <- out
-		}
-	}
 }

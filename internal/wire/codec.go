@@ -1,11 +1,11 @@
-// Binary framing and the per-connection session loop shared by the CAC
-// server and the shard coordinator's wire front end.
+// Binary framing, the per-connection session loop and the accept loop
+// shared by the CAC server and the shard coordinator's wire front end.
 //
 // The wire protocol starts every connection in the newline-delimited
-// JSON codec it has always spoken. A client that wants the binary
-// framing sends a hello line ({"op":"hello","proto":"binary"}); if the
-// server accepts, both sides switch and every subsequent request and
-// response is one length-prefixed frame:
+// JSON codec. The client (Dial) sends a hello line
+// ({"op":"hello","proto":"binary"}); the server accepts, both sides
+// switch, and every subsequent request and response is one
+// length-prefixed frame:
 //
 //	[4B big-endian payload length][4B IEEE CRC32(payload)][8B tag][payload]
 //
@@ -13,13 +13,13 @@
 // a tag. The payload stays the same JSON object the line protocol
 // carries; what the framing buys is integrity (CRC), no line-scanning,
 // and above all pipelining: the tag names the request, responses echo
-// it, and may arrive out of order. Old clients never send hello and stay
-// on JSON; old servers answer hello with unknown-op, which new clients
-// treat as "stay on JSON" — either side can lag the other.
+// it, and may arrive out of order. A peer that never sends a hello (nc,
+// socat, a script) is served JSON lines for the life of the connection.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -43,9 +43,8 @@ const (
 const OpHello = "hello"
 
 // CodeUnsupportedProto marks a hello naming a framing this server does
-// not speak (or refuses, e.g. -wire-proto=json). The response is always
-// sent in the JSON codec and the connection stays on JSON, so an old or
-// degraded peer keeps working instead of hanging on a binary frame.
+// not speak. The response is always sent in the JSON codec and the
+// connection stays on JSON lines.
 const CodeUnsupportedProto = "unsupported-proto"
 
 // Binary frame header layout: 4B payload length, 4B CRC32, 8B tag.
@@ -101,9 +100,6 @@ type SessionOptions struct {
 	// IOTimeout bounds each request read and response write; zero means
 	// no deadline.
 	IOTimeout time.Duration
-	// JSONOnly refuses binary hellos with CodeUnsupportedProto (the
-	// -wire-proto=json escape hatch).
-	JSONOnly bool
 	// MaxPipeline bounds concurrently-executing requests on a binary
 	// connection; zero selects defaultPipelineDepth. JSON connections
 	// are always serial.
@@ -112,14 +108,13 @@ type SessionOptions struct {
 
 // ServeSession runs one connection's request loop against handle,
 // including the hello negotiation: it starts in the JSON line codec and
-// switches to binary framing when the client asks and the options allow.
-// JSON requests are handled serially in arrival order (the legacy
-// contract); binary requests are pipelined — a reader goroutine decodes
-// frames and fans them out to bounded concurrent handler goroutines, and
-// a writer goroutine serializes responses back as they finish, each
-// echoing its request's tag. ServeSession returns when the connection
-// errors or closes; closing the conn from another goroutine (server
-// shutdown) unblocks it.
+// switches to binary framing when the client asks. JSON requests are
+// handled serially in arrival order; binary requests are pipelined — a
+// reader goroutine decodes frames and fans them out to bounded concurrent
+// handler goroutines, and a writer goroutine serializes responses back as
+// they finish, each echoing its request's tag. ServeSession returns when
+// the connection errors or closes; closing the conn from another
+// goroutine (server shutdown) unblocks it.
 func ServeSession(conn net.Conn, handle func(Request) Response, opts SessionOptions) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	enc := json.NewEncoder(conn)
@@ -141,14 +136,17 @@ func ServeSession(conn net.Conn, handle func(Request) Response, opts SessionOpti
 		}
 		var req Request
 		resp := Response{}
-		parseErr := json.Unmarshal(line, &req)
+		// The newline is framing, not payload: decoding the bare payload
+		// keeps a malformed line's error identical to the same payload's
+		// in a binary frame.
+		parseErr := json.Unmarshal(bytes.TrimSuffix(line, []byte{'\n'}), &req)
 		switch {
 		case parseErr != nil:
 			resp.Error = fmt.Sprintf("malformed request: %v", parseErr)
 			resp.Code = CodeProtocol
 		case req.Op == OpHello:
 			var switching bool
-			resp, switching = helloResponse(req, opts)
+			resp, switching = helloResponse(req)
 			if switching {
 				if opts.IOTimeout > 0 {
 					_ = conn.SetWriteDeadline(time.Now().Add(opts.IOTimeout))
@@ -175,18 +173,11 @@ func ServeSession(conn net.Conn, handle func(Request) Response, opts SessionOpti
 
 // helloResponse answers one hello request and reports whether the
 // connection switches to binary framing after the response is written.
-func helloResponse(req Request, opts SessionOptions) (Response, bool) {
+func helloResponse(req Request) (Response, bool) {
 	switch req.Proto {
 	case "", ProtoJSON:
 		return Response{OK: true, Proto: ProtoJSON}, false
 	case ProtoBinary:
-		if opts.JSONOnly {
-			return Response{
-				Error: "binary framing disabled on this server",
-				Code:  CodeUnsupportedProto,
-				Proto: ProtoJSON,
-			}, false
-		}
 		return Response{OK: true, Proto: ProtoBinary}, true
 	default:
 		return Response{
@@ -292,7 +283,7 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 		if req.Op == OpHello {
 			// Re-negotiation inside a binary stream is meaningless;
 			// answer in-band rather than killing the pipeline.
-			resp, _ := helloResponse(req, opts)
+			resp, _ := helloResponse(req)
 			resp.Proto = ProtoBinary
 			out <- taggedResponse{tag, resp}
 			continue
@@ -309,4 +300,102 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 	wg.Wait()
 	close(out)
 	<-writerDone
+}
+
+// Sessions is the accept loop the CAC server and the shard coordinator's
+// front end share: it runs ServeSession on every accepted connection and
+// tracks the live ones, so Close can end them all. The zero value is
+// ready to use.
+type Sessions struct {
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	wg       sync.WaitGroup
+}
+
+// Serve accepts connections on l until Close, serving each with
+// ServeSession(conn, handle, opts). It always returns a non-nil error
+// (ErrServerClosed after Close).
+func (s *Sessions) Serve(l net.Listener, handle func(Request) Response, opts SessionOptions) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrServerClosed
+	}
+	s.listener = l
+	s.mu.Unlock()
+	for {
+		conn, err := l.Accept()
+		s.mu.Lock()
+		closed := s.closed
+		if err == nil && !closed {
+			if s.conns == nil {
+				s.conns = make(map[net.Conn]struct{})
+			}
+			s.conns[conn] = struct{}{}
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+		switch {
+		case closed:
+			if err == nil {
+				_ = conn.Close()
+			}
+			return ErrServerClosed
+		case err != nil:
+			return fmt.Errorf("wire: accept: %w", err)
+		}
+		go func() {
+			defer func() {
+				_ = conn.Close()
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
+				s.wg.Done()
+			}()
+			ServeSession(conn, handle, opts)
+		}()
+	}
+}
+
+// stop closes the listener and marks the loop closed, so Serve returns
+// and tracks no further connection. It returns the sessions live at that
+// moment with the listener's close error; ok is false when the loop was
+// already stopped.
+func (s *Sessions) stop() (conns []net.Conn, ok bool, err error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, false, nil
+	}
+	s.closed = true
+	l := s.listener
+	conns = make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	if l != nil {
+		err = l.Close()
+	}
+	return conns, true, err
+}
+
+// end closes conns and waits for every session goroutine to finish.
+func (s *Sessions) end(conns []net.Conn) {
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	s.wg.Wait()
+}
+
+// Close stops accepting, closes every live session and waits for their
+// goroutines to finish. A second Close is a no-op.
+func (s *Sessions) Close() error {
+	conns, ok, err := s.stop()
+	if ok {
+		s.end(conns)
+	}
+	return err
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -165,38 +166,76 @@ func TestHelloNegotiatesBinary(t *testing.T) {
 	}
 }
 
-// TestHelloRefusedByJSONOnlyServer: a -wire-proto=json server answers the
-// hello with unsupported-proto and the client transparently stays on the
-// JSON codec — old clients and pinned servers keep interoperating.
-func TestHelloRefusedByJSONOnlyServer(t *testing.T) {
-	client, _, route := startServerWith(t, func(s *Server) { s.SetJSONOnly(true) })
-	if client.Proto() != ProtoJSON {
-		t.Fatalf("proto against JSON-only server = %q, want json", client.Proto())
-	}
-	if _, err := client.Setup(context.Background(), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The refusal itself carries the stable code for raw-protocol peers.
-	conn, err := net.Dial("tcp", clientAddr(t, client))
+// helloPeer is a server that predates or refuses the binary framing: it
+// answers the first line of one connection with reply (nothing at all
+// when reply is empty), then reads until the client closes, which it
+// reports on closed.
+func helloPeer(t *testing.T, reply string) (addr string, closed <-chan struct{}) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "{\"op\":\"hello\",\"proto\":\"binary\"}\n"); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { _ = l.Close() })
+	done := make(chan struct{})
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := br.ReadString('\n'); err != nil {
+			return
+		}
+		if reply != "" {
+			if _, err := fmt.Fprintln(conn, reply); err != nil {
+				return
+			}
+		}
+		_, _ = io.Copy(io.Discard, br)
+		close(done)
+	}()
+	return l.Addr().String(), done
+}
+
+// awaitClosed fails the test unless the client closed its end of the
+// peer's connection.
+func awaitClosed(t *testing.T, closed <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Dial left the refused connection open")
 	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := json.Unmarshal([]byte(line), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != CodeUnsupportedProto || resp.Proto != ProtoJSON {
-		t.Fatalf("refusal = %+v, want code %q proto json", resp, CodeUnsupportedProto)
+}
+
+// TestDialFailsOnRefusedHello: a server that answers the hello with a
+// refusal — unknown-op from a server that predates the framing,
+// unsupported-proto from one that will not speak it — fails Dial with an
+// error naming the address and the server's code, and the connection is
+// closed.
+func TestDialFailsOnRefusedHello(t *testing.T) {
+	for _, tc := range []struct{ code, reply string }{
+		{CodeUnknownOp, `{"ok":false,"error":"unknown op \"hello\"","code":"unknown-op"}`},
+		{CodeUnsupportedProto, `{"ok":false,"error":"binary framing disabled","code":"unsupported-proto","proto":"json"}`},
+	} {
+		t.Run(tc.code, func(t *testing.T) {
+			addr, closed := helloPeer(t, tc.reply)
+			client, err := Dial(addr)
+			if err == nil {
+				_ = client.Close()
+				t.Fatal("Dial succeeded against a server refusing the binary framing")
+			}
+			var re *RemoteError
+			if !errors.As(err, &re) || re.Code != tc.code {
+				t.Fatalf("Dial = %v, want a RemoteError with code %s", err, tc.code)
+			}
+			if !strings.Contains(err.Error(), addr) {
+				t.Fatalf("Dial error %q does not name %s", err, addr)
+			}
+			awaitClosed(t, closed)
+		})
 	}
 }
 
@@ -232,76 +271,71 @@ func TestHelloUnknownProtoRefused(t *testing.T) {
 	}
 }
 
-// TestDialJSONAgainstBinaryDefaultServer: a client that never sends the
-// hello gets the full legacy JSON contract from a binary-default server.
-func TestDialJSONAgainstBinaryDefaultServer(t *testing.T) {
+// lineCall writes req as one JSON line on a raw connection and decodes
+// the one response line.
+func lineCall(t *testing.T, conn net.Conn, br *bufio.Reader, req Request) Response {
+	t.Helper()
+	if err := json.NewEncoder(conn).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		t.Fatalf("response %q: %v", line, err)
+	}
+	return resp
+}
+
+// TestLineProtocolOverListener: a peer that never sends the hello (nc,
+// a script) is served newline-delimited JSON for the whole connection.
+func TestLineProtocolOverListener(t *testing.T) {
 	client, route := startServer(t, nil)
-	jc, err := DialJSON(clientAddr(t, client))
+	conn, err := net.Dial("tcp", clientAddr(t, client))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jc.Close()
-	if jc.Proto() != ProtoJSON {
-		t.Fatalf("DialJSON proto = %q", jc.Proto())
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	req := core.ConnRequest{ID: "line", Spec: traffic.CBR(0.1), Priority: 1, Route: route}
+	if resp := lineCall(t, conn, br, Request{Op: OpSetup, Request: &req}); !resp.OK || resp.Admission == nil || resp.Admission.ID != "line" {
+		t.Fatalf("setup = %+v", resp)
 	}
-	if _, err := jc.Setup(context.Background(), core.ConnRequest{
-		ID: "legacy", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
-	}); err != nil {
-		t.Fatal(err)
+	if resp := lineCall(t, conn, br, Request{Op: OpList}); !resp.OK || len(resp.Connections) != 1 || resp.Connections[0] != "line" {
+		t.Fatalf("list = %+v", resp)
 	}
-	ids, err := jc.List(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if resp := lineCall(t, conn, br, Request{Op: OpTeardown, ID: "line"}); !resp.OK {
+		t.Fatalf("teardown = %+v", resp)
 	}
-	if len(ids) != 1 || ids[0] != "legacy" {
-		t.Fatalf("List = %v", ids)
-	}
-	if err := jc.Teardown(context.Background(), "legacy"); err != nil {
-		t.Fatal(err)
+	if resp := lineCall(t, conn, br, Request{Op: OpList}); !resp.OK || len(resp.Connections) != 0 {
+		t.Fatalf("list after teardown = %+v", resp)
 	}
 }
 
-// TestDialFallsBackOnSilentServer: a listener that accepts but never
-// answers the hello must not hang Dial forever — the client falls back
-// to a JSON connection and the caller's per-call deadlines take over.
-func TestDialFallsBackOnSilentServer(t *testing.T) {
+// TestDialFailsOnSilentServer: a listener that accepts but never answers
+// the hello fails Dial once helloTimeout has passed — it does not hang —
+// and the connection is closed.
+func TestDialFailsOnSilentServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the hello timeout")
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				buf := make([]byte, 4096)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						c.Close()
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
+	addr, closed := helloPeer(t, "")
 	start := time.Now()
-	client, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial = %v, want JSON fallback", err)
-	}
-	defer client.Close()
-	if client.Proto() != ProtoJSON {
-		t.Fatalf("proto after silent hello = %q, want json", client.Proto())
+	client, err := Dial(addr)
+	if err == nil {
+		_ = client.Close()
+		t.Fatal("Dial succeeded against a silent server")
 	}
 	if elapsed := time.Since(start); elapsed > helloTimeout+5*time.Second {
 		t.Fatalf("Dial took %v, want ~%v", elapsed, helloTimeout)
 	}
+	if !strings.Contains(err.Error(), addr) {
+		t.Fatalf("Dial error %q does not name %s", err, addr)
+	}
+	awaitClosed(t, closed)
 }
 
 // TestPipelinedClientConcurrency hammers one binary connection from many
@@ -359,8 +393,7 @@ func TestPipelinedClientConcurrency(t *testing.T) {
 }
 
 // TestPipelinedCancellationLeavesConnectionUsable: abandoning a waiter on
-// context cancellation must not kill the binary connection (unlike the
-// JSON codec, where a cut read desyncs the stream).
+// context cancellation must not kill the connection.
 func TestPipelinedCancellationLeavesConnectionUsable(t *testing.T) {
 	client, route := startServer(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -121,9 +123,9 @@ func TestSetupWithRetryHonorsRetryAfterHint(t *testing.T) {
 }
 
 // TestSetupContextDeadlineCutsStalledExchange points a client at a
-// listener that accepts and reads but never answers: Setup must
-// return context.DeadlineExceeded promptly instead of hanging on the
-// dead read.
+// listener that accepts the hello but never answers a request: Setup
+// must return context.DeadlineExceeded promptly instead of hanging on
+// the dead read.
 func TestSetupContextDeadlineCutsStalledExchange(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,13 +138,15 @@ func TestSetupContextDeadlineCutsStalledExchange(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Swallow the request, never respond.
-		buf := make([]byte, 4096)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
+		br := bufio.NewReader(conn)
+		if _, err := br.ReadString('\n'); err != nil {
+			return
 		}
+		if _, err := fmt.Fprintln(conn, `{"ok":true,"proto":"binary"}`); err != nil {
+			return
+		}
+		// Swallow the request, never respond.
+		_, _ = io.Copy(io.Discard, br)
 	}()
 	client, err := Dial(l.Addr().String())
 	if err != nil {

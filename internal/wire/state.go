@@ -311,7 +311,13 @@ func (s *Server) persistNow() error {
 // persist in between.
 func (s *Server) scheduleRetry() {
 	s.mu.Lock()
-	if s.retrying || s.closed {
+	select {
+	case <-s.stop:
+		s.mu.Unlock()
+		return
+	default:
+	}
+	if s.retrying {
 		s.mu.Unlock()
 		return
 	}

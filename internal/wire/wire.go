@@ -330,8 +330,6 @@ type Server struct {
 	// ioTimeout bounds each read of a request line and write of a
 	// response; zero means no deadline.
 	ioTimeout time.Duration
-	// jsonOnly refuses binary-framing hellos (SetJSONOnly).
-	jsonOnly bool
 	// reg and tracer are the observability attachments (SetObservability):
 	// reg answers scrape-time gauge reads and health metric snapshots,
 	// tracer receives one event per request, persistence step and
@@ -393,14 +391,14 @@ type Server struct {
 	// live prepared holds (see shard.go).
 	shard shardState
 
+	// sessions is the accept loop and its live client connections.
+	sessions Sessions
+	// mu guards draining and retrying; stop is closed under it when
+	// Close or Shutdown begins, ending the background loops.
 	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
 	draining bool
 	retrying bool
 	stop     chan struct{}
-	wg       sync.WaitGroup
 	// retryWG tracks the background persist retry goroutine so shutdown
 	// can drain it before writing the final snapshot.
 	retryWG sync.WaitGroup
@@ -410,7 +408,6 @@ type Server struct {
 func NewServer(network *core.Network) *Server {
 	return &Server{
 		network: network,
-		conns:   make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
 }
@@ -429,12 +426,6 @@ func (s *Server) SetFailoverHandler(h FailoverHandler) { s.failover = h }
 // SetIOTimeout bounds each request read and response write on every client
 // connection. Must be called before Serve; zero disables deadlines.
 func (s *Server) SetIOTimeout(d time.Duration) { s.ioTimeout = d }
-
-// SetJSONOnly pins the server to the JSON line codec: binary hellos are
-// refused with CodeUnsupportedProto and clients fall back. Must be
-// called before Serve. This is the -wire-proto=json escape hatch for
-// debugging with line-oriented tools (nc, socat).
-func (s *Server) SetJSONOnly(jsonOnly bool) { s.jsonOnly = jsonOnly }
 
 // SetLimiter installs control-plane overload protection. Must be called
 // before Serve; nil disables shedding.
@@ -544,61 +535,31 @@ func Classify(req Request) overload.Class {
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (ErrServerClosed after a clean shutdown).
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return fmt.Errorf("wire: accept: %w", err)
-		}
+	return s.sessions.Serve(l, s.dispatch, SessionOptions{IOTimeout: s.ioTimeout})
+}
+
+// shut is the step Close and Shutdown share: stop accepting, end the
+// background loops and collect the live sessions. ok is false when the
+// server was already closed.
+func (s *Server) shut(draining bool) (conns []net.Conn, ok bool, err error) {
+	conns, ok, err = s.sessions.stop()
+	if ok {
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
+		s.draining = draining
+		close(s.stop)
 		s.mu.Unlock()
-		go s.serveConn(conn)
 	}
+	return conns, ok, err
 }
 
 // Close stops accepting, closes every client connection, and waits for
 // handler goroutines to finish.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, ok, err := s.shut(false)
+	if !ok {
 		return nil
 	}
-	s.closed = true
-	close(s.stop)
-	l := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.wg.Wait()
+	s.sessions.end(conns)
 	s.drainRetry()
 	return err
 }
@@ -610,22 +571,9 @@ func (s *Server) Close() error {
 // session cleanly). If ctx expires first, remaining connections are closed
 // hard, like Close. The final state snapshot is written in both cases.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, ok, _ := s.shut(true)
+	if !ok {
 		return nil
-	}
-	s.closed = true
-	s.draining = true
-	close(s.stop)
-	l := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
 	}
 	// Expire pending reads so idle sessions end now; a handler mid-request
 	// still writes its response (only the read side is cut).
@@ -634,7 +582,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.sessions.wg.Wait()
 		close(done)
 	}()
 	var drainErr error
@@ -642,12 +590,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		drainErr = ctx.Err()
-		s.mu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.mu.Unlock()
-		s.wg.Wait()
+		s.sessions.end(conns)
 	}
 	// Drain the background persist loop before the final snapshot, so a
 	// last failed retry cannot land after (or instead of) it and leave
@@ -657,20 +600,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return err
 	}
 	return drainErr
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
-	ServeSession(conn, s.dispatch, SessionOptions{
-		IOTimeout: s.ioTimeout,
-		JSONOnly:  s.jsonOnly,
-	})
 }
 
 // dispatch applies the overload policy around one request: classify,
