@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,5 +41,58 @@ func TestAdmitResidentAllocs(t *testing.T) {
 	})
 	if got > admitResidentAllocs {
 		t.Errorf("Admit + Release: %v allocations, want <= %d", got, admitResidentAllocs)
+	}
+}
+
+// Allocations of one network-level setup or install plus its teardown on
+// the 3-hop route of TestNetworkSetupAllocs: the Admit + Release costs of
+// three empty switches, the ID bookkeeping, the resolved route and the
+// Admission.
+const (
+	networkSetupAllocs   = 62
+	networkInstallAllocs = 52
+)
+
+// TestNetworkSetupAllocs pins the allocations of Network.Setup + Teardown
+// and Network.Install + Teardown over a 3-hop route under both CDV
+// policies, so the hop walk every admission path shares cannot grow them.
+func TestNetworkSetupAllocs(t *testing.T) {
+	for _, policy := range []CDVPolicy{HardCDV{}, SoftCDV{}} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			n := NewNetwork(policy)
+			route := make(Route, 3)
+			for i := range route {
+				name := fmt.Sprintf("sw%d", i)
+				if _, err := n.AddSwitch(SwitchConfig{Name: name, QueueCells: map[Priority]float64{1: 1e6}}); err != nil {
+					t.Fatal(err)
+				}
+				route[i] = Hop{Switch: name, In: 1, Out: 0}
+			}
+			req := ConnRequest{ID: "c", Spec: traffic.VBR(0.01, 0.001, 4), Priority: 1, Route: route}
+			ctx := context.Background()
+			setup := testing.AllocsPerRun(50, func() {
+				if _, err := n.Setup(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Teardown(req.ID); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if setup > networkSetupAllocs {
+				t.Errorf("Setup + Teardown: %v allocations, want <= %d", setup, networkSetupAllocs)
+			}
+			install := testing.AllocsPerRun(50, func() {
+				if err := n.Install(req); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Teardown(req.ID); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if install > networkInstallAllocs {
+				t.Errorf("Install + Teardown: %v allocations, want <= %d", install, networkInstallAllocs)
+			}
+			t.Logf("Setup + Teardown %v, Install + Teardown %v", setup, install)
+		})
 	}
 }

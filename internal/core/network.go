@@ -439,114 +439,17 @@ func (n *Network) Setup(ctx context.Context, req ConnRequest, opts ...SetupOptio
 	return adm, err
 }
 
-// setupOnce runs one full admission attempt: validation, link check, ID
-// reservation, hop-by-hop CAC, commit.
+// setupOnce runs one full admission attempt: the walk of req, admitted
+// hop by hop and committed.
 func (n *Network) setupOnce(ctx context.Context, req ConnRequest, tr obs.Tracer) (*Admission, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: setup of %q abandoned: %w", req.ID, err)
-	}
-	if err := n.routeLinkDown(req.Route); err != nil {
-		return nil, fmt.Errorf("%w (setup of %q refused)", err, req.ID)
-	}
-	if err := n.reserveID(req.ID); err != nil {
-		return nil, err
-	}
-
-	adm, err := n.setupHops(ctx, req, tr)
-	if err != nil {
-		n.abandonID(req.ID)
-		return nil, err
-	}
-	if err := n.commitID(req); err != nil {
-		_ = n.releaseRoute(req.ID, req.Route)
-		return nil, err
-	}
-	return adm, nil
-}
-
-// setupHops runs the hop-by-hop admission with rollback; the caller has
-// reserved req.ID.
-func (n *Network) setupHops(ctx context.Context, req ConnRequest, tr obs.Tracer) (*Admission, error) {
-	switches, guaranteed, err := n.resolveRoute(req)
+	w, err := n.Begin(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	e2eGuaranteed := HardCDV{}.Accumulate(guaranteed)
-	if req.DelayBound > 0 && e2eGuaranteed > req.DelayBound {
-		return nil, &RejectionError{
-			Switch:   "(end-to-end)",
-			Priority: req.Priority,
-			Bound:    e2eGuaranteed,
-			Limit:    req.DelayBound,
-			Reason:   "sum of per-hop guarantees exceeds the requested delay bound",
-			Kind:     CodeDelayBound,
-		}
+	if err := w.admitAll(ctx, tr); err != nil {
+		return nil, err
 	}
-
-	computed := make([]float64, 0, len(switches))
-	for i, sw := range switches {
-		if err := ctx.Err(); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				_ = switches[j].Release(req.ID)
-			}
-			return nil, fmt.Errorf("core: setup of %q abandoned at hop %d: %w", req.ID, i, err)
-		}
-		cdv := req.SourceCDV + n.policy.Accumulate(guaranteed[:i])
-		hopStart := time.Now()
-		res, err := sw.Admit(HopRequest{
-			Conn:     req.ID,
-			Spec:     req.Spec,
-			In:       req.Route[i].In,
-			Out:      req.Route[i].Out,
-			Priority: req.Priority,
-			CDV:      cdv,
-		})
-		if tr != nil {
-			ev := obs.Event{
-				Kind:     obs.KindHopCheck,
-				Conn:     string(req.ID),
-				Switch:   req.Route[i].Switch,
-				Duration: time.Since(hopStart),
-			}
-			if err != nil {
-				ev.Outcome = obs.OutcomeRejected
-				if !errors.Is(err, ErrRejected) {
-					ev.Outcome = obs.OutcomeError
-				}
-				ev.Code = ErrorCode(err)
-			} else {
-				// Slack is how far the computed bound D'(j,p) sat below
-				// the guarantee D(j,p) at admission, in cell times.
-				ev.Outcome = obs.OutcomeAccepted
-				ev.Slack = guaranteed[i] - res.Bounds[req.Priority]
-			}
-			tr.Trace(ev)
-		}
-		if err != nil {
-			// REJECT travels back upstream: release earlier hops.
-			for j := i - 1; j >= 0; j-- {
-				// Release cannot fail here: the connection was just
-				// admitted at hop j and IDs are unique per network.
-				_ = switches[j].Release(req.ID)
-			}
-			return nil, err
-		}
-		computed = append(computed, res.Bounds[req.Priority])
-	}
-
-	adm := &Admission{
-		ID:                 req.ID,
-		PerHopGuaranteed:   guaranteed,
-		PerHopComputed:     computed,
-		EndToEndGuaranteed: e2eGuaranteed,
-	}
-	for _, d := range computed {
-		adm.EndToEndComputed += d
-	}
-	return adm, nil
+	return w.Finish()
 }
 
 // Teardown releases a connection at every hop of its route.
@@ -609,43 +512,19 @@ func (n *Network) releaseRoute(id ConnID, route Route) error {
 // a connection set is order-independent, so a whole set can be installed
 // and then validated once with Audit.
 func (n *Network) Install(req ConnRequest) error {
-	if err := req.validate(); err != nil {
+	// Planning is never abandoned midway, so the walk gets no deadline.
+	var w Walk
+	if err := n.begin(context.Background(), req, &w); err != nil {
 		return err
 	}
-	if err := n.routeLinkDown(req.Route); err != nil {
-		return fmt.Errorf("%w (install of %q refused)", err, req.ID)
-	}
-	if err := n.reserveID(req.ID); err != nil {
-		return err
-	}
-	switches, guaranteed, err := n.resolveRoute(req)
-	if err != nil {
-		n.abandonID(req.ID)
-		return err
-	}
-	for i, sw := range switches {
-		cdv := req.SourceCDV + n.policy.Accumulate(guaranteed[:i])
-		err := sw.Install(HopRequest{
-			Conn:     req.ID,
-			Spec:     req.Spec,
-			In:       req.Route[i].In,
-			Out:      req.Route[i].Out,
-			Priority: req.Priority,
-			CDV:      cdv,
-		})
-		if err != nil {
-			for j := i - 1; j >= 0; j-- {
-				_ = switches[j].Release(req.ID)
-			}
-			n.abandonID(req.ID)
+	for i, sw := range w.switches {
+		if err := sw.Install(w.hop(i)); err != nil {
+			w.Abort()
 			return err
 		}
+		w.held++
 	}
-	if err := n.commitID(req); err != nil {
-		_ = n.releaseRoute(req.ID, req.Route)
-		return err
-	}
-	return nil
+	return n.CommitPrepared(req)
 }
 
 // Audit recomputes the worst-case delay bound of every (switch, output

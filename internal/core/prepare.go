@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Two-phase admission hooks.
 //
@@ -11,13 +8,13 @@ import (
 // directly: the coordinator must be able to hold a route's reservations
 // on one shard while it negotiates with the others, and later turn the
 // hold into an admission or release it without ever exposing a
-// half-committed connection. PrepareSetup / CommitPrepared /
-// AbortPrepared split setupOnce at exactly the reserveID→commitID seam
-// the single-shard path already uses, so a prepared hold has the same
-// capacity footprint as an in-flight setup: the hop reservations are
-// real (they consume bandwidth and block competing admissions) but the
-// ID stays pending — invisible to Connections, AdmittedRequest, and
-// Teardown until committed.
+// half-committed connection. PrepareSetup is the walk of Setup without
+// its commit; CommitPrepared and AbortPrepared are the walk's commit and
+// abort, keyed by the request because the hold outlives the call that
+// made it. A prepared hold has the same capacity footprint as an
+// in-flight setup: the hop reservations are real (they consume bandwidth
+// and block competing admissions) but the ID stays pending — invisible to
+// Connections, AdmittedRequest, and Teardown until committed.
 
 // PrepareSetup runs phase 1 of a two-phase admission: it validates the
 // request, claims its ID, and reserves every hop of the route through
@@ -27,24 +24,14 @@ import (
 // hold strands bandwidth until an expiry reaper aborts it). On error
 // nothing is held.
 func (n *Network) PrepareSetup(ctx context.Context, req ConnRequest) (*Admission, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: prepare of %q abandoned: %w", req.ID, err)
-	}
-	if err := n.routeLinkDown(req.Route); err != nil {
-		return nil, fmt.Errorf("%w (prepare of %q refused)", err, req.ID)
-	}
-	if err := n.reserveID(req.ID); err != nil {
-		return nil, err
-	}
-	adm, err := n.setupHops(ctx, req, n.getTracer())
+	w, err := n.Begin(ctx, req)
 	if err != nil {
-		n.abandonID(req.ID)
 		return nil, err
 	}
-	return adm, nil
+	if err := w.admitAll(ctx, n.getTracer()); err != nil {
+		return nil, err
+	}
+	return w.admission(), nil
 }
 
 // CommitPrepared runs phase 2: it promotes a hold created by

@@ -357,8 +357,8 @@ func (sw *Switch) Release(id ConnID) error {
 }
 
 // Rename atomically re-labels an admitted connection, keeping every hop
-// entry and its reservations intact. It is used by signaling crankback to
-// promote a winning probe setup to the caller's connection ID.
+// entry and its reservations intact. Walk.Rename uses it to promote the
+// winning probe of signaling crankback to the caller's connection ID.
 func (sw *Switch) Rename(old, new ConnID) error {
 	if new == "" {
 		return fmt.Errorf("%w: empty connection ID", ErrBadConfig)

@@ -164,12 +164,10 @@ func TestFabricFailLinkConnectRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for id, req := range f.established {
+	for _, req := range f.net.AdmittedRequests() {
 		for i := 0; i+1 < len(req.Route); i++ {
 			if req.Route[i].Switch == "n2" && req.Route[i+1].Switch == "n3" {
-				t.Errorf("connection %s established over failed link n2->n3", id)
+				t.Errorf("connection %s established over failed link n2->n3", req.ID)
 			}
 		}
 	}

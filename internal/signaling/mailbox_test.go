@@ -3,12 +3,10 @@ package signaling
 import (
 	"sync"
 	"testing"
-
-	"atmcac/internal/core"
 )
 
 func msgWithHop(h int) message {
-	return message{kind: kindSetup, hop: h, req: core.ConnRequest{ID: "m"}}
+	return message{kind: kindSetup, hop: h}
 }
 
 func TestMailboxFIFO(t *testing.T) {

@@ -8,6 +8,12 @@
 // Each switching node runs one goroutine draining an unbounded mailbox, so
 // the protocol is deadlock-free on cyclic (ring) topologies and processes
 // admissions serially per node, exactly like a switch control processor.
+//
+// The fabric drives a core.Network: the SETUP message carries the
+// network's core.Walk, so each node charges and admits its hop exactly as
+// the central server's Network.Setup does, and the origin commits the
+// walk on CONNECTED. The established set, failed links and teardown are
+// the network's.
 package signaling
 
 import (
@@ -25,52 +31,45 @@ var (
 	// ErrClosed reports use of a closed fabric.
 	ErrClosed = errors.New("signaling: fabric closed")
 	// ErrUnknownNode reports a route hop through an unregistered node.
-	ErrUnknownNode = errors.New("signaling: unknown node")
+	ErrUnknownNode = core.ErrUnknownSwitch
 	// ErrDuplicate reports a connection ID already in use.
-	ErrDuplicate = errors.New("signaling: duplicate connection")
+	ErrDuplicate = core.ErrDuplicateConn
 	// ErrUnknownConn reports a disconnect for an unknown connection.
-	ErrUnknownConn = errors.New("signaling: unknown connection")
+	ErrUnknownConn = core.ErrUnknownConn
 	// ErrSuppressed reports a setup whose every candidate route is
 	// currently suppressed by the per-route circuit breaker — the caller
 	// should back off instead of probing dead routes.
 	ErrSuppressed = errors.New("signaling: all candidate routes suppressed by circuit breaker")
 )
 
-// kind enumerates protocol messages.
+// Result is the outcome of a completed setup: the network's admission.
+type Result = core.Admission
+
+// kind enumerates protocol messages. CONNECTED is not a message between
+// nodes: the destination resolves the setup at the origin directly.
 type kind int
 
 const (
 	kindSetup kind = iota + 1
 	kindReject
-	kindConnected
-	kindTeardown
 )
 
-// message is one protocol PDU.
+// message is one protocol PDU. The walk travels with it, and so does its
+// ownership: only the node holding the message touches the walk.
 type message struct {
 	kind kind
-	req  core.ConnRequest
-	hop  int // index into req.Route this message is addressed to
-	// guaranteed and computed per-hop bounds accumulated so far.
-	guaranteed []float64
-	computed   []float64
-	// reject carries the downstream failure back upstream.
-	rejectErr error
-}
-
-// Result is the outcome of a completed setup, mirroring core.Admission.
-type Result struct {
-	ID                 core.ConnID
-	PerHopGuaranteed   []float64
-	PerHopComputed     []float64
-	EndToEndGuaranteed float64
-	EndToEndComputed   float64
+	walk *core.Walk
+	hop  int // index into the walk's route this message is addressed to
+	// err carries a REJECT's downstream refusal back upstream.
+	err error
+	// done resolves the setup at the origin: nil on CONNECTED, the
+	// refusal once a REJECT has unwound every hop.
+	done chan<- error
 }
 
 // Node is one switching node of the fabric: a CAC switch plus its control
 // goroutine.
 type Node struct {
-	name   string
 	sw     *core.Switch
 	fabric *Fabric
 	mb     *mailbox
@@ -78,65 +77,46 @@ type Node struct {
 }
 
 // Name returns the node name.
-func (n *Node) Name() string { return n.name }
+func (n *Node) Name() string { return n.sw.Name() }
 
 // Switch exposes the node's CAC state (for inspection in tests and tools).
 func (n *Node) Switch() *core.Switch { return n.sw }
 
-// Fabric is a set of signaling nodes plus the origin-side bookkeeping for
-// in-flight setups.
+// Fabric is a set of signaling nodes driving the distributed setup over
+// one core.Network.
 type Fabric struct {
-	policy core.CDVPolicy
+	net *core.Network
 
-	mu          sync.Mutex
-	nodes       map[string]*Node
-	pending     map[core.ConnID]chan outcome
-	established map[core.ConnID]core.ConnRequest
-	downLinks   map[core.Link]struct{}
-	closed      bool
-}
-
-type outcome struct {
-	result *Result
-	err    error
+	mu     sync.Mutex
+	nodes  map[string]*Node
+	closed bool
+	// stopped closes once Close has stopped every node goroutine; an
+	// origin still waiting then aborts its walk with ErrClosed.
+	stopped chan struct{}
 }
 
 // NewFabric returns an empty fabric with the given CDV policy (nil means
 // hard).
 func NewFabric(policy core.CDVPolicy) *Fabric {
-	if policy == nil {
-		policy = core.HardCDV{}
-	}
 	return &Fabric{
-		policy:      policy,
-		nodes:       make(map[string]*Node),
-		pending:     make(map[core.ConnID]chan outcome),
-		established: make(map[core.ConnID]core.ConnRequest),
-		downLinks:   make(map[core.Link]struct{}),
+		net:     core.NewNetwork(policy),
+		nodes:   make(map[string]*Node),
+		stopped: make(chan struct{}),
 	}
 }
 
 // AddNode registers a switching node and starts its control goroutine.
 func (f *Fabric) AddNode(cfg core.SwitchConfig) (*Node, error) {
-	sw, err := core.NewSwitch(cfg)
-	if err != nil {
-		return nil, err
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := f.nodes[cfg.Name]; ok {
-		return nil, fmt.Errorf("%w: duplicate node %q", core.ErrBadConfig, cfg.Name)
+	sw, err := f.net.AddSwitch(cfg)
+	if err != nil {
+		return nil, err
 	}
-	n := &Node{
-		name:   cfg.Name,
-		sw:     sw,
-		fabric: f,
-		mb:     newMailbox(),
-		done:   make(chan struct{}),
-	}
+	n := &Node{sw: sw, fabric: f, mb: newMailbox(), done: make(chan struct{})}
 	f.nodes[cfg.Name] = n
 	go n.run()
 	return n, nil
@@ -148,6 +128,16 @@ func (f *Fabric) Node(name string) (*Node, bool) {
 	defer f.mu.Unlock()
 	n, ok := f.nodes[name]
 	return n, ok
+}
+
+// open returns ErrClosed once Close has begun.
+func (f *Fabric) open() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // Close stops every node goroutine and waits for them to exit. In-flight
@@ -163,8 +153,6 @@ func (f *Fabric) Close() {
 	for _, n := range f.nodes {
 		nodes = append(nodes, n)
 	}
-	pending := f.pending
-	f.pending = make(map[core.ConnID]chan outcome)
 	f.mu.Unlock()
 
 	for _, n := range nodes {
@@ -173,37 +161,17 @@ func (f *Fabric) Close() {
 	for _, n := range nodes {
 		<-n.done
 	}
-	for _, ch := range pending {
-		ch <- outcome{err: ErrClosed}
-	}
+	close(f.stopped)
 }
 
-// deliver routes a message to the node owning the given hop.
+// deliver routes a message to the node owning its hop. Every switch of
+// the network is a node, and nodes are never removed.
 func (f *Fabric) deliver(msg message) {
-	hop := msg.req.Route[msg.hop]
+	name := msg.walk.Request().Route[msg.hop].Switch
 	f.mu.Lock()
-	n, ok := f.nodes[hop.Switch]
+	n := f.nodes[name]
 	f.mu.Unlock()
-	if !ok {
-		// Routes are validated before the first SETUP leaves the origin,
-		// so this indicates a node removed mid-flight; fail the setup.
-		f.finish(msg.req.ID, outcome{err: fmt.Errorf("%w: %q", ErrUnknownNode, hop.Switch)})
-		return
-	}
 	n.mb.put(msg)
-}
-
-// finish resolves a pending setup.
-func (f *Fabric) finish(id core.ConnID, oc outcome) {
-	f.mu.Lock()
-	ch, ok := f.pending[id]
-	if ok {
-		delete(f.pending, id)
-	}
-	f.mu.Unlock()
-	if ok {
-		ch <- oc
-	}
 }
 
 // Connect runs the distributed setup for req and blocks until CONNECTED,
@@ -214,58 +182,62 @@ func (f *Fabric) finish(id core.ConnID, oc outcome) {
 // an eventually-successful setup stays established (call Disconnect to
 // release it).
 func (f *Fabric) Connect(ctx context.Context, req core.ConnRequest) (*Result, error) {
-	if len(req.Route) == 0 {
-		return nil, fmt.Errorf("%w: connection %q has an empty route", core.ErrBadConfig, req.ID)
+	w, err := f.run(ctx, req, func(w *core.Walk) { _, _ = w.Finish() })
+	if err != nil {
+		return nil, err
 	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if _, ok := f.pending[req.ID]; ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicate, req.ID)
-	}
-	if _, ok := f.established[req.ID]; ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicate, req.ID)
-	}
-	for _, hop := range req.Route {
-		if _, ok := f.nodes[hop.Switch]; !ok {
-			f.mu.Unlock()
-			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hop.Switch)
-		}
-	}
-	if l, down := f.routeDownLocked(req.Route); down {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (setup of %q refused)", core.ErrLinkDown, l, req.ID)
-	}
-	ch := make(chan outcome, 1)
-	f.pending[req.ID] = ch
-	f.mu.Unlock()
+	return w.Finish()
+}
 
-	f.deliver(message{kind: kindSetup, req: req, hop: 0})
-
-	select {
-	case oc := <-ch:
-		if oc.err != nil {
-			return nil, oc.err
+// run begins req's walk at the origin, sends its SETUP down the route and
+// waits for CONNECTED or REJECT. It returns the CONNECTED walk for the
+// caller to finish or abort; a refused walk is aborted. The context bounds
+// only the wait: a walk whose wait was abandoned still runs to completion
+// and is then handed to late, or aborted if it was refused.
+func (f *Fabric) run(ctx context.Context, req core.ConnRequest, late func(*core.Walk)) (*core.Walk, error) {
+	if err := f.open(); err != nil {
+		return nil, err
+	}
+	// The fabric owns the walk's lifetime: the SETUP runs to completion
+	// whatever ctx does, so ctx is not the walk's.
+	w, err := f.net.Begin(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	done := make(chan error, 1)
+	f.deliver(message{kind: kindSetup, walk: w, done: done})
+	// An already-ended context abandons the wait before any outcome can
+	// race it.
+	if ctx.Err() == nil {
+		select {
+		case err := <-done:
+			return settle(w, err)
+		case <-f.stopped:
+			return settle(w, ErrClosed)
+		case <-ctx.Done():
 		}
-		if err := f.recordEstablished(req); err != nil {
-			return nil, err
-		}
-		return oc.result, nil
-	case <-ctx.Done():
-		// Leave the pending entry so a late CONNECTED still records the
-		// establishment; replace the channel consumer with bookkeeping.
-		go func() {
-			oc := <-ch
-			if oc.err == nil {
-				_ = f.recordEstablished(req)
+	}
+	go func() {
+		select {
+		case err := <-done:
+			if err == nil {
+				late(w)
+				return
 			}
-		}()
-		return nil, ctx.Err()
+		case <-f.stopped:
+		}
+		w.Abort()
+	}()
+	return nil, ctx.Err()
+}
+
+// settle aborts a refused walk and hands back a CONNECTED one.
+func settle(w *core.Walk, err error) (*core.Walk, error) {
+	if err != nil {
+		w.Abort()
+		return nil, err
 	}
+	return w, nil
 }
 
 // SetupOptions tunes ConnectAnyOpts with the overload-control policy of
@@ -324,17 +296,19 @@ func (o SetupOptions) record(route core.Route, err error) {
 // With more than one candidate the routes are evaluated in parallel: each
 // candidate runs a full distributed setup under a hidden probe ID, the
 // lowest-indexed viable outcome wins (mirroring the serial preference
-// order), surplus successes are released, and the winner's reservations
-// are atomically re-labelled to req.ID. Probes briefly reserve capacity on
-// every candidate simultaneously, so if all of them are rejected — which
-// can be an artifact of the probes contending with each other — the
-// candidates are retried serially before the rejection is final. Decisions
-// are therefore never more conservative than the serial crankback.
+// order), surplus successes are released, and the winner's walk is
+// re-labelled to req.ID (core.Walk.Rename) and committed. Probes briefly
+// reserve capacity on every candidate simultaneously, so if all of them
+// are rejected — which can be an artifact of the probes contending with
+// each other — the candidates are retried serially before the rejection
+// is final. Decisions are therefore never more conservative than the
+// serial crankback.
 //
 // Non-CAC errors abort the setup; if every route is rejected, the last
 // rejection is returned. Like Connect, cancelling the context abandons the
-// wait but does not abort the protocol. Connection IDs containing a NUL
-// byte are reserved for probe attempts.
+// wait but does not abort the protocol; a parallel probe whose wait was
+// abandoned releases its reservations when it completes. Connection IDs
+// containing a NUL byte are reserved for probe attempts.
 func (f *Fabric) ConnectAny(ctx context.Context, req core.ConnRequest, routes []core.Route) (*Result, int, error) {
 	return f.ConnectAnyOpts(ctx, req, routes, SetupOptions{})
 }
@@ -368,42 +342,13 @@ func (f *Fabric) ConnectAnyOpts(ctx context.Context, req core.ConnRequest, route
 		cands = cands[:budget]
 	}
 	if len(cands) == 1 {
-		res, idx, err := f.connectAnySerial(ctx, req, cands, opts)
-		return res, idx, err
+		return f.connectAnySerial(ctx, req, cands, opts)
 	}
 
-	// Reserve the caller's ID for the duration of the race so no concurrent
-	// setup can take it before the winning probe is promoted. The channel is
-	// a placeholder: no protocol message carries req.ID while probes run.
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, -1, ErrClosed
-	}
-	if _, ok := f.pending[req.ID]; ok {
-		f.mu.Unlock()
-		return nil, -1, fmt.Errorf("%w: %q", ErrDuplicate, req.ID)
-	}
-	if _, ok := f.established[req.ID]; ok {
-		f.mu.Unlock()
-		return nil, -1, fmt.Errorf("%w: %q", ErrDuplicate, req.ID)
-	}
-	reserve := make(chan outcome, 1)
-	f.pending[req.ID] = reserve
-	f.mu.Unlock()
-	unreserve := func() {
-		f.mu.Lock()
-		if ch, ok := f.pending[req.ID]; ok && ch == reserve {
-			delete(f.pending, req.ID)
-		}
-		f.mu.Unlock()
-	}
-
-	type attempt struct {
-		res *Result
-		err error
-	}
-	results := make([]attempt, len(cands))
+	results := make([]struct {
+		walk *core.Walk
+		err  error
+	}, len(cands))
 	var wg sync.WaitGroup
 	for i, cand := range cands {
 		wg.Add(1)
@@ -412,8 +357,7 @@ func (f *Fabric) ConnectAnyOpts(ctx context.Context, req core.ConnRequest, route
 			probe := req
 			probe.ID = probeID(req.ID, i)
 			probe.Route = route
-			res, err := f.Connect(ctx, probe)
-			results[i] = attempt{res: res, err: err}
+			results[i].walk, results[i].err = f.run(ctx, probe, (*core.Walk).Abort)
 		}(i, cand.route)
 	}
 	wg.Wait()
@@ -422,32 +366,30 @@ func (f *Fabric) ConnectAnyOpts(ctx context.Context, req core.ConnRequest, route
 	// let the first non-rejection outcome decide.
 	winner := -1
 	var abortErr, lastReject error
-	for i := range results {
-		opts.record(cands[i].route, results[i].err)
-		if results[i].err == nil {
+	for i, r := range results {
+		opts.record(cands[i].route, r.err)
+		if r.err == nil {
 			if winner < 0 && abortErr == nil {
 				winner = i
 			} else {
 				// Surplus success (or success after a fatal error): release.
-				_ = f.Disconnect(context.Background(), probeID(req.ID, i))
+				r.walk.Abort()
 			}
 			continue
 		}
-		if crankbackErr(results[i].err) {
-			lastReject = results[i].err
+		if crankbackErr(r.err) {
+			lastReject = r.err
 		} else if winner < 0 && abortErr == nil {
-			abortErr = results[i].err
+			abortErr = r.err
 		}
 	}
 	if abortErr != nil {
-		unreserve()
 		return nil, -1, abortErr
 	}
 	if winner < 0 {
 		// Every probe was rejected; rule out probe self-contention with the
 		// classic serial crankback before reporting the rejection — unless
 		// the retry budget is already spent.
-		unreserve()
 		remaining := budget - len(cands)
 		if remaining <= 0 {
 			return nil, -1, lastReject
@@ -457,8 +399,13 @@ func (f *Fabric) ConnectAnyOpts(ctx context.Context, req core.ConnRequest, route
 		}
 		return f.connectAnySerial(ctx, req, cands, opts)
 	}
-	res, err := f.promote(probeID(req.ID, winner), req, cands[winner].route, *results[winner].res)
-	unreserve()
+	// Promote the winning probe to the caller's ID and commit it.
+	w := results[winner].walk
+	if err := w.Rename(req.ID); err != nil {
+		w.Abort()
+		return nil, -1, err
+	}
+	res, err := w.Finish()
 	if err != nil {
 		return nil, -1, err
 	}
@@ -498,81 +445,41 @@ func probeID(id core.ConnID, i int) core.ConnID {
 	return core.ConnID(fmt.Sprintf("%s\x00alt%d", id, i))
 }
 
-// promote re-labels an established probe setup to the caller's connection
-// ID: every switch on the winning route renames its reservations, then the
-// fabric bookkeeping moves the establishment. The caller still holds the
-// req.ID reservation, so no concurrent setup can collide with the new name.
-func (f *Fabric) promote(probe core.ConnID, req core.ConnRequest, route core.Route, res Result) (*Result, error) {
-	req.Route = route
-	renamed := make(map[string]bool, len(route))
-	for _, hop := range route {
-		if renamed[hop.Switch] {
-			continue
-		}
-		n, ok := f.Node(hop.Switch)
-		if !ok {
-			_ = f.Disconnect(context.Background(), probe)
-			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hop.Switch)
-		}
-		if err := n.sw.Rename(probe, req.ID); err != nil {
-			// Roll the partial rename back and release the probe.
-			for _, h := range route {
-				if renamed[h.Switch] {
-					if rn, ok := f.Node(h.Switch); ok {
-						_ = rn.sw.Rename(req.ID, probe)
-					}
-				}
-			}
-			_ = f.Disconnect(context.Background(), probe)
-			return nil, fmt.Errorf("signaling: promote crankback winner %q: %w", req.ID, err)
-		}
-		renamed[hop.Switch] = true
+// Disconnect releases an established connection at every hop. The release
+// is the network's teardown, so it completes before Disconnect returns.
+func (f *Fabric) Disconnect(_ context.Context, id core.ConnID) error {
+	if err := f.open(); err != nil {
+		return err
 	}
-	f.mu.Lock()
-	delete(f.established, probe)
-	f.established[req.ID] = req
-	f.mu.Unlock()
-	res.ID = req.ID
-	return &res, nil
+	return f.net.Teardown(id)
 }
 
-// Disconnect releases an established connection at every hop and blocks
-// until the teardown completes.
-func (f *Fabric) Disconnect(ctx context.Context, id core.ConnID) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	req, ok := f.established[id]
-	if !ok {
-		f.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownConn, id)
-	}
-	delete(f.established, id)
-	ch := make(chan outcome, 1)
-	f.pending[id] = ch
-	f.mu.Unlock()
+// Established returns the IDs of established connections in sorted order.
+func (f *Fabric) Established() []core.ConnID { return f.net.Connections() }
 
-	f.deliver(message{kind: kindTeardown, req: req, hop: 0})
-	select {
-	case oc := <-ch:
-		return oc.err
-	case <-ctx.Done():
-		return ctx.Err()
+// FailLink marks the directed link from -> to as failed and disconnects
+// every established connection whose route traverses it, returning their
+// requests in ID order. A setup in flight across the link is refused when
+// its walk commits, so once FailLink returns no connection is, or will
+// become, established over the link. Failing an already-failed link is a
+// no-op returning no evictions.
+func (f *Fabric) FailLink(from, to string) ([]core.ConnRequest, error) {
+	if err := f.open(); err != nil {
+		return nil, err
 	}
+	return f.net.FailLink(from, to)
 }
 
-// Established returns the IDs of established connections.
-func (f *Fabric) Established() []core.ConnID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]core.ConnID, 0, len(f.established))
-	for id := range f.established {
-		out = append(out, id)
+// RestoreLink clears the failure mark of the directed link from -> to.
+func (f *Fabric) RestoreLink(from, to string) error {
+	if err := f.open(); err != nil {
+		return err
 	}
-	return out
+	return f.net.RestoreLink(from, to)
 }
+
+// FailedLinks returns the currently failed links in deterministic order.
+func (f *Fabric) FailedLinks() []core.Link { return f.net.FailedLinks() }
 
 // run is the node's control loop.
 func (n *Node) run() {
@@ -586,109 +493,36 @@ func (n *Node) run() {
 		case kindSetup:
 			n.handleSetup(msg)
 		case kindReject:
-			n.handleReject(msg)
-		case kindTeardown:
-			n.handleTeardown(msg)
-		case kindConnected:
-			// CONNECTED is resolved at the fabric (the origin end system);
-			// nodes never receive it.
+			msg.walk.Unwind()
+			n.fabric.reject(msg)
 		}
 	}
 }
 
-// handleSetup runs the local CAC check and forwards SETUP or originates
-// REJECT.
+// handleSetup admits the walk's hop at this node's switch and forwards
+// the SETUP, resolves CONNECTED at the last hop, or originates a REJECT.
 func (n *Node) handleSetup(msg message) {
-	hop := msg.req.Route[msg.hop]
-	cdv := msg.req.SourceCDV + n.fabric.policy.Accumulate(msg.guaranteed)
-	res, err := n.sw.Admit(core.HopRequest{
-		Conn:     msg.req.ID,
-		Spec:     msg.req.Spec,
-		In:       hop.In,
-		Out:      hop.Out,
-		Priority: msg.req.Priority,
-		CDV:      cdv,
-	})
-	if err != nil {
-		if msg.hop == 0 {
-			n.fabric.finish(msg.req.ID, outcome{err: err})
-			return
-		}
-		reject := msg
-		reject.kind = kindReject
-		reject.hop--
-		reject.rejectErr = err
-		n.fabric.deliver(reject)
+	if _, err := msg.walk.Admit(); err != nil {
+		msg.err = err
+		n.fabric.reject(msg)
 		return
 	}
-	guaranteed := append(append([]float64(nil), msg.guaranteed...), res.Guaranteed)
-	computed := append(append([]float64(nil), msg.computed...), res.Bounds[msg.req.Priority])
-
-	// End-to-end budget check at the last hop (the destination knows the
-	// full accumulated guarantee).
-	if msg.hop == len(msg.req.Route)-1 {
-		e2eGuaranteed := (core.HardCDV{}).Accumulate(guaranteed)
-		if msg.req.DelayBound > 0 && e2eGuaranteed > msg.req.DelayBound {
-			rejErr := &core.RejectionError{
-				Switch:   n.name,
-				Priority: msg.req.Priority,
-				Bound:    e2eGuaranteed,
-				Limit:    msg.req.DelayBound,
-				Reason:   "accumulated per-hop guarantees exceed the requested end-to-end bound",
-			}
-			// Release locally and reject upstream.
-			_ = n.sw.Release(msg.req.ID)
-			if msg.hop == 0 {
-				n.fabric.finish(msg.req.ID, outcome{err: rejErr})
-				return
-			}
-			reject := msg
-			reject.kind = kindReject
-			reject.hop--
-			reject.rejectErr = rejErr
-			n.fabric.deliver(reject)
-			return
-		}
-		result := &Result{
-			ID:                 msg.req.ID,
-			PerHopGuaranteed:   guaranteed,
-			PerHopComputed:     computed,
-			EndToEndGuaranteed: e2eGuaranteed,
-		}
-		for _, d := range computed {
-			result.EndToEndComputed += d
-		}
-		n.fabric.finish(msg.req.ID, outcome{result: result})
-		return
-	}
-	fwd := msg
-	fwd.hop++
-	fwd.guaranteed = guaranteed
-	fwd.computed = computed
-	n.fabric.deliver(fwd)
-}
-
-// handleReject releases the local reservation and propagates upstream.
-func (n *Node) handleReject(msg message) {
-	// The release cannot fail: this node admitted the connection when the
-	// SETUP passed through.
-	_ = n.sw.Release(msg.req.ID)
-	if msg.hop == 0 {
-		n.fabric.finish(msg.req.ID, outcome{err: msg.rejectErr})
-		return
-	}
-	msg.hop--
-	n.fabric.deliver(msg)
-}
-
-// handleTeardown releases and forwards downstream; the last hop resolves
-// the disconnect.
-func (n *Node) handleTeardown(msg message) {
-	_ = n.sw.Release(msg.req.ID)
-	if msg.hop == len(msg.req.Route)-1 {
-		n.fabric.finish(msg.req.ID, outcome{})
+	if msg.hop == len(msg.walk.Request().Route)-1 {
+		msg.done <- nil
 		return
 	}
 	msg.hop++
 	n.fabric.deliver(msg)
+}
+
+// reject sends a REJECT to the hop upstream of msg's, or resolves it at
+// the origin once no upstream hop is left.
+func (f *Fabric) reject(msg message) {
+	if msg.hop == 0 {
+		msg.done <- msg.err
+		return
+	}
+	msg.kind = kindReject
+	msg.hop--
+	f.deliver(msg)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -127,14 +128,34 @@ func TestRejectRollsBackUpstream(t *testing.T) {
 	}
 }
 
-func TestEndToEndBudgetRejectedAtDestination(t *testing.T) {
+// TestEndToEndBudgetRejectedBeforeFirstHop: the origin refuses a request
+// whose per-hop guarantees cannot meet its end-to-end bound before any
+// SETUP leaves it. sw0 is saturated so that any hop admission there would
+// fail with queue-budget; the refusal must still be the end-to-end one.
+func TestEndToEndBudgetRejectedBeforeFirstHop(t *testing.T) {
 	f, route := lineFabric(t, nil)
+	sw0, _ := f.Node("sw0")
+	var bg []core.ConnID
+	for i := 0; ; i++ {
+		id := core.ConnID(fmt.Sprintf("bg%d", i))
+		if _, err := sw0.Switch().Admit(core.HopRequest{
+			Conn: id, Spec: traffic.CBR(0.01), In: core.PortID(10 + i), Out: 0, Priority: 1,
+		}); err != nil {
+			break
+		}
+		bg = append(bg, id)
+	}
+	hop := core.HopRequest{Conn: "c1", Spec: traffic.CBR(0.1), In: 1, Out: 0, Priority: 1}
+	if _, err := sw0.Switch().Check(hop); core.ErrorCode(err) != core.CodeQueueBudget {
+		t.Fatalf("saturated sw0 check = %v, want %s", err, core.CodeQueueBudget)
+	}
 	// Three 32-cell hops guarantee 96 > requested 50.
 	_, err := f.Connect(testCtx(t), core.ConnRequest{
 		ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route, DelayBound: 50,
 	})
-	if !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("Connect error = %v, want ErrRejected", err)
+	var rej *core.RejectionError
+	if !errors.As(err, &rej) || rej.Switch != "(end-to-end)" || core.ErrorCode(err) != core.CodeDelayBound {
+		t.Fatalf("Connect error = %v, want an (end-to-end) %s rejection", err, core.CodeDelayBound)
 	}
 	for i := 0; i < 3; i++ {
 		n, _ := f.Node(fmt.Sprintf("sw%d", i))
@@ -142,7 +163,12 @@ func TestEndToEndBudgetRejectedAtDestination(t *testing.T) {
 			t.Errorf("node sw%d still carries budget-rejected c1", i)
 		}
 	}
-	// A request matching the guarantee succeeds.
+	// A request matching the guarantee succeeds once sw0 has room.
+	for _, id := range bg {
+		if err := sw0.Switch().Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := f.Connect(testCtx(t), core.ConnRequest{
 		ID: "c2", Spec: traffic.CBR(0.1), Priority: 1, Route: route, DelayBound: 96,
 	}); err != nil {
@@ -301,51 +327,117 @@ func TestAddNodeValidation(t *testing.T) {
 }
 
 // TestSignalingMatchesSequentialSetup: the distributed protocol and the
-// core.Network sequential path compute identical admissions for the same
-// request.
+// core.Network sequential path make identical decisions for the same
+// request on the same state — the same admission, bit for bit, or the
+// same refusal, down to its code and message.
 func TestSignalingMatchesSequentialSetup(t *testing.T) {
 	queues := map[core.Priority]float64{1: 64}
-	f, route := lineFabric(t, queues)
+	bg := core.ConnRequest{ID: "bg", Spec: traffic.VBR(0.5, 0.1, 8), Priority: 1}
+	probe := core.ConnRequest{ID: "probe", Spec: traffic.VBR(0.3, 0.05, 4), Priority: 1}
+	cases := []struct {
+		name string
+		// prepare brings a side's network to the case's state.
+		prepare  func(t *testing.T, n *core.Network)
+		delay    float64
+		wantCode string
+		wantAt   string // the refusing switch of a rejection
+	}{
+		{name: "accept"},
+		{name: "accept-at-budget", delay: 192},
+		{
+			name: "hop-rejection-at-last-hop",
+			prepare: func(t *testing.T, n *core.Network) {
+				sw2, _ := n.Switch("sw2")
+				for i := 0; ; i++ {
+					if _, err := sw2.Admit(core.HopRequest{
+						Conn: core.ConnID(fmt.Sprintf("sat%d", i)), Spec: traffic.CBR(0.005),
+						In: core.PortID(10 + i), Out: 0, Priority: 1,
+					}); err != nil {
+						return
+					}
+				}
+			},
+			wantCode: core.CodeQueueBudget, wantAt: "sw2",
+		},
+		{name: "end-to-end-budget", delay: 100, wantCode: core.CodeDelayBound, wantAt: "(end-to-end)"},
+		{name: "negative-delay-bound", delay: -5, wantCode: core.CodeBadConfig},
+		{
+			name: "failed-link",
+			prepare: func(t *testing.T, n *core.Network) {
+				if _, err := n.FailLink("sw1", "sw2"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantCode: core.CodeLinkDown,
+		},
+	}
+	for _, policy := range []core.CDVPolicy{core.HardCDV{}, core.SoftCDV{}} {
+		for _, tc := range cases {
+			t.Run(policy.Name()+"/"+tc.name, func(t *testing.T) {
+				f := NewFabric(policy)
+				t.Cleanup(f.Close)
+				n := core.NewNetwork(policy)
+				route := make(core.Route, 3)
+				for i := range route {
+					cfg := core.SwitchConfig{Name: fmt.Sprintf("sw%d", i), QueueCells: queues}
+					if _, err := f.AddNode(cfg); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := n.AddSwitch(cfg); err != nil {
+						t.Fatal(err)
+					}
+					route[i] = core.Hop{Switch: cfg.Name, In: 1, Out: 0}
+				}
+				// Load both with an identical background connection.
+				bg := bg
+				bg.Route = make(core.Route, len(route))
+				for h := range route {
+					bg.Route[h] = core.Hop{Switch: route[h].Switch, In: 7, Out: 0}
+				}
+				if _, err := f.Connect(testCtx(t), bg); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := n.Setup(context.Background(), bg); err != nil {
+					t.Fatal(err)
+				}
+				if tc.prepare != nil {
+					tc.prepare(t, f.net)
+					tc.prepare(t, n)
+				}
+				req := probe
+				req.Route = route
+				req.DelayBound = tc.delay
+				got, gotErr := f.Connect(testCtx(t), req)
+				want, wantErr := n.Setup(context.Background(), req)
 
-	n := core.NewNetwork(core.HardCDV{})
-	for i := 0; i < 3; i++ {
-		if _, err := n.AddSwitch(core.SwitchConfig{Name: fmt.Sprintf("sw%d", i), QueueCells: queues}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Load both with an identical background connection.
-	bg := core.ConnRequest{ID: "bg", Spec: traffic.VBR(0.5, 0.1, 8), Priority: 1,
-		Route: func() core.Route {
-			r := make(core.Route, len(route))
-			copy(r, route)
-			for h := range r {
-				r[h].In = 7
-			}
-			return r
-		}()}
-	if _, err := f.Connect(testCtx(t), bg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Setup(context.Background(), bg); err != nil {
-		t.Fatal(err)
-	}
-	probe := core.ConnRequest{ID: "probe", Spec: traffic.VBR(0.3, 0.05, 4), Priority: 1, Route: route}
-	got, err := f.Connect(testCtx(t), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := n.Setup(context.Background(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.EndToEndComputed-want.EndToEndComputed) > 1e-9 {
-		t.Errorf("signaling computed %g, sequential computed %g",
-			got.EndToEndComputed, want.EndToEndComputed)
-	}
-	for h := range want.PerHopComputed {
-		if math.Abs(got.PerHopComputed[h]-want.PerHopComputed[h]) > 1e-9 {
-			t.Errorf("hop %d: signaling %g vs sequential %g",
-				h, got.PerHopComputed[h], want.PerHopComputed[h])
+				if code := core.ErrorCode(wantErr); code != tc.wantCode {
+					t.Fatalf("sequential outcome %q (%v), want %q", code, wantErr, tc.wantCode)
+				}
+				if gc, wc := core.ErrorCode(gotErr), core.ErrorCode(wantErr); gc != wc {
+					t.Fatalf("signaling code %q (%v), sequential code %q (%v)", gc, gotErr, wc, wantErr)
+				}
+				if wantErr != nil {
+					if gotErr.Error() != wantErr.Error() {
+						t.Errorf("signaling error %q, sequential error %q", gotErr, wantErr)
+					}
+					var gotRej, wantRej *core.RejectionError
+					if errors.As(wantErr, &wantRej) != errors.As(gotErr, &gotRej) {
+						t.Fatalf("rejection detail differs: signaling %v, sequential %v", gotErr, wantErr)
+					}
+					if wantRej != nil {
+						if *gotRej != *wantRej {
+							t.Errorf("signaling rejection %+v, sequential %+v", *gotRej, *wantRej)
+						}
+						if wantRej.Switch != tc.wantAt {
+							t.Errorf("rejected at %q, want %q", wantRej.Switch, tc.wantAt)
+						}
+					}
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("signaling admission %+v, sequential %+v", *got, *want)
+				}
+			})
 		}
 	}
 }

@@ -42,7 +42,8 @@ type (
 	SignalingFabric = signaling.Fabric
 	// SignalingNode is one switching node of a fabric.
 	SignalingNode = signaling.Node
-	// SignalingResult is the outcome of a completed distributed setup.
+	// SignalingResult is the outcome of a completed distributed setup:
+	// the same Admission that Network.Setup returns.
 	SignalingResult = signaling.Result
 )
 
