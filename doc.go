@@ -43,18 +43,19 @@
 // # Concurrency
 //
 // All CAC types are safe for concurrent use. A switch keeps the paper's
-// Sia/Sif/Soa/Sof aggregates per port as immutable, persistent cells and
-// publishes them through an atomic pointer: queries never block and find
-// the streams they need already summed. There is one writer per switch: Admit
-// holds the switch's lock while it path-copies the one cell it touches,
+// Sia/Sif/Soa/Sof aggregates per port as immutable cells and publishes
+// them through an atomic pointer: queries never block and find the streams
+// they need already summed. There is one writer per switch: Admit holds the
+// switch's lock while it copies the one cell it touches,
 // evaluates the Algorithm 4.1 bounds on that successor state and publishes
 // it, so a connection is only ever committed against the exact state its
 // bounds were computed on, and concurrent setups on a Network yield the
 // same admit/reject decisions as some serial ordering of the same requests
 // — the hard real-time guarantees of admitted connections are never
-// weakened by races. The order in which a cell's streams are accumulated
-// is fixed by the set of connection IDs in it, so two switches carrying
-// the same connections hold bit-identical state however they got there.
+// weakened by races. Admit adds a connection's stream to its cell's Sia
+// and release subtracts it, as the paper does; every rate lies on a 2⁻³²
+// grid where that arithmetic is exact, so two switches carrying the same
+// connections hold bit-identical state however they got there.
 // Setups on disjoint routes proceed in parallel without shared locks.
 // See DESIGN.md §4a for the locking model. Connection IDs containing NUL
 // bytes are reserved for internal signaling probes.

@@ -86,44 +86,33 @@ func Sum(streams ...Stream) Stream {
 }
 
 // Sub implements Algorithm 3.3 (bit stream demultiplexing): removing a
-// component stream b from an aggregate a yields r(t) = ra(t) - rb(t).
-// Sub returns ErrNotComponent if b was not a component of a (the difference
-// would be negative or rate-increasing beyond tolerance); |rate| <= Eps
-// noise is clamped to zero.
+// component stream b from an aggregate a yields r(t) = ra(t) - rb(t),
+// exactly below the package's ceiling. A negative or rising difference
+// means b was not a component of a: Sub returns ErrNotComponent and clamps
+// nothing. Like Sum, it merges its inputs' breakpoints with two cursors and
+// allocates only its output.
 func Sub(a, b Stream) (Stream, error) {
 	if b.IsZero() {
 		return a, nil
 	}
-	points := mergedBreakpoints(a, b)
-	segs := make([]Segment, 0, len(points))
-	ia, ib := -1, -1
-	for _, t := range points {
-		for ia+1 < len(a.segs) && a.segs[ia+1].Start <= t {
-			ia++
+	if a.IsZero() {
+		return Stream{}, fmt.Errorf("%w: %v from the empty stream", ErrNotComponent, b)
+	}
+	ca, cb := cursor{segs: a.segs}, cursor{segs: b.segs}
+	ca.seek(0)
+	cb.seek(0)
+	segs := make([]Segment, 0, len(a.segs)+len(b.segs))
+	for t := 0.0; !math.IsInf(t, 1); t = min(ca.next, cb.next) {
+		if ca.next <= t {
+			ca.seek(ca.i + 1)
 		}
-		for ib+1 < len(b.segs) && b.segs[ib+1].Start <= t {
-			ib++
+		if cb.next <= t {
+			cb.seek(cb.i + 1)
 		}
-		ra, rb := 0.0, 0.0
-		if ia >= 0 {
-			ra = a.segs[ia].Rate
-		}
-		if ib >= 0 {
-			rb = b.segs[ib].Rate
-		}
-		r := ra - rb
-		if r < 0 {
-			if r < -Eps {
-				return Stream{}, fmt.Errorf("%w: rate %g at t=%g", ErrNotComponent, r, t)
-			}
-			r = 0
-		}
-		if n := len(segs); n > 0 && r > segs[n-1].Rate {
-			if r > segs[n-1].Rate+Eps {
-				return Stream{}, fmt.Errorf("%w: rate increases from %g to %g at t=%g",
-					ErrNotComponent, segs[n-1].Rate, r, t)
-			}
-			r = segs[n-1].Rate
+		r := ca.rate - cb.rate
+		if n := len(segs); r < 0 || n > 0 && r > segs[n-1].Rate {
+			return Stream{}, fmt.Errorf("%w: the difference turns negative or rises, to rate %g at t=%g",
+				ErrNotComponent, r, t)
 		}
 		segs = append(segs, Segment{Start: t, Rate: r})
 	}

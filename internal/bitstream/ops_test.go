@@ -59,18 +59,18 @@ func TestDelayedHandComputed(t *testing.T) {
 }
 
 // TestDelayedVBRHandComputed delays a full VBR envelope past its burst.
-// S = {(1,0),(0.5,1),(0.1,9)} (PCR=0.5, SCR=0.1, MBS=5), CDV=20.
-// AREA1 = A(20) = 1 + 0.5*8 + 0.1*11 = 6.1. t' solves A(t') = t'-20 in the
-// tail: 5 + 0.1(t'-9) = t'-20 -> 0.9 t' = 24.1 -> t' = 26.777...
-// S' = {(1,0),(0.1, t'-20)}.
+// S = {(1,0),(0.5,1),(q,9)} (PCR=0.5, SCR=0.1, MBS=5), where q is 0.1 on
+// the rate grid, CDV=20. AREA1 = A(20) = 1 + 0.5*8 + 11q. t' solves
+// A(t') = t'-20 in the tail: 5 + q(t'-9) = t'-20 -> t' = (25-9q)/(1-q),
+// 26.777... S' = {(1,0),(q, t'-20)}.
 func TestDelayedVBRHandComputed(t *testing.T) {
 	s := MustNew([]Segment{{0, 1}, {1, 0.5}, {9, 0.1}})
 	got, err := s.Delayed(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tPrime := 24.1 / 0.9
-	want := MustNew([]Segment{{0, 1}, {tPrime - 20, 0.1}})
+	tPrime := (25 - 9*tenthOnGrid) / (1 - tenthOnGrid)
+	want := MustNew([]Segment{{0, 1}, {tPrime - 20, tenthOnGrid}})
 	if !got.Equal(want, 1e-9) {
 		t.Fatalf("Delayed(20) = %v, want %v", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -196,7 +197,8 @@ func TestPropFilteredIdempotent(t *testing.T) {
 	}
 }
 
-// TestPropAddSubRoundTrip: demultiplexing recovers a multiplexed component.
+// TestPropAddSubRoundTrip: demultiplexing recovers a multiplexed component
+// exactly, segment for segment.
 func TestPropAddSubRoundTrip(t *testing.T) {
 	f := func(p1, p2 vbrParams) bool {
 		a, b := p1.stream(t), p2.stream(t)
@@ -209,10 +211,77 @@ func TestPropAddSubRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return gotA.Equal(a, 1e-9) && gotB.Equal(b, 1e-9)
+		return slices.Equal(gotA.Segments(), a.Segments()) && slices.Equal(gotB.Segments(), b.Segments())
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
+	}
+}
+
+// algebraTrials is how many random member sets the exact-algebra oracles
+// below draw.
+const algebraTrials = 300
+
+// cellStreams draws 2-61 delayed VBR envelopes: the members of one cell of
+// the CAC state.
+func cellStreams(t *testing.T, r *rand.Rand) []Stream {
+	t.Helper()
+	xs := make([]Stream, 2+r.Intn(60))
+	for i := range xs {
+		p := vbrParams{}.Generate(r, 0).Interface().(vbrParams)
+		d, err := p.stream(t).Delayed(64 * r.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[i] = d
+	}
+	return xs
+}
+
+// TestPropSumOrderIndependent: on the rate grid every addition is exact, so
+// Sum over a shuffled order and a left fold of Add over it both hold the
+// segments of Sum in the original order, compared with ==.
+func TestPropSumOrderIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	shuffledBad, foldBad := 0, 0
+	for trial := 0; trial < algebraTrials; trial++ {
+		xs := cellStreams(t, r)
+		want := Sum(xs...).Segments()
+		r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		if !slices.Equal(Sum(xs...).Segments(), want) {
+			shuffledBad++
+		}
+		fold := Zero()
+		for _, x := range xs {
+			fold = Add(fold, x)
+		}
+		if !slices.Equal(fold.Segments(), want) {
+			foldBad++
+		}
+	}
+	if shuffledBad > 0 || foldBad > 0 {
+		t.Errorf("of %d member sets, %d differ from Sum when summed shuffled and %d when folded by Add",
+			algebraTrials, shuffledBad, foldBad)
+	}
+}
+
+// TestPropSubInvertsSum: demultiplexing is the exact inverse of
+// multiplexing, Sub(Sum(xs), x) == Sum(xs without x) segment for segment —
+// what lets a cell's Sia be updated by Algorithm 3.3 on release.
+func TestPropSubInvertsSum(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	bad := 0
+	for trial := 0; trial < algebraTrials; trial++ {
+		xs := cellStreams(t, r)
+		i := r.Intn(len(xs))
+		got, err := Sub(Sum(xs...), xs[i])
+		rest := Sum(slices.Delete(slices.Clone(xs), i, i+1)...)
+		if err != nil || !slices.Equal(got.Segments(), rest.Segments()) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d/%d member sets: Sub(Sum(xs), x) differs from Sum(xs without x)", bad, algebraTrials)
 	}
 }
 

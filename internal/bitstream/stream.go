@@ -25,11 +25,18 @@
 //     static-priority FIFO queueing point.
 //   - MaxBacklog: the companion buffer bound (AREA1 of the paper's Figure 7).
 //
+// Every rate is rounded up to a multiple of 2⁻³² where it is made, which
+// only widens an envelope, so every bound stays sound. Sums and differences
+// of such rates are exact below a ceiling of 2²¹ link rates (2²¹·2³² = 2⁵³):
+// there Sum does not depend on the order of its arguments and
+// Sub(Sum(xs...), x) is exactly the Sum of the rest. An aggregate kept up to
+// date by Add and Sub, as the paper's CAC state is, must stay under it.
+//
 // Admission re-runs Algorithms 3.1, 3.2 and 3.4 on every setup, so each
-// operation that builds a stream allocates its segments once: Sum is one
-// k-way merge over its inputs' breakpoints, which are already sorted, and
-// the constructors hand the slice they build to the same validation New
-// runs instead of having New copy it.
+// operation that builds a stream allocates its segments once: Sum and Sub
+// merge their inputs' breakpoints, which are already sorted, and the
+// constructors hand the slice they build to the same validation New runs
+// instead of having New copy it.
 package bitstream
 
 import (
@@ -40,15 +47,19 @@ import (
 	"strings"
 )
 
-// Eps is the numerical tolerance used when comparing rates and times.
-// Streams are manipulated with exact float64 arithmetic on breakpoints, so a
-// small tolerance is sufficient to absorb rounding in derived quantities.
+// Eps is the numerical tolerance for times, the crossing points of
+// Algorithms 3.1, 3.4 and 4.1, and checks of a rate against the link rate.
+// Rates are compared exactly.
 const Eps = 1e-9
 
-// mergeEps is the tolerance below which adjacent segments with equal rates
-// are merged during canonicalization. It is tighter than Eps so that merging
-// never hides a genuine rate step.
-const mergeEps = 1e-12
+// onGrid rounds a rate up to the next multiple of 2⁻³². A rate of 2²¹ or
+// more is one already; a rate that is not positive is left for validation.
+func onGrid(r float64) float64 {
+	if r > 0 && r < 1<<21 {
+		return math.Ceil(r*0x1p32) / 0x1p32
+	}
+	return r
+}
 
 var (
 	// ErrInvalidStream reports a stream that violates the bit-stream model
@@ -90,16 +101,16 @@ type Stream struct {
 
 // New validates and canonicalizes segs into a Stream. The segments must start
 // at time 0, have strictly increasing start times, finite non-negative rates,
-// and non-increasing rates. Adjacent segments with equal rates are merged.
-// New does not retain segs.
+// and non-increasing rates once rounded up to the rate grid. Adjacent
+// segments with equal rates are merged. New does not retain segs.
 func New(segs []Segment) (Stream, error) {
 	return own(slices.Clone(segs))
 }
 
-// own is New for a slice the caller hands over: it validates segs, merges
-// equal rates in place, and the Stream it returns keeps segs' array. Every
-// constructor builds a fresh slice and passes it here, so each stream costs
-// one allocation.
+// own is New for a slice the caller hands over: it rounds the rates up to
+// the grid, validates segs, merges equal rates in place, and the Stream it
+// returns keeps segs' array. Every constructor builds a fresh slice and
+// passes it here, so each stream costs one allocation.
 func own(segs []Segment) (Stream, error) {
 	if len(segs) == 0 {
 		return Stream{}, nil
@@ -107,7 +118,9 @@ func own(segs []Segment) (Stream, error) {
 	if segs[0].Start != 0 {
 		return Stream{}, fmt.Errorf("%w: first segment starts at %g, want 0", ErrInvalidStream, segs[0].Start)
 	}
-	for i, sg := range segs {
+	for i := range segs {
+		segs[i].Rate = onGrid(segs[i].Rate)
+		sg := segs[i]
 		if math.IsNaN(sg.Rate) || math.IsInf(sg.Rate, 0) || sg.Rate < 0 {
 			return Stream{}, fmt.Errorf("%w: segment %d has rate %g", ErrInvalidStream, i, sg.Rate)
 		}
@@ -119,7 +132,7 @@ func own(segs []Segment) (Stream, error) {
 				return Stream{}, fmt.Errorf("%w: segment %d start %g <= previous start %g",
 					ErrInvalidStream, i, sg.Start, segs[i-1].Start)
 			}
-			if sg.Rate > segs[i-1].Rate+mergeEps {
+			if sg.Rate > segs[i-1].Rate {
 				return Stream{}, fmt.Errorf("%w: segment %d rate %g > previous rate %g (must be non-increasing)",
 					ErrInvalidStream, i, sg.Rate, segs[i-1].Rate)
 			}
@@ -127,7 +140,7 @@ func own(segs []Segment) (Stream, error) {
 	}
 	out := segs[:0]
 	for _, sg := range segs {
-		if n := len(out); n > 0 && math.Abs(out[n-1].Rate-sg.Rate) <= mergeEps {
+		if n := len(out); n > 0 && out[n-1].Rate == sg.Rate {
 			continue // same rate: extend previous segment
 		}
 		out = append(out, sg)
@@ -149,12 +162,13 @@ func MustNew(segs []Segment) Stream {
 	return s
 }
 
-// Constant returns the stream with constant rate r (>= 0).
+// Constant returns the stream with constant rate r (>= 0), rounded up to
+// the rate grid.
 func Constant(r float64) Stream {
 	if r == 0 {
 		return Stream{}
 	}
-	return Stream{segs: []Segment{{Start: 0, Rate: r}}}
+	return Stream{segs: []Segment{{Start: 0, Rate: onGrid(r)}}}
 }
 
 // Zero returns the empty stream (rate 0 everywhere).

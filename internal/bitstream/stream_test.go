@@ -160,13 +160,16 @@ func TestFromVBRErrors(t *testing.T) {
 	}
 }
 
+// tenthOnGrid is 0.1 rounded up to the 2⁻³² rate grid: 429496730·2⁻³².
+const tenthOnGrid = 0x1.999999ap-4
+
 func TestRateAt(t *testing.T) {
 	s := MustNew([]Segment{{0, 1}, {1, 0.5}, {21, 0.1}})
 	tests := []struct {
 		at   float64
 		want float64
 	}{
-		{-1, 0}, {0, 1}, {0.5, 1}, {1, 0.5}, {20.999, 0.5}, {21, 0.1}, {1e9, 0.1},
+		{-1, 0}, {0, 1}, {0.5, 1}, {1, 0.5}, {20.999, 0.5}, {21, tenthOnGrid}, {1e9, tenthOnGrid},
 	}
 	for _, tt := range tests {
 		if got := s.RateAt(tt.at); got != tt.want {
@@ -181,7 +184,7 @@ func TestCumAt(t *testing.T) {
 		at   float64
 		want float64
 	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 1.5}, {21, 11}, {31, 12},
+		{-5, 0}, {0, 0}, {1, 1}, {2, 1.5}, {21, 11}, {31, 11 + 10*tenthOnGrid},
 	}
 	for _, tt := range tests {
 		if got := s.CumAt(tt.at); math.Abs(got-tt.want) > 1e-12 {
@@ -195,8 +198,8 @@ func TestPeakAndTailRate(t *testing.T) {
 	if got := s.PeakRate(); got != 1 {
 		t.Errorf("PeakRate = %g, want 1", got)
 	}
-	if got := s.TailRate(); got != 0.1 {
-		t.Errorf("TailRate = %g, want 0.1", got)
+	if got := s.TailRate(); got != tenthOnGrid {
+		t.Errorf("TailRate = %v, want %v", got, tenthOnGrid)
 	}
 	if got := Zero().PeakRate(); got != 0 {
 		t.Errorf("Zero().PeakRate = %g, want 0", got)
@@ -410,7 +413,7 @@ func TestInvCum(t *testing.T) {
 		cells float64
 		want  float64
 	}{
-		{0, 0}, {0.5, 0.5}, {1, 1}, {1.5, 2}, {11, 21}, {12, 31},
+		{0, 0}, {0.5, 0.5}, {1, 1}, {1.5, 2}, {11, 21}, {12, 21 + 1/tenthOnGrid},
 	}
 	for _, tt := range tests {
 		got, ok := s.InvCum(tt.cells)

@@ -139,12 +139,13 @@ func TestSumParityPermutations(t *testing.T) {
 }
 
 // Palettes for fuzzStreams: few distinct steps, so inputs share breakpoints
-// and near-breakpoints; rate drops from zero to a few mergeEps, so sums meet
-// New's merge of near-equal rates.
+// and near-breakpoints; rate drops from zero to a few steps of the 2⁻³² rate
+// grid, so inputs meet New's rounding up to the grid and its merge of equal
+// rates.
 var (
 	fuzzRates = []float64{1, 0.9, 0.5, 1.0 / 3, 0.3, 0.2, 0.1, 0.0004, 1e-5}
 	fuzzSteps = []float64{1, 0.5, 2, 1.0 / 3, 7, 4096, 1e-9}
-	fuzzDrops = []float64{0, mergeEps / 2, mergeEps, 2 * mergeEps, 3 * mergeEps, 1e-9, 0.01, 0.1, 0.25}
+	fuzzDrops = []float64{0, 0x1p-33, 0x1p-32, 0x1p-31, 3 * 0x1p-32, 1e-9, 0.01, 0.1, 0.25}
 )
 
 // fuzzStreams decodes data into at most 40 canonical streams, zero streams

@@ -9,19 +9,22 @@ import (
 )
 
 // admitResidentAllocs is what one Admit + Release costs on the switch
-// below: the path-copied tree nodes of the ConnID index and of the cell's
-// envelope tree, the port and link slices, one stream per re-summed node,
-// and the HopResult. The sort-based Algorithm 3.2 kernel cost 129.
-const admitResidentAllocs = 57
+// below: the path-copied nodes of the ConnID index, the port, link and
+// cell slices, one stream each for the cell's Sia, its Sif, the link's
+// higher-priority share and the port's Soa and Sof, and the HopResult. Only
+// the index path depends on the number of residents, and none of it on how
+// many connections a cell holds.
+const admitResidentAllocs = 38
 
-// TestAdmitResidentAllocs pins the allocations of admission on a switch
-// shaped like a loaded ring node (the root BenchmarkAdmitResident at 1k):
-// one output port fed by 16 incoming links at two priorities, five CDV
-// classes per cell.
-func TestAdmitResidentAllocs(t *testing.T) {
+// admitResidentCost installs n residents on a switch shaped like a loaded
+// ring node (the root BenchmarkAdmitResident): one output port fed by 16
+// incoming links at two priorities, five CDV classes per cell. It returns
+// the allocations of one Admit + Release of a probe on that switch.
+func admitResidentCost(t *testing.T, n int) float64 {
+	t.Helper()
 	sw := newTestSwitch(t, map[Priority]float64{1: 1e6, 2: 2e6})
 	spec := traffic.VBR(0.0004, 0.00001, 4)
-	for i := 0; i < 1<<10; i++ {
+	for i := 0; i < n; i++ {
 		if err := sw.Install(HopRequest{
 			Conn: ConnID(fmt.Sprintf("r%06d", i)), Spec: spec,
 			In: PortID(i % 16), Out: 0,
@@ -31,7 +34,7 @@ func TestAdmitResidentAllocs(t *testing.T) {
 		}
 	}
 	probe := HopRequest{Conn: "probe", Spec: spec, In: 5, Out: 0, Priority: 1, CDV: 8192}
-	got := testing.AllocsPerRun(50, func() {
+	return testing.AllocsPerRun(50, func() {
 		if _, err := sw.Admit(probe); err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +42,25 @@ func TestAdmitResidentAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > admitResidentAllocs {
+}
+
+// TestAdmitResidentAllocs pins the allocations of admission at 1k
+// residents.
+func TestAdmitResidentAllocs(t *testing.T) {
+	if got := admitResidentCost(t, 1<<10); got > admitResidentAllocs {
 		t.Errorf("Admit + Release: %v allocations, want <= %d", got, admitResidentAllocs)
 	}
+}
+
+// TestAdmitResidentAllocsFlat: sixteen times the residents may deepen the
+// ConnID index by a few nodes and cost nothing else, because a cell's Sia
+// is one stream updated in place of its members.
+func TestAdmitResidentAllocsFlat(t *testing.T) {
+	small, large := admitResidentCost(t, 1<<10), admitResidentCost(t, 1<<14)
+	if large > small+4 {
+		t.Errorf("Admit + Release: %v allocations at 16k residents, %v at 1k; want at most 4 more", large, small)
+	}
+	t.Logf("Admit + Release: %v allocations at 1k residents, %v at 16k", small, large)
 }
 
 // Allocations of one network-level setup or install plus its teardown on

@@ -59,8 +59,8 @@ func historyRequest(rng *rand.Rand, id ConnID) ConnRequest {
 // lock-free readers run against it; what survives is then loaded into a
 // fresh network by Install in ID order, and into another by Setup from a
 // JSON round trip in the shape the wire state file stores. All three must
-// hold the same tree nodes, the same envelope segments and the same bounds,
-// compared with ==.
+// hold the same index nodes, the same Sia, Sif, Soa and Sof segments and the
+// same bounds, compared with ==.
 func TestHistoryIndependence(t *testing.T) {
 	churned := historyNetwork(t)
 	routes := []Route{
@@ -262,9 +262,9 @@ func sameStream(t *testing.T, what string, a, b bitstream.Stream) {
 	}
 }
 
-// sameTree compares two trees node by node: keys, ranks, shape, aggregates,
-// and the values through eq.
-func sameTree[V summand](t *testing.T, what string, a, b *node[V], eq func(what string, a, b V)) {
+// sameTree compares two index trees node by node: keys, ranks, shape, and
+// the values through eq.
+func sameTree(t *testing.T, what string, a, b *node, eq func(what string, a, b hops)) {
 	t.Helper()
 	if a == nil || b == nil {
 		if a != b {
@@ -277,7 +277,6 @@ func sameTree[V summand](t *testing.T, what string, a, b *node[V], eq func(what 
 		return
 	}
 	what += "/" + string(a.key)
-	sameStream(t, what+" sum", a.sum, b.sum)
 	eq(what, a.val, b.val)
 	sameTree(t, what, a.left, b.left, eq)
 	sameTree(t, what, a.right, b.right, eq)
@@ -324,9 +323,7 @@ func sameState(t *testing.T, what string, a, b *switchState) {
 				where := fmt.Sprintf("%s cell(out %d, in %d, prio#%d)", what, pa.out, la.in, k)
 				sameStream(t, where+" Sif", la.cells[k].sif, lb.cells[k].sif)
 				sameStream(t, where+" higher", la.cells[k].higher, lb.cells[k].higher)
-				sameTree(t, where, la.cells[k].sia, lb.cells[k].sia, func(what string, ea, eb envelope) {
-					sameStream(t, what+" arrival", bitstream.Stream(ea), bitstream.Stream(eb))
-				})
+				sameStream(t, where+" Sia", la.cells[k].sia, lb.cells[k].sia)
 			}
 		}
 	}
@@ -337,12 +334,12 @@ func sameState(t *testing.T, what string, a, b *switchState) {
 // spread well enough to keep the tree logarithmic.
 func TestTreeStaysShallow(t *testing.T) {
 	const n = 1 << 16
-	var root *node[hops]
+	var root *node
 	for i := 0; i < n; i++ {
 		root = root.insert(ConnID(fmt.Sprintf("conn-%d", i)), nil)
 	}
-	var depth func(*node[hops]) int
-	depth = func(t *node[hops]) int {
+	var depth func(*node) int
+	depth = func(t *node) int {
 		if t == nil {
 			return 0
 		}

@@ -61,8 +61,8 @@ func admitAll(t *testing.T, set randomConnSet, order []int, queue float64) (*Swi
 
 // TestPropAdmissionOrderIndependent: with fixed per-switch bounds, the
 // final computed bound of a fully-admitted set does not depend on the
-// admission order — the property that justifies offline planning. The
-// cells sum in an order fixed by the member set, so "does not depend" is ==.
+// admission order — the property that justifies offline planning. A
+// cell's Sia is summed exactly on the rate grid, so "does not depend" is ==.
 func TestPropAdmissionOrderIndependent(t *testing.T) {
 	f := func(set randomConnSet, seed int64) bool {
 		order := make([]int, len(set.Specs))

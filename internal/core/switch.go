@@ -157,13 +157,15 @@ type HopResult struct {
 // for concurrent use.
 //
 // Concurrency model: the admitted set lives in an immutable switchState —
-// the paper's Sia/Sif/Soa/Sof kept per port as persistent cells — published
+// the paper's Sia/Sif/Soa/Sof kept per port as immutable cells — published
 // through an atomic pointer. Readers (bound queries, envelopes, audits,
 // Check) load it and never block. Writers (Admit, Install, Release, Rename)
-// take mu for check + commit: one writer per switch path-copies the cell it
-// touches, re-sums that port, shares the rest and publishes the successor.
-// Aggregates are summed in an order fixed by the member set (see node), so
-// switches holding the same connections hold bit-identical state.
+// take mu for check + commit: one writer per switch copies the cell it
+// touches, adds the hop's arrival to that cell's Sia (Algorithm 3.2) or
+// subtracts it (Algorithm 3.3), re-sums that port, shares the rest and
+// publishes the successor. Rates lie on the bitstream rate grid, where
+// both updates are exact, so switches holding the same connections hold
+// bit-identical state whatever history built it.
 //
 // A connection may traverse the same switch more than once — a wrapped
 // RTnet ring routes traffic through each node in both directions — so a
@@ -181,9 +183,9 @@ type Switch struct {
 // switchState is one immutable version of a switch's admitted set; nothing
 // reachable from it is written after publication.
 type switchState struct {
-	index *node[hops] // ConnID -> hop entries; an index, so no aggregate
-	conns int         // keys in index
-	ports []outPort   // ascending out; only ports carrying connections
+	index *node     // ConnID -> hop entries
+	conns int       // keys in index
+	ports []outPort // ascending out; only ports carrying connections
 }
 
 // entry is one hop of an admitted connection: its cell and its envelope.
@@ -193,18 +195,8 @@ type entry struct {
 	arrival bitstream.Stream // worst-case arrival after upstream CDV
 }
 
-// hops is the index's value; it aggregates nothing.
+// hops is the index's value.
 type hops []entry
-
-func (hops) sumWith(_, _ bitstream.Stream) bitstream.Stream { return bitstream.Stream{} }
-
-// envelope is a cell member's arrival stream, multiplexed (Algorithm 3.2)
-// with its neighbours' in key order.
-type envelope bitstream.Stream
-
-func (e envelope) sumWith(left, right bitstream.Stream) bitstream.Stream {
-	return bitstream.Sum(left, bitstream.Stream(e), right)
-}
 
 // outPort is the state of one output port j.
 type outPort struct {
@@ -227,15 +219,20 @@ type inLink struct {
 	cells []cell // per priority index
 }
 
-// cell is the paper's per-(in, out, priority) state: Sia(i,j,p) is the sum
-// at the root of sia, sif is Sia filtered by the incoming link, and higher
-// is the link's more urgent traffic, summed and filtered by the incoming
-// link: its share of Sof(j)(p).
+// cell is the paper's per-(in, out, priority) state: sia is Sia(i,j,p),
+// the sum of its members' arrivals, sif is Sia filtered by the incoming
+// link, and higher is the link's more urgent traffic, summed and filtered
+// by the incoming link: its share of Sof(j)(p).
 type cell struct {
-	sia    *node[envelope]
+	sia    bitstream.Stream
 	sif    bitstream.Stream
 	higher bitstream.Stream
 }
+
+// maxCellMembers is the exactness ceiling: a cell's Sia stays exact while
+// its peak rate is below 2²¹ link rates, and every arrival starts at the
+// link rate 1, so the peak is the member count.
+const maxCellMembers = 1 << 21
 
 // NewSwitch returns a switch with the given queue configuration.
 func NewSwitch(cfg SwitchConfig) (*Switch, error) {
@@ -351,8 +348,7 @@ func (sw *Switch) Install(req HopRequest) error {
 // switch (a wrapped route may have several).
 func (sw *Switch) Release(id ConnID) error {
 	return sw.commit(func(st *switchState) (*switchState, error) {
-		next, _, err := sw.drop(st, id)
-		return next, err
+		return sw.drop(st, id)
 	})
 }
 
@@ -366,18 +362,16 @@ func (sw *Switch) Rename(old, new ConnID) error {
 	if old == new {
 		return nil
 	}
+	// The cells hold no IDs, so only the index changes.
 	return sw.commit(func(st *switchState) (*switchState, error) {
-		next, hs, err := sw.drop(st, old)
-		if err != nil {
-			return nil, err
+		hs, ok := st.index.get(old)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, old, sw.cfg.Name)
 		}
-		if _, ok := next.index.get(new); ok {
+		if _, ok := st.index.get(new); ok {
 			return nil, fmt.Errorf("%w: %q at switch %q", ErrDuplicateConn, new, sw.cfg.Name)
 		}
-		for _, e := range hs {
-			next = sw.extend(next, new, e)
-		}
-		return next, nil
+		return &switchState{index: st.index.remove(old).insert(new, hs), conns: st.conns, ports: st.ports}, nil
 	})
 }
 
@@ -424,31 +418,34 @@ func (sw *Switch) propose(st *switchState, req HopRequest) (*switchState, entry,
 		}
 	}
 	e := entry{in: req.In, out: req.Out, prio: k, arrival: arr}
-	return sw.extend(st, req.Conn, e), e, nil
-}
-
-// extend returns the successor of st with hop e of connection id added.
-func (sw *Switch) extend(st *switchState, id ConnID, e entry) *switchState {
-	next := &switchState{index: st.index, conns: st.conns + 1, ports: sw.editCell(st.ports, id, e, true)}
-	hs, known := st.index.get(id)
-	if known {
-		next.index, next.conns = st.index.remove(id), st.conns
+	ports, err := sw.editCell(st.ports, e, true)
+	if err != nil {
+		return nil, entry{}, err
 	}
-	next.index = next.index.insert(id, append(slices.Clip(hs), e))
-	return next
+	next := &switchState{index: st.index, conns: st.conns + 1, ports: ports}
+	if len(hs) > 0 {
+		next.index, next.conns = st.index.remove(req.Conn), st.conns
+	}
+	next.index = next.index.insert(req.Conn, append(slices.Clip(hs), e))
+	return next, e, nil
 }
 
-// drop returns the successor of st without connection id, and its entries.
-func (sw *Switch) drop(st *switchState, id ConnID) (*switchState, hops, error) {
+// drop returns the successor of st without connection id. Its error, other
+// than an unknown id, is a cell whose Sia did not hold the connection's
+// arrival: corrupted state, which is never published.
+func (sw *Switch) drop(st *switchState, id ConnID) (*switchState, error) {
 	hs, ok := st.index.get(id)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
+		return nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
 	}
 	next := &switchState{index: st.index.remove(id), conns: st.conns - 1, ports: st.ports}
 	for _, e := range hs {
-		next.ports = sw.editCell(next.ports, id, e, false)
+		var err error
+		if next.ports, err = sw.editCell(next.ports, e, false); err != nil {
+			return nil, fmt.Errorf("core: releasing %q at switch %q: %w", id, sw.cfg.Name, err)
+		}
 	}
-	return next, hs, nil
+	return next, nil
 }
 
 // editCell gathers the streams it re-sums by appending into stack arrays of
@@ -460,14 +457,16 @@ const (
 	stackLinks = 18
 )
 
-// editCell returns a successor of ports in which connection id has joined
-// or left the Sia tree of e's cell and everything derived from that tree is
-// re-summed: the cell's Sif, the link's higher-priority shares below e's
-// priority, Soa of e's queue, and Sof of the lower-priority queues only.
-// One port, one link and one tree path are copied; the rest is shared. A
-// link or port left without connections is dropped, so the result is a
-// function of the member set.
-func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []outPort {
+// editCell returns a successor of ports in which hop e has joined e's cell,
+// its arrival added to Sia (Algorithm 3.2), or left it, its arrival
+// subtracted (Algorithm 3.3, the paper's §4.3 update), and everything
+// derived from Sia is re-summed: the cell's Sif, the link's higher-priority
+// shares below e's priority, Soa of e's queue, and Sof of the lower-priority
+// queues only. One port and one link are copied; the rest is shared. A link
+// or port left without connections is dropped, so the result is a function
+// of the member set. A join that would take the cell to maxCellMembers is
+// refused before any sum.
+func (sw *Switch) editCell(ports []outPort, e entry, join bool) ([]outPort, error) {
 	nprio, k := len(sw.prios), e.prio
 	pi, ok := slices.BinarySearchFunc(ports, e.out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
 	ports = slices.Clone(ports)
@@ -485,13 +484,21 @@ func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []out
 	port.links[li].cells = cells
 
 	if join {
-		cells[k].sia = cells[k].sia.insert(id, envelope(e.arrival))
+		if cells[k].sia.PeakRate()+e.arrival.PeakRate() >= maxCellMembers {
+			return nil, fmt.Errorf("%w: cell (in %d, out %d, priority %d) at switch %q would reach %d connections, past exact rate arithmetic",
+				ErrBadConfig, e.in, e.out, sw.prios[k], sw.cfg.Name, maxCellMembers)
+		}
+		cells[k].sia = bitstream.Sum(cells[k].sia, e.arrival)
 		port.queues[k].members++
 	} else {
-		cells[k].sia = cells[k].sia.remove(id)
+		sia, err := bitstream.Sub(cells[k].sia, e.arrival)
+		if err != nil {
+			return nil, err
+		}
+		cells[k].sia = sia
 		port.queues[k].members--
 	}
-	cells[k].sif = cells[k].sia.total().Filtered()
+	cells[k].sif = cells[k].sia.Filtered()
 	// Sia of the priorities above m, most urgent first.
 	var aboveBuf [stackPrios]bitstream.Stream
 	above := aboveBuf[:0]
@@ -500,8 +507,8 @@ func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []out
 		if m > k {
 			cells[m].higher = bitstream.Sum(above...).Filtered()
 		}
-		above = append(above, cells[m].sia.total())
-		empty = empty && cells[m].sia == nil
+		above = append(above, cells[m].sia)
+		empty = empty && cells[m].sia.IsZero()
 	}
 	if empty {
 		port.links = slices.Delete(port.links, li, li+1)
@@ -522,7 +529,7 @@ func (sw *Switch) editCell(ports []outPort, id ConnID, e entry, join bool) []out
 	if len(port.links) == 0 {
 		ports = slices.Delete(ports, pi, pi+1)
 	}
-	return ports
+	return ports, nil
 }
 
 // queue returns the queue of priority index k at an output port; a port

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"atmcac/internal/bitstream"
 	"atmcac/internal/traffic"
 )
 
@@ -442,5 +443,47 @@ func TestInstallSkipsCheck(t *testing.T) {
 	}
 	if err := sw.Install(HopRequest{Conn: "c0", Spec: traffic.CBR(0.01), In: 1, Out: 0, Priority: 1}); !errors.Is(err, ErrDuplicateConn) {
 		t.Errorf("duplicate Install error = %v, want ErrDuplicateConn", err)
+	}
+}
+
+// TestCellExactnessCeiling: a cell's Sia is exact below 2²¹ link rates and
+// its peak is its member count, so Admit and Install alike refuse, as a
+// configuration error, a hop that would take a cell to 2²¹ members. The
+// full cell is planted, not filled.
+func TestCellExactnessCeiling(t *testing.T) {
+	sw := newTestSwitch(t, map[Priority]float64{1: 1e6})
+	spec := traffic.VBR(0.01, 0.001, 4)
+	if err := sw.Install(HopRequest{Conn: "a", Spec: spec, In: 1, Out: 0, Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st := sw.state.Load()
+	st.ports[0].links[0].cells[0].sia = bitstream.Constant(maxCellMembers - 1)
+	req := HopRequest{Conn: "b", Spec: spec, In: 1, Out: 0, Priority: 1}
+	if _, err := sw.Admit(req); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("Admit into a full cell: %v, want ErrBadConfig", err)
+	}
+	if err := sw.Install(req); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("Install into a full cell: %v, want ErrBadConfig", err)
+	}
+	if sw.state.Load() != st || sw.Has("b") {
+		t.Error("a refused hop changed the published state")
+	}
+}
+
+// TestReleaseRefusesCorruptCell: a cell whose Sia does not hold a member's
+// arrival cannot be demultiplexed, so Release reports the corruption and
+// publishes nothing.
+func TestReleaseRefusesCorruptCell(t *testing.T) {
+	sw := newTestSwitch(t, map[Priority]float64{1: 1e6})
+	if err := sw.Install(HopRequest{Conn: "a", Spec: traffic.VBR(0.01, 0.001, 4), In: 1, Out: 0, Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st := sw.state.Load()
+	st.ports[0].links[0].cells[0].sia = bitstream.Zero()
+	if err := sw.Release("a"); !errors.Is(err, bitstream.ErrNotComponent) {
+		t.Errorf("Release from a corrupt cell: %v, want ErrNotComponent", err)
+	}
+	if sw.state.Load() != st || !sw.Has("a") {
+		t.Error("a failed release changed the published state")
 	}
 }

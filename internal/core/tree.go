@@ -1,30 +1,17 @@
 package core
 
-import "atmcac/internal/bitstream"
-
-// node is one member of a persistent treap keyed by ConnID; a nil *node is
-// the empty tree. Nodes are immutable: an edit copies the nodes on one
-// root-to-leaf path and shares every other subtree, so a published root can
-// be read without a lock while writers build its successors.
-//
-// A node's heap rank is a hash of its key, so the shape of the tree is a
-// function of the key set alone, whatever inserts and removes produced it.
-// Every node stores the Algorithm 3.2 sum of its subtree, always taken as
-// (left, own, right): with the shape fixed so is the order of every float
-// addition, and two trees over the same members hold bit-identical sums.
-type node[V summand] struct {
+// node is one member of the switch's ConnID -> hop entries index, a
+// persistent treap; a nil *node is the empty tree. Nodes are immutable: an
+// edit copies the nodes on one root-to-leaf path and shares every other
+// subtree, so a published root can be read without a lock while writers
+// build its successors. A node's heap rank is a hash of its key, so the
+// shape of the tree is a function of the key set alone, whatever inserts
+// and removes produced it.
+type node struct {
 	key         ConnID
 	rank        uint64
-	val         V
-	sum         bitstream.Stream
-	left, right *node[V]
-}
-
-// summand is a tree member's say in its subtree's aggregate: given the
-// aggregates of the subtrees to its left and right it returns the node's
-// own. A tree used as a plain index returns the zero stream and pays nothing.
-type summand interface {
-	sumWith(left, right bitstream.Stream) bitstream.Stream
+	val         hops
+	left, right *node
 }
 
 // rankOf hashes a key to its heap rank: FNV-1a, then the murmur3 finalizer,
@@ -43,26 +30,17 @@ func rankOf(key ConnID) uint64 {
 
 // above reports whether n belongs nearer the root than m; equal ranks fall
 // back to key order so the shape stays unique.
-func (n *node[V]) above(m *node[V]) bool {
+func (n *node) above(m *node) bool {
 	return n.rank > m.rank || n.rank == m.rank && n.key < m.key
 }
 
-// total returns the aggregate of the whole tree.
-func (n *node[V]) total() bitstream.Stream {
-	if n == nil {
-		return bitstream.Stream{}
-	}
-	return n.sum
-}
-
-// with returns a copy of n over the children l and r, re-summed.
-func (n *node[V]) with(l, r *node[V]) *node[V] {
-	return &node[V]{key: n.key, rank: n.rank, val: n.val, left: l, right: r,
-		sum: n.val.sumWith(l.total(), r.total())}
+// with returns a copy of n over the children l and r.
+func (n *node) with(l, r *node) *node {
+	return &node{key: n.key, rank: n.rank, val: n.val, left: l, right: r}
 }
 
 // get returns the value stored under key.
-func (n *node[V]) get(key ConnID) (val V, ok bool) {
+func (n *node) get(key ConnID) (val hops, ok bool) {
 	for n != nil && n.key != key {
 		if key < n.key {
 			n = n.left
@@ -77,11 +55,11 @@ func (n *node[V]) get(key ConnID) (val V, ok bool) {
 }
 
 // insert returns the tree with val stored under key, which must be absent.
-func (n *node[V]) insert(key ConnID, val V) *node[V] {
-	return n.place(&node[V]{key: key, rank: rankOf(key), val: val})
+func (n *node) insert(key ConnID, val hops) *node {
+	return n.place(&node{key: key, rank: rankOf(key), val: val})
 }
 
-func (n *node[V]) place(m *node[V]) *node[V] {
+func (n *node) place(m *node) *node {
 	switch {
 	case n == nil:
 		return m.with(nil, nil)
@@ -95,7 +73,7 @@ func (n *node[V]) place(m *node[V]) *node[V] {
 }
 
 // split partitions the tree into the keys below and above key.
-func (n *node[V]) split(key ConnID) (below, above *node[V]) {
+func (n *node) split(key ConnID) (below, above *node) {
 	if n == nil {
 		return nil, nil
 	}
@@ -107,9 +85,8 @@ func (n *node[V]) split(key ConnID) (below, above *node[V]) {
 	return below, n.with(above, n.right)
 }
 
-// remove returns the tree without key, which must be present. The path
-// above it is re-summed, not demultiplexed (Algorithm 3.3): no rounding stays.
-func (n *node[V]) remove(key ConnID) *node[V] {
+// remove returns the tree without key, which must be present.
+func (n *node) remove(key ConnID) *node {
 	switch {
 	case key == n.key:
 		return merge(n.left, n.right)
@@ -121,7 +98,7 @@ func (n *node[V]) remove(key ConnID) *node[V] {
 }
 
 // merge joins two trees, every key of l below every key of r.
-func merge[V summand](l, r *node[V]) *node[V] {
+func merge(l, r *node) *node {
 	switch {
 	case l == nil:
 		return r
