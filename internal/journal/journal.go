@@ -1,7 +1,8 @@
 // Package journal is the write-ahead admission log of the central CAC
 // server: one length-prefixed, CRC32-framed record per admission-state
-// mutation (setup, teardown, fail-link, restore-link), appended — and in
-// the strictest mode fsynced — before the operation is acknowledged.
+// mutation (setup, teardown, fail-link, restore-link, shard 2PC legs),
+// appended — and in the strictest mode fsynced — before the operation is
+// acknowledged.
 //
 // The paper's delay guarantees (Algorithm 4.1) hold only while the
 // switch's recorded admission state Sia/Sif/Soa/Sof matches the set of
@@ -9,9 +10,14 @@
 // connections a CAC server crash must neither lose an acknowledged
 // admission nor resurrect a torn-down one. The journal turns the per-op
 // persistence cost from an O(n) full snapshot into an O(1) append, and
-// recovery is: load snapshot, replay the journal records past the
-// snapshot's sequence watermark, then re-admit the resulting set through
-// the full CAC check.
+// recovery is: load snapshot, fold the journal records past the
+// snapshot's sequence watermark into it (Replay), then re-admit the
+// resulting set through the full CAC check.
+//
+// Fold is the one statement of what a record means. It folds into any
+// Target: a View — the set recovery builds, and a primary's durable view
+// that compaction snapshots — or a warm standby's live network
+// (NetworkTarget).
 //
 // Frame format, designed so a torn tail is detectable and cheap to repair:
 //
@@ -313,130 +319,4 @@ func (l *Log) AppendAll(recs []*Record) ([][]byte, error) {
 func (l *Log) AppendEntry(seq uint64, payload []byte, sync bool) error {
 	_, err := l.AppendAt(seq, payload, sync, nil)
 	return err
-}
-
-// State is a replayed admission state: the connection set in admission
-// order and the links recorded as failed. ReapedPrepares lists shard
-// transactions whose prepare record was replayed without a matching
-// commit or abort — the crash landed between prepare-append and the
-// coordinator's decision, so recovery treats the hold as expired
-// (reaped); it never becomes an admitted connection.
-type State struct {
-	Requests       []core.ConnRequest
-	FailedLinks    []core.Link
-	ReapedPrepares []string
-}
-
-// Replay folds records past the lastSeq watermark into the base state.
-// Application is idempotent per connection ID and per link, so records
-// whose effect is already present in base (a crash landed between
-// snapshot rename and journal truncation, or a compaction raced an
-// append) re-apply harmlessly.
-//
-// Shard 2PC records obey presumed abort: OpShardPrepare alone is inert
-// (the transaction is reported in ReapedPrepares), only OpShardCommit
-// admits (its embedded request makes it self-contained across
-// compaction), and OpShardAbort removes both the hold and any
-// connection a commit for the same ID produced.
-func Replay(base State, lastSeq uint64, recs []Record) State {
-	index := make(map[core.ConnID]int, len(base.Requests))
-	reqs := append([]core.ConnRequest(nil), base.Requests...)
-	for i, req := range reqs {
-		index[req.ID] = i
-	}
-	links := make(map[core.Link]struct{}, len(base.FailedLinks))
-	order := append([]core.Link(nil), base.FailedLinks...)
-	upsert := func(req core.ConnRequest) {
-		if i, ok := index[req.ID]; ok {
-			reqs[i] = req
-			return
-		}
-		index[req.ID] = len(reqs)
-		reqs = append(reqs, req)
-	}
-	remove := func(id core.ConnID) {
-		i, ok := index[id]
-		if !ok {
-			return
-		}
-		reqs = append(reqs[:i], reqs[i+1:]...)
-		delete(index, id)
-		for j := i; j < len(reqs); j++ {
-			index[reqs[j].ID] = j
-		}
-	}
-	for _, l := range order {
-		links[l] = struct{}{}
-	}
-	prepared := make(map[string]struct{})
-	var preparedOrder []string
-	resolve := func(txn string) {
-		if _, ok := prepared[txn]; !ok {
-			return
-		}
-		delete(prepared, txn)
-		for i, have := range preparedOrder {
-			if have == txn {
-				preparedOrder = append(preparedOrder[:i], preparedOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	for _, rec := range recs {
-		if rec.Seq <= lastSeq {
-			continue
-		}
-		switch rec.Op {
-		case OpSetup:
-			if rec.Request != nil {
-				upsert(*rec.Request)
-			}
-		case OpTeardown:
-			remove(rec.ID)
-		case OpFailLink:
-			for _, id := range rec.Evicted {
-				remove(id)
-			}
-			for _, req := range rec.Readmitted {
-				upsert(req)
-			}
-			l := core.Link{From: rec.From, To: rec.To}
-			if _, ok := links[l]; !ok {
-				links[l] = struct{}{}
-				order = append(order, l)
-			}
-		case OpRestoreLink:
-			l := core.Link{From: rec.From, To: rec.To}
-			if _, ok := links[l]; ok {
-				delete(links, l)
-				for i, have := range order {
-					if have == l {
-						order = append(order[:i], order[i+1:]...)
-						break
-					}
-				}
-			}
-		case OpShardPrepare:
-			// A prepared hold is capacity in flight, not admitted state:
-			// replay only tracks the transaction so recovery can report
-			// the hold as reaped if no decision follows.
-			if rec.Txn != "" {
-				if _, ok := prepared[rec.Txn]; !ok {
-					prepared[rec.Txn] = struct{}{}
-					preparedOrder = append(preparedOrder, rec.Txn)
-				}
-			}
-		case OpShardCommit:
-			resolve(rec.Txn)
-			if rec.Request != nil {
-				upsert(*rec.Request)
-			}
-		case OpShardAbort:
-			resolve(rec.Txn)
-			if rec.ID != "" {
-				remove(rec.ID)
-			}
-		}
-	}
-	return State{Requests: reqs, FailedLinks: order, ReapedPrepares: preparedOrder}
 }

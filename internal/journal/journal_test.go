@@ -385,42 +385,6 @@ func TestResetSyncFailureKeepsSizeAccurate(t *testing.T) {
 	}
 }
 
-func TestReplayWatermarkAndIdempotence(t *testing.T) {
-	a, b, c := testRequest("a"), testRequest("b"), testRequest("c")
-	base := State{Requests: []core.ConnRequest{a}}
-	recs := []Record{
-		{Seq: 1, Op: OpSetup, Request: &a}, // at watermark: skipped
-		{Seq: 2, Op: OpSetup, Request: &b},
-		{Seq: 3, Op: OpSetup, Request: &c},
-		{Seq: 4, Op: OpFailLink, From: "ring00", To: "ring01",
-			Evicted: []core.ConnID{"b"}, Readmitted: []core.ConnRequest{c}},
-		{Seq: 5, Op: OpTeardown, ID: "missing"}, // removing the unknown is a no-op
-	}
-	got := Replay(base, 1, recs)
-	ids := make([]string, 0, len(got.Requests))
-	for _, req := range got.Requests {
-		ids = append(ids, string(req.ID))
-	}
-	if strings.Join(ids, ",") != "a,c" {
-		t.Fatalf("replayed ids = %v, want [a c]", ids)
-	}
-	if len(got.FailedLinks) != 1 || got.FailedLinks[0].From != "ring00" {
-		t.Fatalf("failed links = %+v", got.FailedLinks)
-	}
-	// Replaying the same records again over the result changes nothing —
-	// the property that makes a crash between snapshot rename and journal
-	// truncation harmless.
-	again := Replay(got, 1, recs)
-	if len(again.Requests) != len(got.Requests) || len(again.FailedLinks) != len(got.FailedLinks) {
-		t.Fatalf("replay not idempotent: %+v then %+v", got, again)
-	}
-	// Restore clears the link again.
-	restored := Replay(got, 1, []Record{{Seq: 6, Op: OpRestoreLink, From: "ring00", To: "ring01"}})
-	if len(restored.FailedLinks) != 0 {
-		t.Fatalf("restore left failed links: %+v", restored.FailedLinks)
-	}
-}
-
 func TestEvidencePathCounts(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "f.corrupt")

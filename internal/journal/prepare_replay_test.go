@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,105 +13,6 @@ func prepReq(id string) *core.ConnRequest {
 	return &core.ConnRequest{
 		ID: core.ConnID(id), Spec: traffic.CBR(0.01), Priority: 1,
 		Route: core.Route{{Switch: "sw0", In: 1, Out: 0}},
-	}
-}
-
-// TestPrepareReplayTable drives Replay through every prepare/commit/abort
-// crash boundary. The invariant under test is presumed abort: a prepare
-// record with no decision after it must replay to an expired (reaped)
-// reservation — never an admitted connection — while a commit admits even
-// when compaction folded its prepare below the watermark.
-func TestPrepareReplayTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		lastSeq uint64
-		recs    []Record
-		wantIDs []core.ConnID
-		wantRps []string
-	}{
-		{
-			name: "crash between prepare-append and commit-append",
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-			},
-			wantIDs: nil,
-			wantRps: []string{"t1"},
-		},
-		{
-			name: "crash immediately after commit-append",
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-				{Seq: 2, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")},
-			},
-			wantIDs: []core.ConnID{"c1"},
-			wantRps: nil,
-		},
-		{
-			name: "crash immediately after abort-append",
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-				{Seq: 2, Op: OpShardAbort, Txn: "t1", ID: "c1"},
-			},
-			wantIDs: nil,
-			wantRps: nil,
-		},
-		{
-			name:    "commit alone (compaction folded the prepare below the watermark)",
-			lastSeq: 1,
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-				{Seq: 2, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")},
-			},
-			wantIDs: []core.ConnID{"c1"},
-			wantRps: nil,
-		},
-		{
-			name: "commit later unwound by abort",
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-				{Seq: 2, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")},
-				{Seq: 3, Op: OpShardAbort, Txn: "t1", ID: "c1"},
-			},
-			wantIDs: nil,
-			wantRps: nil,
-		},
-		{
-			name: "interleaved transactions: only the decided one admits",
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-				{Seq: 2, Op: OpShardPrepare, Txn: "t2", Request: prepReq("c2"), TTLMillis: 50},
-				{Seq: 3, Op: OpShardCommit, Txn: "t1", Request: prepReq("c1")},
-			},
-			wantIDs: []core.ConnID{"c1"},
-			wantRps: []string{"t2"},
-		},
-		{
-			name: "prepare below the watermark stays inert",
-			// The watermark covers the prepare: compaction never folds an
-			// undecided hold into the snapshot, so replay must not invent
-			// either a connection or a reap for it.
-			lastSeq: 1,
-			recs: []Record{
-				{Seq: 1, Op: OpShardPrepare, Txn: "t1", Request: prepReq("c1"), TTLMillis: 50},
-			},
-			wantIDs: nil,
-			wantRps: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := Replay(State{}, tc.lastSeq, tc.recs)
-			gotIDs := make([]core.ConnID, 0, len(st.Requests))
-			for _, r := range st.Requests {
-				gotIDs = append(gotIDs, r.ID)
-			}
-			if fmt.Sprint(gotIDs) != fmt.Sprint(append([]core.ConnID{}, tc.wantIDs...)) {
-				t.Errorf("admitted = %v, want %v", gotIDs, tc.wantIDs)
-			}
-			if fmt.Sprint(st.ReapedPrepares) != fmt.Sprint(tc.wantRps) {
-				t.Errorf("reaped prepares = %v, want %v", st.ReapedPrepares, tc.wantRps)
-			}
-		})
 	}
 }
 

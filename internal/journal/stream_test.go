@@ -7,8 +7,6 @@ import (
 	"io"
 	"path/filepath"
 	"testing"
-
-	"atmcac/internal/core"
 )
 
 // TestStreamFrameRoundTrip pins the shared frame format across the two
@@ -172,41 +170,5 @@ func TestForceNextSeqAdoptsLowerNumbering(t *testing.T) {
 	}
 	if rec.Seq != 3 {
 		t.Fatalf("append after ForceNextSeq got seq %d, want 3", rec.Seq)
-	}
-}
-
-// TestApplyToNetworkIdempotent pins the standby-replay contract: every
-// op kind applies cleanly to a warm network, re-applying the same record
-// is a no-op, and an unknown op is a typed ErrApply.
-func TestApplyToNetworkIdempotent(t *testing.T) {
-	n := core.NewNetwork(core.HardCDV{})
-	for _, name := range []string{"ring00", "ring01"} {
-		if _, err := n.AddSwitch(core.SwitchConfig{
-			Name: name, QueueCells: map[core.Priority]float64{1: 32},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := testRequest("a1")
-	steps := []Record{
-		{Seq: 1, Op: OpSetup, Request: &req},
-		{Seq: 2, Op: OpFailLink, From: "ring00", To: "ring01", Evicted: []core.ConnID{"a1"}},
-		{Seq: 3, Op: OpRestoreLink, From: "ring00", To: "ring01"},
-	}
-	for _, rec := range steps {
-		for pass := 0; pass < 2; pass++ {
-			if err := ApplyToNetwork(n, rec); err != nil {
-				t.Fatalf("apply seq %d pass %d: %v", rec.Seq, pass, err)
-			}
-		}
-	}
-	if got := len(n.Connections()); got != 0 {
-		t.Fatalf("after evicting fail-link: %d connections, want 0", got)
-	}
-	if got := len(n.FailedLinks()); got != 0 {
-		t.Fatalf("after restore: %d failed links, want 0", got)
-	}
-	if err := ApplyToNetwork(n, Record{Seq: 9, Op: "mystery"}); !errors.Is(err, ErrApply) {
-		t.Fatalf("unknown op = %v, want ErrApply", err)
 	}
 }

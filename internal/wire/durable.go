@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"atmcac/internal/core"
@@ -75,19 +74,14 @@ type Durable struct {
 	compactRecords int
 	compactBytes   int64
 
-	// viewConns/viewLinks mirror the durable admission state: the last
-	// snapshot plus every journal record made durable since (plus acked
-	// warning-only records whose append failed). Compaction folds this
-	// view — never the live network — into the next snapshot. Capturing the live network would race with an
-	// operation that has committed in memory but not yet appended: if its
-	// append then fails and it rolls back, the refused mutation would
-	// already sit in a durable snapshot and be resurrected by a crash.
-	// A record enters the view only once its group is durable, from the
-	// group leader's Durable hook, so a failed group leaves nothing to
-	// undo. Guarded by the journal's group exclusion (hooks and Between);
-	// initialized by Recover.
-	viewConns map[core.ConnID]core.ConnRequest
-	viewLinks map[core.Link]struct{}
+	// view is the durable admission state — the last snapshot plus every
+	// record made durable since (and acked warning-only records whose
+	// append failed) — which compaction writes instead of the live
+	// network (see compactLocked). A record enters it only from its group
+	// leader's Durable hook, once the group is durable, so a failed group
+	// leaves nothing to undo. Guarded by the journal's group exclusion
+	// (hooks and Between); set by Recover.
+	view *journal.View
 
 	// recoveredEpoch is the replication term Recover found on disk (the
 	// snapshot trailer, raised by any higher record epoch in the
@@ -97,75 +91,6 @@ type Durable struct {
 	// records at or below it are folded in and no longer available for
 	// incremental catch-up. Guarded like the view.
 	snapSeq uint64
-}
-
-// initView seeds the durable view from the recovered state, at the point
-// where the live network and the on-disk state are identical.
-func (d *Durable) initView(conns []core.ConnRequest, links []core.Link) {
-	d.viewConns = make(map[core.ConnID]core.ConnRequest, len(conns))
-	for _, req := range conns {
-		d.viewConns[req.ID] = req
-	}
-	d.viewLinks = make(map[core.Link]struct{}, len(links))
-	for _, l := range links {
-		d.viewLinks[l] = struct{}{}
-	}
-}
-
-// applyView folds one journal record into the durable view, with the same
-// idempotent semantics journal.Replay uses. Caller runs between groups.
-func (d *Durable) applyView(rec *journal.Record) {
-	switch rec.Op {
-	case journal.OpSetup:
-		if rec.Request != nil {
-			d.viewConns[rec.Request.ID] = *rec.Request
-		}
-	case journal.OpTeardown:
-		delete(d.viewConns, rec.ID)
-	case journal.OpFailLink:
-		for _, id := range rec.Evicted {
-			delete(d.viewConns, id)
-		}
-		for _, req := range rec.Readmitted {
-			d.viewConns[req.ID] = req
-		}
-		d.viewLinks[core.Link{From: rec.From, To: rec.To}] = struct{}{}
-	case journal.OpRestoreLink:
-		delete(d.viewLinks, core.Link{From: rec.From, To: rec.To})
-	case journal.OpShardPrepare:
-		// Prepared holds are capacity in flight, not durable admitted
-		// state: the self-contained commit record is what lands in the
-		// view, so compaction folding the prepare away is harmless.
-	case journal.OpShardCommit:
-		if rec.Request != nil {
-			d.viewConns[rec.Request.ID] = *rec.Request
-		}
-	case journal.OpShardAbort:
-		if rec.ID != "" {
-			delete(d.viewConns, rec.ID)
-		}
-	}
-}
-
-// viewState materializes the durable view in the snapshot's canonical
-// order. Caller runs between groups.
-func (d *Durable) viewState() ([]core.ConnRequest, []core.Link) {
-	conns := make([]core.ConnRequest, 0, len(d.viewConns))
-	for _, req := range d.viewConns {
-		conns = append(conns, req)
-	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
-	links := make([]core.Link, 0, len(d.viewLinks))
-	for l := range d.viewLinks {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
-	})
-	return conns, links
 }
 
 // OpenDurable validates cfg and builds the component. The journal itself
@@ -290,6 +215,11 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	final := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks}, st.LastSeq, scan.Records)
 	log.SetNextSeq(st.LastSeq + 1)
 	rep.ReapedPrepares = final.ReapedPrepares
+	for _, u := range final.Unfolded {
+		rep.Warnings = append(rep.Warnings,
+			fmt.Sprintf("wire: journal %s holds %d record(s) of unknown op %q (first seq %d); recovery skipped them",
+				d.journalPath, u.Count, u.Op, u.FirstSeq))
+	}
 	for _, l := range final.FailedLinks {
 		if _, err := network.FailLink(l.From, l.To); err != nil {
 			rep.Warnings = append(rep.Warnings,
@@ -315,7 +245,7 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		Epoch:       d.recoveredEpoch,
 		LastSeq:     log.LastSeq(),
 	}
-	d.initView(st.Connections, st.FailedLinks)
+	d.view = journal.NewView(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks})
 	if err := d.fold(st); err != nil {
 		return nil, fmt.Errorf("wire: post-recovery compaction: %w", err)
 	}
@@ -435,7 +365,7 @@ func (s *Server) journalFrames(recs, inverts []*journal.Record, u *shipUnit) []*
 		invert := inverts[i]
 		frames[i] = journal.JSONFrame(&rec.Seq, rec)
 		frames[i].Durable = func(_ uint64, payload []byte) error {
-			s.dur.applyView(rec)
+			_ = journal.Fold(s.dur.view, rec) // the view refuses only an unknown op
 			if cp := s.crashPoints; cp != nil && cp.PostAppend != nil && !u.bestEffort {
 				cp.PostAppend(string(rec.Op), rec.Seq)
 			}
@@ -549,8 +479,7 @@ func (s *Server) persistWarn(rec *journal.Record) string {
 		return warning
 	}
 	_ = s.dur.log.Between(func() error {
-		s.dur.applyView(rec)
-		return nil
+		return journal.Fold(s.dur.view, rec)
 	})
 	s.scheduleRetry()
 	return fmt.Sprintf("%s journal append deferred (will retry as snapshot): %v", rec.Op, err)

@@ -225,6 +225,46 @@ func TestRecoverRepairsTornJournal(t *testing.T) {
 	}
 }
 
+// TestRecoverWarnsOfUnfoldedRecords pins that recovery skips a journal
+// record of an op it does not know, as before, but no longer silently:
+// one warning names the op, its first sequence and its count.
+func TestRecoverWarnsOfUnfoldedRecords(t *testing.T) {
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	log, _, _, err := journal.Open(journal.OSFS{}, statePath+".journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := core.Route{{Switch: "sw0", In: 1, Out: 0}}
+	keep := core.ConnRequest{ID: "keep", Spec: traffic.CBR(0.01), Priority: 1, Route: route}
+	later := core.ConnRequest{ID: "later", Spec: traffic.CBR(0.01), Priority: 1, Route: route}
+	for _, rec := range []*journal.Record{
+		{Op: journal.OpSetup, Request: &keep},
+		{Op: "future-op", ID: "keep"},
+		{Op: "future-op", ID: "later"},
+		{Op: journal.OpSetup, Request: &later},
+	} {
+		if err := log.Append(rec, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	client, rep, stop := bootDurable(t, statePath, DurabilityJournalSync, 0)
+	defer stop()
+	want := `wire: journal ` + statePath + `.journal holds 2 record(s) of unknown op "future-op" (first seq 2); recovery skipped them`
+	if !reflect.DeepEqual(rep.Warnings, []string{want}) {
+		t.Fatalf("warnings = %q, want [%q]", rep.Warnings, want)
+	}
+	ids, err := client.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids) != "[keep later]" {
+		t.Fatalf("recovered %v, want [keep later]", ids)
+	}
+}
+
 // TestRecoverPrunesFailedReadmissions is the regression for re-admission
 // failures at recovery: they are reported once and compacted out of the
 // next snapshot, so a later restart does not re-report the same ghosts.

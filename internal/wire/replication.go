@@ -178,8 +178,8 @@ func (s *Server) Promote() (uint64, error) {
 }
 
 // ApplyShipped is the standby's ingestion path for one shipped record:
-// write the payload byte-identically under the primary's sequence, fold
-// it into the durable view, and apply it to the warm network —
+// write the payload byte-identically under the primary's sequence, then
+// fold it (journal.Fold) into the durable view and into the warm network —
 // idempotently, so at-least-once delivery after a reconnect is safe. The
 // write is not fsynced: the standby applies what it has read, then calls
 // SyncShipped once before it acknowledges any of it. If that sync fails,
@@ -202,7 +202,7 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 	}
 	appended, err := s.dur.log.AppendAt(rec.Seq, payload, false,
 		func(uint64, []byte) error {
-			s.dur.applyView(&rec)
+			_ = journal.Fold(s.dur.view, &rec) // the network fold below reports a refusal
 			return nil
 		})
 	if err != nil || !appended {
@@ -210,7 +210,7 @@ func (s *Server) ApplyShipped(rec journal.Record, payload []byte) error {
 		// replay, already written and therefore already applied.
 		return err
 	}
-	if err := journal.ApplyToNetwork(s.network, rec); err != nil {
+	if err := journal.Fold(journal.NetworkTarget(s.network), &rec); err != nil {
 		return err
 	}
 	s.compactIfDue()
@@ -244,7 +244,7 @@ func (s *Server) CatchUp(afterSeq uint64, force bool, full func(PersistentState)
 	}
 	return s.dur.log.Between(func() error {
 		if force || afterSeq < s.dur.snapSeq {
-			conns, links := s.dur.viewState()
+			conns, links := s.dur.view.Snapshot()
 			st := PersistentState{
 				LastSeq:     s.dur.log.LastSeq(),
 				Connections: conns,
@@ -308,7 +308,7 @@ func (s *Server) InstallState(st PersistentState) error {
 		return nil
 	}
 	return s.dur.log.Between(func() error {
-		s.dur.initView(st.Connections, st.FailedLinks)
+		s.dur.view = journal.NewView(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks})
 		// Adopt the primary's numbering outright: this node's own journal
 		// (possibly ahead of the primary by never-acked orphans) is
 		// discarded by the Reset below, so a lower next-seq cannot collide.

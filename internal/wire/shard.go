@@ -31,7 +31,7 @@ import (
 //	shard-status   report the shard ID, epoch, role and live holds.
 //
 // Crash safety is presumed abort: journal replay never turns a prepare
-// into an admission (see journal.Replay), so a shard that dies between
+// into an admission (see journal.Fold), so a shard that dies between
 // prepare and commit recovers with the hold expired, and the
 // coordinator's intent log decides whether to re-drive the commit
 // (through a fresh CAC check) or abort everywhere.

@@ -278,7 +278,7 @@ func (s *Server) compactLocked(epoch uint64) error {
 		start = time.Now()
 	}
 	st := PersistentState{Epoch: epoch, LastSeq: s.dur.log.LastSeq()}
-	st.Connections, st.FailedLinks = s.dur.viewState()
+	st.Connections, st.FailedLinks = s.dur.view.Snapshot()
 	err := s.dur.fold(st)
 	if tr != nil {
 		ev := obs.Event{Kind: obs.KindCompaction, Outcome: obs.OutcomeOK, Duration: time.Since(start)}
