@@ -24,43 +24,19 @@ var (
 	FromVBR = bitstream.FromVBR
 	// ZeroStream returns the empty stream.
 	ZeroStream = bitstream.Zero
-	// ConstantStream returns a constant-rate stream.
-	ConstantStream = bitstream.Constant
-	// AddStreams is Algorithm 3.2 (multiplexing).
-	AddStreams = bitstream.Add
-	// SumStreams multiplexes any number of streams in one pass.
+	// SumStreams multiplexes any number of streams in one pass
+	// (Algorithm 3.2).
 	SumStreams = bitstream.Sum
-	// SubStreams is Algorithm 3.3 (demultiplexing).
-	SubStreams = bitstream.Sub
 	// DelayBound is Algorithm 4.1: the worst-case queueing delay of an
 	// aggregate at a static-priority FIFO queueing point.
 	DelayBound = bitstream.DelayBound
-	// MaxBacklog is the companion worst-case buffer occupancy bound.
-	MaxBacklog = bitstream.MaxBacklog
 )
 
-// Sentinel errors of the bit-stream algebra.
-var (
-	// ErrUnstable reports an overloaded queueing point (unbounded delay).
-	ErrUnstable = bitstream.ErrUnstable
-	// ErrInvalidStream reports a malformed stream.
-	ErrInvalidStream = bitstream.ErrInvalidStream
-	// ErrNotComponent reports an invalid demultiplexing.
-	ErrNotComponent = bitstream.ErrNotComponent
-)
+// TrafficSpec is the (PCR, SCR, MBS) descriptor of a connection (paper
+// Section 2).
+type TrafficSpec = traffic.Spec
 
 // Traffic descriptors and units (paper Section 2 and the RTnet evaluation).
-type (
-	// TrafficSpec is the (PCR, SCR, MBS) descriptor of a connection.
-	TrafficSpec = traffic.Spec
-	// Link converts between physical link units and cell times.
-	Link = traffic.Link
-	// Pacer emits the earliest-conforming cell schedule of a source.
-	Pacer = traffic.Pacer
-	// ConformanceChecker verifies an arrival sequence against a descriptor.
-	ConformanceChecker = traffic.Checker
-)
-
 var (
 	// CBR returns a constant-bit-rate descriptor.
 	CBR = traffic.CBR
@@ -68,8 +44,6 @@ var (
 	VBR = traffic.VBR
 	// NewPacer returns a conforming source pacer.
 	NewPacer = traffic.NewPacer
-	// NewConformanceChecker returns a GCRA conformance checker.
-	NewConformanceChecker = traffic.NewChecker
 	// OC3 is the 155.52 Mbps link of RTnet (one cell time is about 2.7us).
 	OC3 = traffic.OC3
 )
@@ -88,8 +62,6 @@ type (
 	Switch = core.Switch
 	// HopRequest is a per-switch admission request.
 	HopRequest = core.HopRequest
-	// HopResult reports a successful per-switch check.
-	HopResult = core.HopResult
 	// Hop is one queueing point of a route.
 	Hop = core.Hop
 	// Route is an ordered list of queueing points.
@@ -97,10 +69,6 @@ type (
 	// ConnRequest is a network-level setup request: the paper's
 	// (PCR, SCR, MBS, D) plus route and priority.
 	ConnRequest = core.ConnRequest
-	// Admission summarizes a successful end-to-end setup.
-	Admission = core.Admission
-	// Violation is a queue found over budget by Network.Audit.
-	Violation = core.Violation
 	// Network is a set of CAC switches with a CDV policy.
 	Network = core.Network
 	// CDVPolicy accumulates upstream delay bounds into a CDV.
@@ -112,9 +80,6 @@ type (
 	SoftCDV = core.SoftCDV
 	// RejectionError explains a CAC rejection.
 	RejectionError = core.RejectionError
-	// SetupOption customizes one Network.Setup call (trace sink, retry
-	// budget) via functional options.
-	SetupOption = core.SetupOption
 )
 
 var (
@@ -122,21 +87,6 @@ var (
 	NewSwitch = core.NewSwitch
 	// NewNetwork returns an empty CAC network (nil policy means hard).
 	NewNetwork = core.NewNetwork
-	// WithTracer attaches a per-call trace sink to a Setup.
-	WithTracer = core.WithTracer
-	// WithRetryBudget allows whole-setup re-attempts after CAC rejections.
-	WithRetryBudget = core.WithRetryBudget
-	// ErrorCode maps an admission-plane error chain onto its stable
-	// machine-readable code (the code= field of wire error responses).
-	ErrorCode = core.ErrorCode
-)
-
-// Sentinel errors of the CAC engine.
-var (
 	// ErrRejected reports a connection that failed the CAC check.
 	ErrRejected = core.ErrRejected
-	// ErrDuplicateConn reports an already-admitted connection ID.
-	ErrDuplicateConn = core.ErrDuplicateConn
-	// ErrUnknownConn reports an operation on an unknown connection.
-	ErrUnknownConn = core.ErrUnknownConn
 )

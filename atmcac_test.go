@@ -7,11 +7,15 @@ import (
 	"testing"
 
 	"atmcac"
+	"atmcac/internal/bitstream"
+	"atmcac/internal/core"
+	"atmcac/internal/traffic"
 )
 
 // TestFacadeQuickstart exercises the public API end to end: build the
 // envelope algebra, a switch, and a two-hop network through the root
-// package only.
+// package, reaching the internal packages only for what the root does not
+// export (Sub, ErrUnknownConn).
 func TestFacadeQuickstart(t *testing.T) {
 	// Bit-stream algebra.
 	env, err := atmcac.FromVBR(0.5, 0.1, 8)
@@ -26,7 +30,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if d <= 0 {
 		t.Errorf("two multiplexed bursts bound = %g, want > 0", d)
 	}
-	back, err := atmcac.SubStreams(agg, env)
+	back, err := bitstream.Sub(agg, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err := n.Teardown("c1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Teardown("c1"); !errors.Is(err, atmcac.ErrUnknownConn) {
+	if err := n.Teardown("c1"); !errors.Is(err, core.ErrUnknownConn) {
 		t.Errorf("double teardown error = %v", err)
 	}
 }
@@ -96,7 +100,7 @@ func TestFacadePacerAndChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := atmcac.NewConformanceChecker(spec, 1e-9)
+	c, err := traffic.NewChecker(spec, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

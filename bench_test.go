@@ -29,7 +29,7 @@ import (
 func BenchmarkTable1(b *testing.B) {
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		rows, err := atmcac.Table1()
+		rows, err := experiments.Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkFigure10(b *testing.B) {
 	}
 	var boundN1 float64
 	for i := 0; i < b.N; i++ {
-		series, err := atmcac.Figure10(cfg)
+		series, err := experiments.Figure10(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFigure11(b *testing.B) {
 	}
 	var n16 float64
 	for i := 0; i < b.N; i++ {
-		series, err := atmcac.Figure11(cfg)
+		series, err := experiments.Figure11(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFigure12(b *testing.B) {
 	}
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		series, err := atmcac.Figure12(cfg)
+		series, err := experiments.Figure12(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFigure13(b *testing.B) {
 	}
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		series, err := atmcac.Figure13(cfg)
+		series, err := experiments.Figure13(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

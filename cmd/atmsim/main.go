@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"atmcac/internal/experiments"
+	"atmcac/internal/hypothesis"
 	"atmcac/internal/sim"
 	"atmcac/internal/workload"
 )
@@ -184,7 +185,7 @@ func runHypothesis(args []string) int {
 	}
 	switch args[0] {
 	case "list":
-		for _, h := range experiments.Hypotheses() {
+		for _, h := range hypothesis.Hypotheses() {
 			fmt.Printf("%s\t%s\n", h.Name, h.Title)
 		}
 		return 0
@@ -205,15 +206,15 @@ func runHypothesisRun(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	scale, err := experiments.ParseScale(*scaleFlag)
+	scale, err := hypothesis.ParseScale(*scaleFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atmsim:", err)
 		return 1
 	}
-	var selected []*experiments.Hypothesis
+	var selected []*hypothesis.Hypothesis
 	if names := fs.Args(); len(names) > 0 {
 		for _, name := range names {
-			h, ok := experiments.LookupHypothesis(name)
+			h, ok := hypothesis.LookupHypothesis(name)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "atmsim: unknown hypothesis %q (try: atmsim hypothesis list)\n", name)
 				return 1
@@ -221,11 +222,11 @@ func runHypothesisRun(args []string) int {
 			selected = append(selected, h)
 		}
 	} else {
-		selected = experiments.Hypotheses()
+		selected = hypothesis.Hypotheses()
 	}
 	falsified := 0
 	for _, h := range selected {
-		rep, err := experiments.RunHypothesis(h, scale)
+		rep, err := hypothesis.RunHypothesis(h, scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "atmsim:", err)
 			return 1

@@ -23,7 +23,10 @@
 //
 // setup and bound address RTnet broadcast routes: the connection enters the
 // ring at node -origin via terminal -terminal and visits every other ring
-// node (-ring must match the server's ring size).
+// node (-ring must match the server's ring size). While exactly one
+// primary ring link is down and the healthy route crosses it, setup
+// requests the Section 5 wrapped route, the one the server re-admits
+// evicted connections over.
 //
 // fail-link declares primary ring link N -> N+1 failed: the server evicts
 // every connection traversing it and re-admits each over the wrapped ring,
@@ -65,10 +68,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"atmcac/internal/core"
+	"atmcac/internal/failover"
 	"atmcac/internal/journal"
 	"atmcac/internal/overload"
 	"atmcac/internal/rtnet"
@@ -583,13 +588,22 @@ func inspect(client *wire.Client, args []string) error {
 }
 
 // broadcastRoute builds the RTnet broadcast route of (origin, terminal) on
-// a ring of the given size.
-func broadcastRoute(ring, origin, terminal int) (core.Route, error) {
+// a ring of the given size. When failed holds exactly one link, a primary
+// ring link that the healthy route crosses, it builds the wrapped route.
+func broadcastRoute(ring, origin, terminal int, failed []core.Link) (core.Route, error) {
 	n, err := rtnet.New(rtnet.Config{RingNodes: ring, TerminalsPerNode: terminal + 1})
 	if err != nil {
 		return nil, err
 	}
-	return n.BroadcastRoute(origin, terminal)
+	route, err := n.BroadcastRoute(origin, terminal)
+	if err != nil || len(failed) != 1 || !slices.Contains(n.RouteLinks(route), failed[0]) {
+		return route, err
+	}
+	from, err := failover.PrimaryFrom(n, failed[0].From, failed[0].To)
+	if err != nil {
+		return route, nil
+	}
+	return n.WrappedBroadcastRoute(origin, terminal, from)
 }
 
 func setup(client *wire.Client, args []string) error {
@@ -617,7 +631,11 @@ func setup(client *wire.Client, args []string) error {
 	if *scr > 0 {
 		spec = traffic.VBR(*pcr, *scr, *mbs)
 	}
-	route, err := broadcastRoute(*ring, *origin, *terminal)
+	h, err := client.Health(context.Background())
+	if err != nil {
+		return err
+	}
+	route, err := broadcastRoute(*ring, *origin, *terminal, h.FailedLinks)
 	if err != nil {
 		return err
 	}
@@ -686,7 +704,7 @@ func bound(client *wire.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	route, err := broadcastRoute(*ring, *origin, *terminal)
+	route, err := broadcastRoute(*ring, *origin, *terminal, nil)
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"atmcac/internal/core"
+	"atmcac/internal/failover"
 	"atmcac/internal/journal"
 	"atmcac/internal/rtnet"
 	"atmcac/internal/traffic"
@@ -36,12 +39,20 @@ func captureStdout(t *testing.T, f func()) string {
 
 // startServer runs an in-process cacd-equivalent on a loopback listener.
 func startServer(t *testing.T) string {
+	addr, _ := startRingServer(t)
+	return addr
+}
+
+// startRingServer is startServer with cacd's wrapped-ring re-admission on
+// fail-link; it also returns the served ring.
+func startRingServer(t *testing.T) (string, *rtnet.Network) {
 	t.Helper()
 	rt, err := rtnet.New(rtnet.Config{RingNodes: 8, TerminalsPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(rt.Core())
+	srv.SetFailoverHandler(failover.Handler(rt, failover.Options{}))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +66,47 @@ func startServer(t *testing.T) string {
 		_ = srv.Close()
 		<-done
 	})
-	return l.Addr().String()
+	return l.Addr().String(), rt
+}
+
+// TestSetupOverWrappedRing: while primary link ring03->ring04 is down, a
+// setup whose healthy broadcast route crosses it is admitted on the
+// wrapped route, and one whose route does not cross it keeps the healthy
+// route.
+func TestSetupOverWrappedRing(t *testing.T) {
+	addr, rt := startRingServer(t)
+	base := []string{"-addr", addr}
+	captureStdout(t, func() {
+		if err := run(append(base, "fail-link", "-node", "3", "-ring", "8")); err != nil {
+			t.Error(err)
+		}
+	})
+	for _, tc := range []struct {
+		id      string
+		origin  int
+		wrapped bool
+	}{{"c7", 5, true}, {"c8", 4, false}} {
+		out := captureStdout(t, func() {
+			if err := run(append(base, "setup", "-id", tc.id, "-ring", "8",
+				"-origin", strconv.Itoa(tc.origin), "-terminal", "2", "-pcr", "0.01")); err != nil {
+				t.Errorf("setup %s: %v", tc.id, err)
+			}
+		})
+		if !strings.Contains(out, "connected "+tc.id) {
+			t.Errorf("setup %s output = %q", tc.id, out)
+		}
+		want, err := rt.BroadcastRoute(tc.origin, 2)
+		if tc.wrapped {
+			want, err = rt.WrappedBroadcastRoute(tc.origin, 2, 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, ok := rt.Core().AdmittedRequest(core.ConnID(tc.id))
+		if !ok || !reflect.DeepEqual(req.Route, want) {
+			t.Errorf("%s admitted on %v (ok %v), want %v", tc.id, req.Route, ok, want)
+		}
+	}
 }
 
 func TestFullLifecycle(t *testing.T) {

@@ -52,7 +52,7 @@ func TestShardStatusAndHealthSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	route, err := broadcastRoute(8, 2, 1)
+	route, err := broadcastRoute(8, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

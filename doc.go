@@ -57,6 +57,5 @@
 // grid where that arithmetic is exact, so two switches carrying the same
 // connections hold bit-identical state however they got there.
 // Setups on disjoint routes proceed in parallel without shared locks.
-// See DESIGN.md §4a for the locking model. Connection IDs containing NUL
-// bytes are reserved for internal signaling probes.
+// See DESIGN.md §4a for the locking model.
 package atmcac

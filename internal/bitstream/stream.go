@@ -152,16 +152,6 @@ func own(segs []Segment) (Stream, error) {
 	return Stream{segs: out}, nil
 }
 
-// MustNew is New for statically known inputs; it panics on invalid segments.
-// It is intended for tests and package-level constants.
-func MustNew(segs []Segment) Stream {
-	s, err := New(segs)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Constant returns the stream with constant rate r (>= 0), rounded up to
 // the rate grid.
 func Constant(r float64) Stream {

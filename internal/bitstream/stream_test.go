@@ -459,3 +459,12 @@ func TestInvCumRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// MustNew is New for statically known inputs; it panics on invalid segments.
+func MustNew(segs []Segment) Stream {
+	s, err := New(segs)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

@@ -113,7 +113,7 @@ func TestHistoryIndependence(t *testing.T) {
 		return live[i], i
 	}
 	for step := 0; step < 800; step++ {
-		op := rng.Intn(20)
+		op := rng.Intn(18)
 		if len(live) == 0 {
 			op = 0
 		}
@@ -145,25 +145,6 @@ func TestHistoryIndependence(t *testing.T) {
 				t.Fatalf("step %d: teardown: %v", step, err)
 			}
 			live = slices.Delete(live, i, i+1)
-		case op < 19:
-			// Rename is a switch-level operation (signaling crankback):
-			// take one connection through another key and back, so its cells
-			// pass through shapes the final set never names.
-			id, _ := pick()
-			req, _ := churned.AdmittedRequest(id)
-			for _, to := range []struct{ old, new ConnID }{{id, id + "~"}, {id + "~", id}} {
-				seen := map[string]bool{}
-				for _, hop := range req.Route {
-					if seen[hop.Switch] {
-						continue
-					}
-					seen[hop.Switch] = true
-					sw, _ := churned.Switch(hop.Switch)
-					if err := sw.Rename(to.old, to.new); err != nil {
-						t.Fatalf("step %d: rename %q -> %q at %s: %v", step, to.old, to.new, hop.Switch, err)
-					}
-				}
-			}
 		case step%4 == 0 && step < 500:
 			// A failed ring link evicts close to half of what is admitted,
 			// so links fail rarely, and early enough for the set to regrow.

@@ -171,7 +171,7 @@ type Network struct {
 	linkMapper LinkMapper
 
 	// trMu guards tracer, the network-wide trace sink installed with
-	// SetTracer. Per-call sinks (WithTracer) fan out alongside it.
+	// SetTracer.
 	trMu   sync.RWMutex
 	tracer obs.Tracer
 }
@@ -349,35 +349,6 @@ func (n *Network) resolveRoute(req ConnRequest) ([]*Switch, []float64, error) {
 	return switches, guaranteed, nil
 }
 
-// SetupOption customizes one Setup call via the functional-options
-// pattern; the zero configuration (no options) is the plain admission.
-type SetupOption func(*setupConfig)
-
-type setupConfig struct {
-	tracer      obs.Tracer
-	retryBudget int
-}
-
-// WithTracer adds a per-call trace sink alongside the network-wide one
-// installed by SetTracer. Events from this Setup fan out to both.
-func WithTracer(t obs.Tracer) SetupOption {
-	return func(c *setupConfig) { c.tracer = obs.Multi(c.tracer, t) }
-}
-
-// WithRetryBudget allows up to n whole-setup re-attempts after a CAC
-// rejection (ErrRejected only — configuration and link errors do not
-// retry, and a canceled context stops immediately). A rejected setup
-// leaves no reservations behind, so a retry is a clean re-run; it can
-// succeed when concurrent teardowns free capacity between attempts.
-// The consumed retries are reported in the setup trace event.
-func WithRetryBudget(n int) SetupOption {
-	return func(c *setupConfig) {
-		if n > 0 {
-			c.retryBudget = n
-		}
-	}
-}
-
 // Setup establishes a connection hop by hop, mirroring the distributed
 // SETUP procedure: each switch on the route runs the CAC check; the first
 // rejection rolls back all upstream commitments and the error (wrapping
@@ -392,36 +363,17 @@ func WithRetryBudget(n int) SetupOption {
 // back and returns the context error — a setup abandoned by its deadline
 // never leaves partial reservations behind. An admitted connection is
 // never evicted by a late cancellation: once the last hop commits, the
-// setup completes. Options attach a per-call trace sink and a rejection
-// retry budget; this is the one instrumented admission path — every other
-// entry point (wire, failover, planning) funnels through it.
-func (n *Network) Setup(ctx context.Context, req ConnRequest, opts ...SetupOption) (*Admission, error) {
-	var cfg setupConfig
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	tr := obs.Multi(n.getTracer(), cfg.tracer)
-
+// setup completes. This is the one instrumented admission path — every
+// other entry point (wire, failover, planning) funnels through it.
+func (n *Network) Setup(ctx context.Context, req ConnRequest) (*Admission, error) {
+	tr := n.getTracer()
 	start := time.Now()
-	var adm *Admission
-	var err error
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		adm, err = n.setupOnce(ctx, req, tr)
-		if err == nil || attempt >= cfg.retryBudget ||
-			!errors.Is(err, ErrRejected) || ctx.Err() != nil {
-			retries = attempt
-			break
-		}
-	}
+	adm, err := n.setup(ctx, req, tr)
 	if tr != nil {
 		ev := obs.Event{
 			Kind:     obs.KindSetup,
 			Conn:     string(req.ID),
 			Hops:     len(req.Route),
-			Retries:  retries,
 			Duration: time.Since(start),
 		}
 		switch {
@@ -439,9 +391,8 @@ func (n *Network) Setup(ctx context.Context, req ConnRequest, opts ...SetupOptio
 	return adm, err
 }
 
-// setupOnce runs one full admission attempt: the walk of req, admitted
-// hop by hop and committed.
-func (n *Network) setupOnce(ctx context.Context, req ConnRequest, tr obs.Tracer) (*Admission, error) {
+// setup runs the walk of req: admitted hop by hop and committed.
+func (n *Network) setup(ctx context.Context, req ConnRequest, tr obs.Tracer) (*Admission, error) {
 	w, err := n.Begin(ctx, req)
 	if err != nil {
 		return nil, err

@@ -159,7 +159,7 @@ type HopResult struct {
 // Concurrency model: the admitted set lives in an immutable switchState —
 // the paper's Sia/Sif/Soa/Sof kept per port as immutable cells — published
 // through an atomic pointer. Readers (bound queries, envelopes, audits,
-// Check) load it and never block. Writers (Admit, Install, Release, Rename)
+// Check) load it and never block. Writers (Admit, Install, Release)
 // take mu for check + commit: one writer per switch copies the cell it
 // touches, adds the hop's arrival to that cell's Sia (Algorithm 3.2) or
 // subtracts it (Algorithm 3.3), re-sums that port, shares the rest and
@@ -349,29 +349,6 @@ func (sw *Switch) Install(req HopRequest) error {
 func (sw *Switch) Release(id ConnID) error {
 	return sw.commit(func(st *switchState) (*switchState, error) {
 		return sw.drop(st, id)
-	})
-}
-
-// Rename atomically re-labels an admitted connection, keeping every hop
-// entry and its reservations intact. Walk.Rename uses it to promote the
-// winning probe of signaling crankback to the caller's connection ID.
-func (sw *Switch) Rename(old, new ConnID) error {
-	if new == "" {
-		return fmt.Errorf("%w: empty connection ID", ErrBadConfig)
-	}
-	if old == new {
-		return nil
-	}
-	// The cells hold no IDs, so only the index changes.
-	return sw.commit(func(st *switchState) (*switchState, error) {
-		hs, ok := st.index.get(old)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, old, sw.cfg.Name)
-		}
-		if _, ok := st.index.get(new); ok {
-			return nil, fmt.Errorf("%w: %q at switch %q", ErrDuplicateConn, new, sw.cfg.Name)
-		}
-		return &switchState{index: st.index.remove(old).insert(new, hs), conns: st.conns, ports: st.ports}, nil
 	})
 }
 

@@ -50,7 +50,7 @@ func TestSetupEmitsTraceEvents(t *testing.T) {
 		t.Fatalf("setup events = %d, want 1", len(setups))
 	}
 	ev := setups[0]
-	if ev.Outcome != obs.OutcomeAccepted || ev.Conn != "c1" || ev.Hops != 2 || ev.Retries != 0 {
+	if ev.Outcome != obs.OutcomeAccepted || ev.Conn != "c1" || ev.Hops != 2 {
 		t.Fatalf("setup event = %+v", ev)
 	}
 	hops := rec.byKind(obs.KindHopCheck)
@@ -78,11 +78,12 @@ func TestSetupEmitsTraceEvents(t *testing.T) {
 func TestSetupRejectionTraceCarriesCode(t *testing.T) {
 	n, route := twoHopNetwork(t, HardCDV{})
 	rec := &recorder{}
+	n.SetTracer(rec)
 
 	// A 1-cell end-to-end bound cannot be met: guarantees sum to 64.
 	_, err := n.Setup(context.Background(), ConnRequest{
 		ID: "c1", Spec: traffic.CBR(0.2), Priority: 1, Route: route, DelayBound: 1,
-	}, WithTracer(rec))
+	})
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
@@ -95,67 +96,7 @@ func TestSetupRejectionTraceCarriesCode(t *testing.T) {
 	}
 }
 
-func TestWithRetryBudgetRetriesRejections(t *testing.T) {
-	n, _ := twoHopNetwork(t, HardCDV{})
-	rec := &recorder{}
-
-	// Saturate sw0's priority-1 queue with simultaneous bursts arriving on
-	// distinct input ports (same clumping the mid-route rejection test
-	// uses) until a further bursty setup is rejected.
-	hogRoute := func(i int) Route {
-		return Route{{Switch: "sw0", In: PortID(10 + i), Out: 0}, {Switch: "sw1", In: 1, Out: 0}}
-	}
-	spec := traffic.VBR(1, 0.005, 8)
-	var hogs []ConnID
-	for i := 0; ; i++ {
-		id := ConnID(fmt.Sprintf("hog%d", i))
-		_, err := n.Setup(context.Background(), ConnRequest{
-			ID: id, Spec: spec, Priority: 1, Route: hogRoute(i),
-		})
-		if err != nil {
-			if !errors.Is(err, ErrRejected) {
-				t.Fatal(err)
-			}
-			break
-		}
-		hogs = append(hogs, id)
-		if i > 100 {
-			t.Fatal("network never saturated")
-		}
-	}
-
-	// Still saturated: every attempt rejects, so the whole budget is
-	// consumed and reported on the setup event.
-	wantRoute := hogRoute(200)
-	_, err := n.Setup(context.Background(), ConnRequest{
-		ID: "want", Spec: spec, Priority: 1, Route: wantRoute,
-	}, WithTracer(rec), WithRetryBudget(2))
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("saturated setup err = %v, want ErrRejected", err)
-	}
-	setups := rec.byKind(obs.KindSetup)
-	if len(setups) != 1 || setups[0].Retries != 2 {
-		t.Fatalf("setup event = %+v, want Retries=2", setups[0])
-	}
-
-	for _, id := range hogs {
-		if err := n.Teardown(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rec2 := &recorder{}
-	if _, err := n.Setup(context.Background(), ConnRequest{
-		ID: "want", Spec: spec, Priority: 1, Route: wantRoute,
-	}, WithTracer(rec2), WithRetryBudget(1)); err != nil {
-		t.Fatalf("setup after teardown: %v", err)
-	}
-	if evs := rec2.byKind(obs.KindSetup); len(evs) != 1 || evs[0].Retries != 0 {
-		t.Fatalf("post-release setup = %+v, want Retries=0", evs)
-	}
-}
-
-func TestRetryBudgetDoesNotRetryNonRejections(t *testing.T) {
+func TestDuplicateSetupTraceCarriesCode(t *testing.T) {
 	n, route := twoHopNetwork(t, HardCDV{})
 	rec := &recorder{}
 	if _, err := n.Setup(context.Background(), ConnRequest{
@@ -163,17 +104,15 @@ func TestRetryBudgetDoesNotRetryNonRejections(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	n.SetTracer(rec)
 	_, err := n.Setup(context.Background(), ConnRequest{
 		ID: "dup", Spec: traffic.CBR(0.1), Priority: 1, Route: route,
-	}, WithTracer(rec), WithRetryBudget(5))
+	})
 	if !errors.Is(err, ErrDuplicateConn) {
 		t.Fatalf("err = %v, want ErrDuplicateConn", err)
 	}
-	if evs := rec.byKind(obs.KindSetup); len(evs) != 1 || evs[0].Retries != 0 {
-		t.Fatalf("duplicate setup retried: %+v", evs)
-	}
-	if evs := rec.byKind(obs.KindSetup); evs[0].Outcome != obs.OutcomeError || evs[0].Code != CodeDuplicate {
-		t.Fatalf("duplicate setup event = %+v", evs[0])
+	if evs := rec.byKind(obs.KindSetup); len(evs) != 1 || evs[0].Outcome != obs.OutcomeError || evs[0].Code != CodeDuplicate {
+		t.Fatalf("duplicate setup events = %+v", evs)
 	}
 }
 

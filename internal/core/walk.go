@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"atmcac/internal/obs"
@@ -150,31 +149,6 @@ func (w *Walk) admission() *Admission {
 		w.adm.EndToEndComputed += d
 	}
 	return &w.adm
-}
-
-// Rename re-labels the walk's connection, with every reservation it
-// holds, to id, which it reserves in place of the old ID. Crankback uses
-// it to promote the winning probe of a parallel route search.
-func (w *Walk) Rename(id ConnID) error {
-	if err := w.n.reserveID(id); err != nil {
-		return err
-	}
-	held := w.switches[:w.held]
-	for i, sw := range held {
-		if slices.Contains(held[:i], sw) {
-			continue // a wrapped route's second visit: renamed already
-		}
-		if err := sw.Rename(w.req.ID, id); err != nil {
-			for _, done := range held[:i] {
-				_ = done.Rename(id, w.req.ID)
-			}
-			w.n.abandonID(id)
-			return fmt.Errorf("core: rename %q to %q: %w", w.req.ID, id, err)
-		}
-	}
-	w.n.abandonID(w.req.ID)
-	w.req.ID, w.adm.ID = id, id
-	return nil
 }
 
 // admitAll admits every hop in route order. The context is checked before

@@ -6,17 +6,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"atmcac/internal/core"
 	"atmcac/internal/rtnet"
 )
-
-// ErrConfig reports invalid experiment parameters.
-var ErrConfig = errors.New("experiments: invalid configuration")
 
 // Point is one (x, y) sample of a series.
 type Point struct {
@@ -399,47 +394,4 @@ func Figure13(cfg Figure13Config) ([]Series, error) {
 	hardSeries[0].Label = "hard CAC"
 	softSeries[0].Label = "soft CAC"
 	return []Series{softSeries[0], hardSeries[0]}, nil
-}
-
-// MaxSymmetricLoad finds the largest symmetric load admissible for a given
-// N — the knee of a Figure 10 curve — by binary search.
-func MaxSymmetricLoad(cfg SymmetricConfig, nTerm int, tolerance float64) (float64, error) {
-	cfg = cfg.withDefaults()
-	if tolerance <= 0 {
-		tolerance = 1.0 / 128
-	}
-	lo, hi := 0.0, 1.0
-	if _, ok, err := symmetricBound(cfg, nTerm, 1.0); err != nil {
-		return 0, err
-	} else if ok {
-		return 1.0, nil
-	}
-	for hi-lo > tolerance {
-		mid := (lo + hi) / 2
-		_, ok, err := symmetricBound(cfg, nTerm, mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// SeriesMin returns the smallest Y of a series; it reports ok=false for an
-// empty series.
-func SeriesMin(s Series) (float64, bool) {
-	if len(s.Points) == 0 {
-		return 0, false
-	}
-	min := math.Inf(1)
-	for _, p := range s.Points {
-		if p.Y < min {
-			min = p.Y
-		}
-	}
-	return min, true
 }

@@ -111,14 +111,14 @@ func TestFigure10PaperAnchors(t *testing.T) {
 
 func TestMaxSymmetricLoad(t *testing.T) {
 	cfg := smallSym([]int{1})
-	b, err := MaxSymmetricLoad(cfg, 1, 1.0/64)
+	b, err := maxSymmetricLoad(cfg, 1, 1.0/64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b <= 0.5 || b > 1 {
 		t.Errorf("max symmetric load for N=1 on 8 nodes = %g, want in (0.5, 1]", b)
 	}
-	b16, err := MaxSymmetricLoad(cfg, 16, 1.0/64)
+	b16, err := maxSymmetricLoad(cfg, 16, 1.0/64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +245,30 @@ func TestWriteTSV(t *testing.T) {
 	}
 }
 
-func TestSeriesMin(t *testing.T) {
-	if _, ok := SeriesMin(Series{}); ok {
-		t.Error("SeriesMin of empty series reported ok")
+// maxSymmetricLoad finds the largest symmetric load admissible for a given
+// N — the knee of a Figure 10 curve — by binary search.
+func maxSymmetricLoad(cfg SymmetricConfig, nTerm int, tolerance float64) (float64, error) {
+	cfg = cfg.withDefaults()
+	if tolerance <= 0 {
+		tolerance = 1.0 / 128
 	}
-	min, ok := SeriesMin(Series{Points: []Point{{0, 3}, {1, 1}, {2, 2}}})
-	if !ok || min != 1 {
-		t.Errorf("SeriesMin = %g, %v; want 1, true", min, ok)
+	lo, hi := 0.0, 1.0
+	if _, ok, err := symmetricBound(cfg, nTerm, 1.0); err != nil {
+		return 0, err
+	} else if ok {
+		return 1.0, nil
 	}
+	for hi-lo > tolerance {
+		mid := (lo + hi) / 2
+		_, ok, err := symmetricBound(cfg, nTerm, mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
 }

@@ -296,32 +296,3 @@ func (h *Harness) Snapshot() string {
 	}
 	return b.String()
 }
-
-// ReplayAgrees is the serial-replay oracle: it runs the script on two
-// fresh replicas and fails unless both end in the identical state — any
-// hidden nondeterminism (map iteration, timing dependence, state leakage
-// across events) shows up as a snapshot diff.
-func ReplayAgrees(cfg rtnet.Config, script Script) error {
-	snap := func() (string, error) {
-		h, err := New(cfg)
-		if err != nil {
-			return "", err
-		}
-		if _, err := h.Run(script); err != nil {
-			return "", err
-		}
-		return h.Snapshot(), nil
-	}
-	first, err := snap()
-	if err != nil {
-		return err
-	}
-	second, err := snap()
-	if err != nil {
-		return err
-	}
-	if first != second {
-		return fmt.Errorf("faultinject: serial replay diverged:\n--- first\n%s--- second\n%s", first, second)
-	}
-	return nil
-}

@@ -278,7 +278,7 @@ func TestMetricsTracerMapping(t *testing.T) {
 	r := NewRegistry()
 	tr := NewMetricsTracer(r)
 	tr.Trace(Event{Kind: KindSetup, Outcome: OutcomeAccepted, Hops: 3, Duration: time.Millisecond})
-	tr.Trace(Event{Kind: KindSetup, Outcome: OutcomeRejected, Code: "delay-bound", Retries: 2})
+	tr.Trace(Event{Kind: KindSetup, Outcome: OutcomeRejected, Code: "delay-bound"})
 	tr.Trace(Event{Kind: KindHopCheck, Outcome: OutcomeAccepted, Slack: 4, Duration: time.Microsecond})
 	tr.Trace(Event{Kind: KindHopCheck, Outcome: OutcomeRejected, Code: "queue-unstable"})
 	tr.Trace(Event{Kind: KindTeardown, Outcome: OutcomeOK})
@@ -298,7 +298,6 @@ func TestMetricsTracerMapping(t *testing.T) {
 		`atmcac_admission_setups_total{outcome="accepted"}`:     1,
 		`atmcac_admission_setups_total{outcome="rejected"}`:     1,
 		`atmcac_admission_rejections_total{code="delay-bound"}`: 1,
-		"atmcac_admission_setup_retries_total":                  2,
 		"atmcac_admission_hop_check_seconds_count":              2,
 		"atmcac_admission_hop_slack_cells_count":                1, // only the accepted hop
 		`atmcac_admission_teardowns_total{outcome="ok"}`:        1,
@@ -323,24 +322,5 @@ func TestMetricsTracerMapping(t *testing.T) {
 		if snap[k] != v {
 			t.Errorf("%s = %v, want %v", k, snap[k], v)
 		}
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatalf("Multi of no live tracers should be nil")
-	}
-	var a, b int
-	ta := TracerFunc(func(Event) { a++ })
-	tb := TracerFunc(func(Event) { b++ })
-	if got := Multi(nil, ta); got == nil {
-		t.Fatalf("Multi(nil, ta) = nil")
-	} else {
-		got.Trace(Event{})
-	}
-	m := Multi(ta, tb)
-	m.Trace(Event{})
-	if a != 2 || b != 1 {
-		t.Fatalf("fan-out counts a=%d b=%d, want 2, 1", a, b)
 	}
 }

@@ -13,7 +13,7 @@ type Kind string
 // documents.
 const (
 	// KindSetup is one end-to-end connection setup decision (core).
-	// Fields: Conn, Outcome, Code, Hops, Retries, Duration.
+	// Fields: Conn, Outcome, Code, Hops, Duration.
 	KindSetup Kind = "setup"
 	// KindHopCheck is one per-hop Algorithm 4.1 check (core).
 	// Fields: Conn, Switch, Outcome, Code, Duration, Slack (accepted only).
@@ -142,40 +142,6 @@ type Tracer interface {
 	Trace(Event)
 }
 
-// TracerFunc adapts a function to the Tracer interface.
-type TracerFunc func(Event)
-
-// Trace implements Tracer.
-func (f TracerFunc) Trace(ev Event) { f(ev) }
-
-// Multi fans one event out to several tracers, skipping nils. A nil or
-// empty result means "no tracing" and is represented as nil so emitters
-// can keep their fast-path nil check.
-func Multi(tracers ...Tracer) Tracer {
-	live := make([]Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiTracer(live)
-}
-
-type multiTracer []Tracer
-
-// Trace implements Tracer.
-func (m multiTracer) Trace(ev Event) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
-}
-
 // MetricsTracer folds trace events into a Registry under the atmcac_*
 // naming convention. It is the single place events become metrics: core,
 // wire and journal all emit Events, and every counter the daemon exports
@@ -189,7 +155,6 @@ type MetricsTracer struct {
 	setupSeconds   *Histogram
 	hopSeconds     *Histogram
 	hopSlack       *Histogram
-	setupRetries   *Counter
 	faillinks      *Counter
 	evicted        *Counter
 	restorelinks   *Counter
@@ -250,8 +215,6 @@ func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	reg.Help("atmcac_admission_hop_check_seconds", "Per-hop Algorithm 4.1 check duration.")
 	t.hopSlack = reg.Histogram("atmcac_admission_hop_slack_cells", DefSlackBuckets)
 	reg.Help("atmcac_admission_hop_slack_cells", "Queueing-bound slack D(j,p)-D'(j,p) of accepted hops, cell times.")
-	t.setupRetries = reg.Counter("atmcac_admission_setup_retries_total")
-	reg.Help("atmcac_admission_setup_retries_total", "Whole-setup retries consumed from WithRetryBudget.")
 	t.faillinks = reg.Counter("atmcac_failover_faillink_total")
 	t.evicted = reg.Counter("atmcac_failover_evicted_total")
 	t.restorelinks = reg.Counter("atmcac_failover_restorelink_total")
@@ -357,7 +320,6 @@ func (t *MetricsTracer) Trace(ev Event) {
 			t.mu.Unlock()
 			c.Inc()
 		}
-		t.setupRetries.Add(ev.Retries)
 	case KindHopCheck:
 		t.hopSeconds.Observe(ev.Duration.Seconds())
 		if ev.Outcome == OutcomeAccepted {

@@ -1,7 +1,7 @@
 // Package overload implements control-plane overload protection for the
 // central CAC server: a token-bucket + concurrency limiter with
-// priority-aware shedding, a per-route circuit breaker for crankback, and
-// bounded exponential backoff with jitter for clients.
+// priority-aware shedding, and bounded exponential backoff with jitter for
+// clients.
 //
 // The paper's admission control (Section 4.3) protects the data plane —
 // once admitted, a connection's delay bound holds — but a setup storm can

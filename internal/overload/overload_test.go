@@ -160,44 +160,6 @@ func TestLimiterConcurrentAccounting(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAndProbes(t *testing.T) {
-	clk := NewManualClock()
-	b := NewRouteBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second, Now: clk.Now})
-	const route = "ring00>ring01>ring02"
-	for i := 0; i < 2; i++ {
-		b.RecordFailure(route)
-		if !b.Allow(route) {
-			t.Fatalf("open after only %d failures", i+1)
-		}
-	}
-	b.RecordFailure(route)
-	if b.Allow(route) {
-		t.Fatal("not open after threshold failures")
-	}
-	if b.OpenCount() != 1 {
-		t.Errorf("OpenCount = %d, want 1", b.OpenCount())
-	}
-	clk.Advance(time.Second)
-	if !b.Allow(route) {
-		t.Fatal("cooldown elapsed but probe refused")
-	}
-	// A failing probe re-opens immediately.
-	b.RecordFailure(route)
-	if b.Allow(route) {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-	clk.Advance(time.Second)
-	b.RecordSuccess(route)
-	if !b.Allow(route) || b.OpenCount() != 0 {
-		t.Fatal("success did not close the breaker")
-	}
-	// Closed means the failure count restarts from zero.
-	b.RecordFailure(route)
-	if !b.Allow(route) {
-		t.Fatal("single failure after close tripped the breaker")
-	}
-}
-
 func TestBackoffHonorsHintAndGrows(t *testing.T) {
 	b := &Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond,
 		Jitter: 0.5, Rand: func() float64 { return 0.5 }} // jitter factor 1.0

@@ -38,7 +38,7 @@ func TestSyncReplicationPipelinedWithTracer(t *testing.T) {
 		Mode:           replica.ModeSync,
 		AckTimeout:     500 * time.Millisecond,
 		HeartbeatEvery: 50 * time.Millisecond,
-		Tracer: obs.TracerFunc(func(ev obs.Event) {
+		Tracer: tracerFunc(func(ev obs.Event) {
 			if ev.Kind == obs.KindReplAck {
 				acks.Add(1)
 			}
@@ -216,3 +216,8 @@ func TestSyncReplicationGroupCommits(t *testing.T) {
 		t.Fatalf("standby journal (%d bytes) is not byte-identical to the primary's (%d bytes)", len(standby), len(primary))
 	}
 }
+
+// tracerFunc adapts a function to obs.Tracer.
+type tracerFunc func(obs.Event)
+
+func (f tracerFunc) Trace(ev obs.Event) { f(ev) }

@@ -175,7 +175,7 @@ func (n *Network) PrimaryLink(from int) (core.Link, error) {
 // when the last hop transmits onto a ring (primary or secondary) port. The
 // receiving node has no queueing point on the route, so this link is
 // invisible to the core's consecutive-hop adjacency; failure handling must
-// account for it separately (see ringRouteLinks).
+// account for it separately (see RouteLinks).
 func (n *Network) DeliveryLink(route core.Route) (core.Link, bool) {
 	if len(route) == 0 {
 		return core.Link{}, false
@@ -199,9 +199,9 @@ func (n *Network) DeliveryLink(route core.Route) (core.Link, bool) {
 	return core.Link{From: SwitchName(i), To: SwitchName(to)}, true
 }
 
-// ringRouteLinks is the core.LinkMapper for ring routes: consecutive
+// RouteLinks is the core.LinkMapper for ring routes: consecutive
 // queueing points plus the final delivery link.
-func (n *Network) ringRouteLinks(route core.Route) []core.Link {
+func (n *Network) RouteLinks(route core.Route) []core.Link {
 	links := make([]core.Link, 0, len(route))
 	for i := 0; i+1 < len(route); i++ {
 		links = append(links, core.Link{From: route[i].Switch, To: route[i+1].Switch})

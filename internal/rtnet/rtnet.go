@@ -115,7 +115,7 @@ func New(cfg Config) (*Network, error) {
 	// hop sequence alone cannot show (the receiving node does not queue).
 	// This makes link-failure handling — setup refusal, commit
 	// re-validation, eviction — exact for ring routes.
-	n.coreN.SetLinkMapper(n.ringRouteLinks)
+	n.coreN.SetLinkMapper(n.RouteLinks)
 	ringName := func(i int) topology.NodeID { return topology.NodeID(SwitchName(i)) }
 	if err := topology.Ring(n.graph, cfg.RingNodes, ringName, int(RingOutPort), int(RingInPort)); err != nil {
 		return nil, fmt.Errorf("rtnet: build ring: %w", err)

@@ -19,28 +19,13 @@ package signaling
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 
 	"atmcac/internal/core"
-	"atmcac/internal/overload"
 )
 
-var (
-	// ErrClosed reports use of a closed fabric.
-	ErrClosed = errors.New("signaling: fabric closed")
-	// ErrUnknownNode reports a route hop through an unregistered node.
-	ErrUnknownNode = core.ErrUnknownSwitch
-	// ErrDuplicate reports a connection ID already in use.
-	ErrDuplicate = core.ErrDuplicateConn
-	// ErrUnknownConn reports a disconnect for an unknown connection.
-	ErrUnknownConn = core.ErrUnknownConn
-	// ErrSuppressed reports a setup whose every candidate route is
-	// currently suppressed by the per-route circuit breaker — the caller
-	// should back off instead of probing dead routes.
-	ErrSuppressed = errors.New("signaling: all candidate routes suppressed by circuit breaker")
-)
+// ErrClosed reports use of a closed fabric.
+var ErrClosed = errors.New("signaling: fabric closed")
 
 // Result is the outcome of a completed setup: the network's admission.
 type Result = core.Admission
@@ -182,19 +167,6 @@ func (f *Fabric) deliver(msg message) {
 // an eventually-successful setup stays established (call Disconnect to
 // release it).
 func (f *Fabric) Connect(ctx context.Context, req core.ConnRequest) (*Result, error) {
-	w, err := f.run(ctx, req, func(w *core.Walk) { _, _ = w.Finish() })
-	if err != nil {
-		return nil, err
-	}
-	return w.Finish()
-}
-
-// run begins req's walk at the origin, sends its SETUP down the route and
-// waits for CONNECTED or REJECT. It returns the CONNECTED walk for the
-// caller to finish or abort; a refused walk is aborted. The context bounds
-// only the wait: a walk whose wait was abandoned still runs to completion
-// and is then handed to late, or aborted if it was refused.
-func (f *Fabric) run(ctx context.Context, req core.ConnRequest, late func(*core.Walk)) (*core.Walk, error) {
 	if err := f.open(); err != nil {
 		return nil, err
 	}
@@ -220,229 +192,21 @@ func (f *Fabric) run(ctx context.Context, req core.ConnRequest, late func(*core.
 	go func() {
 		select {
 		case err := <-done:
-			if err == nil {
-				late(w)
-				return
-			}
+			_, _ = settle(w, err)
 		case <-f.stopped:
+			w.Abort()
 		}
-		w.Abort()
 	}()
 	return nil, ctx.Err()
 }
 
-// settle aborts a refused walk and hands back a CONNECTED one.
-func settle(w *core.Walk, err error) (*core.Walk, error) {
+// settle commits a CONNECTED walk and aborts a refused one.
+func settle(w *core.Walk, err error) (*Result, error) {
 	if err != nil {
 		w.Abort()
 		return nil, err
 	}
-	return w, nil
-}
-
-// SetupOptions tunes ConnectAnyOpts with the overload-control policy of
-// one setup attempt.
-type SetupOptions struct {
-	// RetryBudget caps the total number of route attempts (parallel
-	// probes plus serial crankback retries) one setup may spend. Zero
-	// means the classic behaviour: one probe per candidate plus one
-	// serial pass when every probe was rejected.
-	RetryBudget int
-	// Breaker, when non-nil, suppresses candidate routes whose breaker
-	// is open and records each attempt's outcome, so routes behind a
-	// failed link stop being probed after a few rejections instead of
-	// feeding a crankback storm.
-	Breaker *overload.RouteBreaker
-}
-
-// RouteKey derives the circuit-breaker key of a route: the ordered switch
-// names. Port detail is deliberately dropped — what fails together (a
-// link, a saturated switch) is shared by every port-level variant.
-func RouteKey(route core.Route) string {
-	names := make([]string, len(route))
-	for i, hop := range route {
-		names[i] = hop.Switch
-	}
-	return strings.Join(names, ">")
-}
-
-// candidate is one breaker-approved route with its caller-visible index.
-type candidate struct {
-	idx   int
-	route core.Route
-}
-
-// record feeds one attempt outcome to the breaker: successes close the
-// route, CAC rejections and dead links count toward opening it; errors
-// that say nothing about the route (cancellation, closed fabric) are not
-// recorded.
-func (o SetupOptions) record(route core.Route, err error) {
-	if o.Breaker == nil {
-		return
-	}
-	switch {
-	case err == nil:
-		o.Breaker.RecordSuccess(RouteKey(route))
-	case crankbackErr(err):
-		o.Breaker.RecordFailure(RouteKey(route))
-	}
-}
-
-// ConnectAny attempts the setup over the candidate routes and returns a
-// success together with the index of the route that carried it — the
-// crankback behaviour of ATM signaling: a REJECT releases every upstream
-// reservation and the source retries over an alternate route.
-//
-// With more than one candidate the routes are evaluated in parallel: each
-// candidate runs a full distributed setup under a hidden probe ID, the
-// lowest-indexed viable outcome wins (mirroring the serial preference
-// order), surplus successes are released, and the winner's walk is
-// re-labelled to req.ID (core.Walk.Rename) and committed. Probes briefly
-// reserve capacity on every candidate simultaneously, so if all of them
-// are rejected — which can be an artifact of the probes contending with
-// each other — the candidates are retried serially before the rejection
-// is final. Decisions are therefore never more conservative than the
-// serial crankback.
-//
-// Non-CAC errors abort the setup; if every route is rejected, the last
-// rejection is returned. Like Connect, cancelling the context abandons the
-// wait but does not abort the protocol; a parallel probe whose wait was
-// abandoned releases its reservations when it completes. Connection IDs
-// containing a NUL byte are reserved for probe attempts.
-func (f *Fabric) ConnectAny(ctx context.Context, req core.ConnRequest, routes []core.Route) (*Result, int, error) {
-	return f.ConnectAnyOpts(ctx, req, routes, SetupOptions{})
-}
-
-// ConnectAnyOpts is ConnectAny under an explicit overload-control policy:
-// candidate routes suppressed by the circuit breaker are skipped (every
-// candidate suppressed yields ErrSuppressed), attempt outcomes are
-// recorded, and the crankback retry budget bounds how many route attempts
-// the setup may spend before the last rejection becomes final.
-func (f *Fabric) ConnectAnyOpts(ctx context.Context, req core.ConnRequest, routes []core.Route, opts SetupOptions) (*Result, int, error) {
-	if len(routes) == 0 {
-		return nil, -1, fmt.Errorf("%w: no candidate routes for %q", core.ErrBadConfig, req.ID)
-	}
-	cands := make([]candidate, 0, len(routes))
-	for i, route := range routes {
-		if opts.Breaker != nil && !opts.Breaker.Allow(RouteKey(route)) {
-			continue
-		}
-		cands = append(cands, candidate{idx: i, route: route})
-	}
-	if len(cands) == 0 {
-		return nil, -1, fmt.Errorf("%w: all %d candidates of %q", ErrSuppressed, len(routes), req.ID)
-	}
-	// The classic behaviour spends one probe per candidate plus one
-	// serial pass to rule out probe self-contention.
-	budget := opts.RetryBudget
-	if budget <= 0 {
-		budget = 2 * len(cands)
-	}
-	if len(cands) > budget {
-		cands = cands[:budget]
-	}
-	if len(cands) == 1 {
-		return f.connectAnySerial(ctx, req, cands, opts)
-	}
-
-	results := make([]struct {
-		walk *core.Walk
-		err  error
-	}, len(cands))
-	var wg sync.WaitGroup
-	for i, cand := range cands {
-		wg.Add(1)
-		go func(i int, route core.Route) {
-			defer wg.Done()
-			probe := req
-			probe.ID = probeID(req.ID, i)
-			probe.Route = route
-			results[i].walk, results[i].err = f.run(ctx, probe, (*core.Walk).Abort)
-		}(i, cand.route)
-	}
-	wg.Wait()
-
-	// Select exactly as the serial loop would: scan in candidate order and
-	// let the first non-rejection outcome decide.
-	winner := -1
-	var abortErr, lastReject error
-	for i, r := range results {
-		opts.record(cands[i].route, r.err)
-		if r.err == nil {
-			if winner < 0 && abortErr == nil {
-				winner = i
-			} else {
-				// Surplus success (or success after a fatal error): release.
-				r.walk.Abort()
-			}
-			continue
-		}
-		if crankbackErr(r.err) {
-			lastReject = r.err
-		} else if winner < 0 && abortErr == nil {
-			abortErr = r.err
-		}
-	}
-	if abortErr != nil {
-		return nil, -1, abortErr
-	}
-	if winner < 0 {
-		// Every probe was rejected; rule out probe self-contention with the
-		// classic serial crankback before reporting the rejection — unless
-		// the retry budget is already spent.
-		remaining := budget - len(cands)
-		if remaining <= 0 {
-			return nil, -1, lastReject
-		}
-		if remaining < len(cands) {
-			cands = cands[:remaining]
-		}
-		return f.connectAnySerial(ctx, req, cands, opts)
-	}
-	// Promote the winning probe to the caller's ID and commit it.
-	w := results[winner].walk
-	if err := w.Rename(req.ID); err != nil {
-		w.Abort()
-		return nil, -1, err
-	}
-	res, err := w.Finish()
-	if err != nil {
-		return nil, -1, err
-	}
-	return res, cands[winner].idx, nil
-}
-
-// crankbackErr reports whether a setup failure permits trying the next
-// candidate route: CAC rejections and routes over failed links crank back;
-// everything else aborts the setup.
-func crankbackErr(err error) bool {
-	return errors.Is(err, core.ErrRejected) || errors.Is(err, core.ErrLinkDown)
-}
-
-// connectAnySerial is the classic sequential crankback loop over
-// breaker-approved, budget-trimmed candidates.
-func (f *Fabric) connectAnySerial(ctx context.Context, req core.ConnRequest, cands []candidate, opts SetupOptions) (*Result, int, error) {
-	var lastErr error
-	for _, cand := range cands {
-		attempt := req
-		attempt.Route = cand.route
-		res, err := f.Connect(ctx, attempt)
-		opts.record(cand.route, err)
-		if err == nil {
-			return res, cand.idx, nil
-		}
-		if !crankbackErr(err) {
-			return nil, -1, err
-		}
-		lastErr = err
-	}
-	return nil, -1, lastErr
-}
-
-// probeID derives the hidden attempt ID of candidate route i. The NUL byte
-// keeps probes out of the caller-visible ID space.
-func probeID(id core.ConnID, i int) core.ConnID {
-	return core.ConnID(fmt.Sprintf("%s\x00alt%d", id, i))
+	return w.Finish()
 }
 
 // Disconnect releases an established connection at every hop. The release

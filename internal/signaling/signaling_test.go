@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"atmcac/internal/core"
-	"atmcac/internal/overload"
 	"atmcac/internal/traffic"
 )
 
@@ -83,13 +82,13 @@ func TestConnectValidation(t *testing.T) {
 		t.Errorf("empty route error = %v", err)
 	}
 	bad := core.Route{{Switch: "nope", In: 1, Out: 0}}
-	if _, err := f.Connect(testCtx(t), core.ConnRequest{ID: "x", Spec: traffic.CBR(0.1), Priority: 1, Route: bad}); !errors.Is(err, ErrUnknownNode) {
+	if _, err := f.Connect(testCtx(t), core.ConnRequest{ID: "x", Spec: traffic.CBR(0.1), Priority: 1, Route: bad}); !errors.Is(err, core.ErrUnknownSwitch) {
 		t.Errorf("unknown node error = %v", err)
 	}
 	if _, err := f.Connect(testCtx(t), core.ConnRequest{ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Connect(testCtx(t), core.ConnRequest{ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route}); !errors.Is(err, ErrDuplicate) {
+	if _, err := f.Connect(testCtx(t), core.ConnRequest{ID: "c1", Spec: traffic.CBR(0.1), Priority: 1, Route: route}); !errors.Is(err, core.ErrDuplicateConn) {
 		t.Errorf("duplicate error = %v", err)
 	}
 }
@@ -192,7 +191,7 @@ func TestDisconnect(t *testing.T) {
 			t.Errorf("node sw%d still carries c1 after disconnect", i)
 		}
 	}
-	if err := f.Disconnect(testCtx(t), "c1"); !errors.Is(err, ErrUnknownConn) {
+	if err := f.Disconnect(testCtx(t), "c1"); !errors.Is(err, core.ErrUnknownConn) {
 		t.Errorf("double disconnect error = %v", err)
 	}
 	// The ID is reusable.
@@ -439,232 +438,5 @@ func TestSignalingMatchesSequentialSetup(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestConnectAnyCrankback: the primary route is saturated; crankback
-// establishes over the alternate and reports its index.
-func TestConnectAnyCrankback(t *testing.T) {
-	f := NewFabric(nil)
-	t.Cleanup(f.Close)
-	// Two parallel 2-hop paths: a0->a1 (tight) and b0->b1 (roomy).
-	for _, cfg := range []core.SwitchConfig{
-		{Name: "a0", QueueCells: map[core.Priority]float64{1: 2}},
-		{Name: "a1", QueueCells: map[core.Priority]float64{1: 2}},
-		{Name: "b0", QueueCells: map[core.Priority]float64{1: 64}},
-		{Name: "b1", QueueCells: map[core.Priority]float64{1: 64}},
-	} {
-		if _, err := f.AddNode(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	primary := core.Route{{Switch: "a0", In: 1, Out: 0}, {Switch: "a1", In: 0, Out: 0}}
-	alternate := core.Route{{Switch: "b0", In: 1, Out: 0}, {Switch: "b1", In: 0, Out: 0}}
-	// Saturate the primary.
-	a0, _ := f.Node("a0")
-	for i := 0; i < 8; i++ {
-		if _, err := a0.Switch().Admit(core.HopRequest{
-			Conn: core.ConnID(fmt.Sprintf("bg%d", i)), Spec: traffic.CBR(0.01),
-			In: core.PortID(10 + i), Out: 0, Priority: 1,
-		}); err != nil {
-			break
-		}
-	}
-	res, idx, err := f.ConnectAny(testCtx(t), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{primary, alternate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("carried by route %d, want the alternate (1)", idx)
-	}
-	if res.EndToEndGuaranteed != 128 {
-		t.Errorf("guarantee = %g, want 128 (alternate queues)", res.EndToEndGuaranteed)
-	}
-	// The rejected primary left no residue and carries nothing of c1.
-	for _, name := range []string{"a0", "a1"} {
-		n, _ := f.Node(name)
-		if n.Switch().Has("c1") {
-			t.Errorf("crankback left c1 at %s", name)
-		}
-	}
-	b0, _ := f.Node("b0")
-	if !b0.Switch().Has("c1") {
-		t.Error("alternate does not carry c1")
-	}
-	// Disconnect works against the route that actually carried it.
-	if err := f.Disconnect(testCtx(t), "c1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConnectAnyAllRejected(t *testing.T) {
-	f := NewFabric(nil)
-	t.Cleanup(f.Close)
-	if _, err := f.AddNode(core.SwitchConfig{Name: "a", QueueCells: map[core.Priority]float64{1: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := f.Node("a")
-	for i := 0; i < 8; i++ {
-		if _, err := a.Switch().Admit(core.HopRequest{
-			Conn: core.ConnID(fmt.Sprintf("bg%d", i)), Spec: traffic.CBR(0.01),
-			In: core.PortID(10 + i), Out: 0, Priority: 1,
-		}); err != nil {
-			break
-		}
-	}
-	routeA := core.Route{{Switch: "a", In: 1, Out: 0}}
-	_, idx, err := f.ConnectAny(testCtx(t), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{routeA, routeA})
-	if !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("error = %v, want ErrRejected", err)
-	}
-	if idx != -1 {
-		t.Errorf("index = %d, want -1", idx)
-	}
-}
-
-func TestConnectAnyValidation(t *testing.T) {
-	f := NewFabric(nil)
-	t.Cleanup(f.Close)
-	if _, _, err := f.ConnectAny(testCtx(t), core.ConnRequest{ID: "x"}, nil); !errors.Is(err, core.ErrBadConfig) {
-		t.Errorf("no-routes error = %v", err)
-	}
-	// A non-CAC error (unknown node) aborts instead of cranking back.
-	if _, err := f.AddNode(core.SwitchConfig{Name: "a", QueueCells: map[core.Priority]float64{1: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := f.ConnectAny(testCtx(t), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{{{Switch: "ghost", In: 1, Out: 0}}, {{Switch: "a", In: 1, Out: 0}}})
-	if !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("error = %v, want ErrUnknownNode (no crankback on operational errors)", err)
-	}
-}
-
-// saturatedNode fills node name until its priority-1 output 0 rejects.
-func saturatedNode(t *testing.T, f *Fabric, name string) {
-	t.Helper()
-	n, ok := f.Node(name)
-	if !ok {
-		t.Fatalf("no node %q", name)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := n.Switch().Admit(core.HopRequest{
-			Conn: core.ConnID(fmt.Sprintf("bg-%s-%d", name, i)), Spec: traffic.CBR(0.01),
-			In: core.PortID(10 + i), Out: 0, Priority: 1,
-		}); err != nil {
-			return
-		}
-	}
-	t.Fatalf("node %q did not saturate", name)
-}
-
-// breakerFabric builds a tight route a (rejects) and a roomy route b.
-func breakerFabric(t *testing.T) (*Fabric, core.Route, core.Route) {
-	t.Helper()
-	f := NewFabric(nil)
-	t.Cleanup(f.Close)
-	for _, cfg := range []core.SwitchConfig{
-		{Name: "a", QueueCells: map[core.Priority]float64{1: 1}},
-		{Name: "b", QueueCells: map[core.Priority]float64{1: 64}},
-	} {
-		if _, err := f.AddNode(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	saturatedNode(t, f, "a")
-	tight := core.Route{{Switch: "a", In: 1, Out: 0}}
-	roomy := core.Route{{Switch: "b", In: 1, Out: 0}}
-	return f, tight, roomy
-}
-
-// TestConnectAnyBreakerOpensFailingRoute: repeated setups over a
-// (rejecting, roomy) candidate pair trip the tight route's breaker at the
-// failure threshold, after which it is no longer probed — later setups go
-// straight to the roomy route and still succeed.
-func TestConnectAnyBreakerOpensFailingRoute(t *testing.T) {
-	f, tight, roomy := breakerFabric(t)
-	clock := overload.NewManualClock()
-	br := overload.NewRouteBreaker(overload.BreakerConfig{
-		Threshold: 2, Cooldown: time.Second, Now: clock.Now,
-	})
-	opts := SetupOptions{Breaker: br}
-	for i := 0; i < 3; i++ {
-		res, idx, err := f.ConnectAnyOpts(testCtx(t), core.ConnRequest{
-			ID: core.ConnID(fmt.Sprintf("c%d", i)), Spec: traffic.CBR(0.01), Priority: 1,
-		}, []core.Route{tight, roomy}, opts)
-		if err != nil || idx != 1 || res == nil {
-			t.Fatalf("setup %d = (%v, %d, %v), want success over route 1", i, res, idx, err)
-		}
-	}
-	// Two recorded rejections opened the tight route.
-	if br.Allow(RouteKey(tight)) {
-		t.Error("tight route still allowed after reaching the failure threshold")
-	}
-	if !br.Allow(RouteKey(roomy)) {
-		t.Error("roomy route suppressed despite its successes")
-	}
-	if got := br.OpenCount(); got != 1 {
-		t.Errorf("OpenCount = %d, want 1", got)
-	}
-	// After the cooldown a probe is allowed again.
-	clock.Advance(time.Second)
-	if !br.Allow(RouteKey(tight)) {
-		t.Error("tight route not probeable after cooldown")
-	}
-}
-
-// TestConnectAnyAllSuppressed: when every candidate's breaker is open the
-// setup fails fast with ErrSuppressed instead of feeding the storm.
-func TestConnectAnyAllSuppressed(t *testing.T) {
-	f, tight, roomy := breakerFabric(t)
-	clock := overload.NewManualClock()
-	br := overload.NewRouteBreaker(overload.BreakerConfig{
-		Threshold: 1, Cooldown: time.Minute, Now: clock.Now,
-	})
-	br.RecordFailure(RouteKey(tight))
-	br.RecordFailure(RouteKey(roomy))
-	_, idx, err := f.ConnectAnyOpts(testCtx(t), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{tight, roomy}, SetupOptions{Breaker: br})
-	if !errors.Is(err, ErrSuppressed) {
-		t.Fatalf("error = %v, want ErrSuppressed", err)
-	}
-	if idx != -1 {
-		t.Errorf("index = %d, want -1", idx)
-	}
-	// The connection ID was not burned: once the cooldown passes the same
-	// setup succeeds.
-	clock.Advance(time.Minute)
-	_, idx, err = f.ConnectAnyOpts(testCtx(t), core.ConnRequest{
-		ID: "c1", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{tight, roomy}, SetupOptions{Breaker: br})
-	if err != nil || idx != 1 {
-		t.Fatalf("setup after cooldown = (%d, %v), want route 1", idx, err)
-	}
-}
-
-// TestConnectAnyRetryBudget: a budget of one bounds the setup to the
-// first candidate — the roomy alternate is never tried, so the rejection
-// is final; the classic (zero) budget cranks back to it and succeeds.
-func TestConnectAnyRetryBudget(t *testing.T) {
-	f, tight, roomy := breakerFabric(t)
-	_, idx, err := f.ConnectAnyOpts(testCtx(t), core.ConnRequest{
-		ID: "capped", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{tight, roomy}, SetupOptions{RetryBudget: 1})
-	if !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("budget-1 setup = %v, want ErrRejected (no attempts left for the alternate)", err)
-	}
-	if idx != -1 {
-		t.Errorf("index = %d, want -1", idx)
-	}
-	_, idx, err = f.ConnectAnyOpts(testCtx(t), core.ConnRequest{
-		ID: "classic", Spec: traffic.CBR(0.01), Priority: 1,
-	}, []core.Route{tight, roomy}, SetupOptions{})
-	if err != nil || idx != 1 {
-		t.Fatalf("classic setup = (%d, %v), want route 1", idx, err)
 	}
 }

@@ -59,7 +59,10 @@ func TestSpecStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bitstream.MustNew([]bitstream.Segment{{Start: 0, Rate: 1}, {Start: 1, Rate: 0.5}, {Start: 21, Rate: 0.1}})
+	want, err := bitstream.New([]bitstream.Segment{{Start: 0, Rate: 1}, {Start: 1, Rate: 0.5}, {Start: 21, Rate: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !s.Equal(want, 1e-12) {
 		t.Fatalf("Stream() = %v, want %v", s, want)
 	}

@@ -58,10 +58,6 @@ const (
 	// CodeNotDurable marks a setup or teardown refused (and rolled back)
 	// because its journal record could not be written before the ack.
 	CodeNotDurable = "not-durable"
-	// CodeOverloadedRate and CodeOverloadedConcurrency mark requests shed
-	// by overload control before any work was done.
-	CodeOverloadedRate        = "overloaded-rate"
-	CodeOverloadedConcurrency = "overloaded-concurrency"
 	// CodeProtocol marks a request the server could not parse.
 	CodeProtocol = "protocol"
 	// CodeUnknownOp marks a well-formed request naming no operation.
@@ -258,9 +254,9 @@ type Response struct {
 	Error    string `json:"error,omitempty"`
 	Rejected bool   `json:"rejected,omitempty"`
 	// Code is the stable machine-readable form of Error: a core admission
-	// taxonomy code (core.ErrorCode) or a wire-level code (CodeNotDurable,
-	// CodeOverloadedRate, ...). Empty on success. Clients surface it
-	// through RemoteError.
+	// taxonomy code (core.ErrorCode), a wire-level code (CodeNotDurable,
+	// ...) or "overloaded-" plus the limiter's shed reason. Empty on
+	// success. Clients surface it through RemoteError.
 	Code string `json:"code,omitempty"`
 	// Admission reports a successful setup.
 	Admission *Admission `json:"admission,omitempty"`
