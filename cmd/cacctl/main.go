@@ -25,8 +25,8 @@
 // ring at node -origin via terminal -terminal and visits every other ring
 // node (-ring must match the server's ring size). While exactly one
 // primary ring link is down and the healthy route crosses it, setup
-// requests the Section 5 wrapped route, the one the server re-admits
-// evicted connections over.
+// requests and bound prices the Section 5 wrapped route, the one the
+// server re-admits evicted connections over.
 //
 // fail-link declares primary ring link N -> N+1 failed: the server evicts
 // every connection traversing it and re-admits each over the wrapped ring,
@@ -704,7 +704,11 @@ func bound(client *wire.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	route, err := broadcastRoute(*ring, *origin, *terminal, nil)
+	h, err := client.Health(context.Background())
+	if err != nil {
+		return err
+	}
+	route, err := broadcastRoute(*ring, *origin, *terminal, h.FailedLinks)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -71,8 +72,8 @@ func startRingServer(t *testing.T) (string, *rtnet.Network) {
 
 // TestSetupOverWrappedRing: while primary link ring03->ring04 is down, a
 // setup whose healthy broadcast route crosses it is admitted on the
-// wrapped route, and one whose route does not cross it keeps the healthy
-// route.
+// wrapped route, one whose route does not cross it keeps the healthy
+// route, and bound prices the wrapped route too.
 func TestSetupOverWrappedRing(t *testing.T) {
 	addr, rt := startRingServer(t)
 	base := []string{"-addr", addr}
@@ -85,7 +86,7 @@ func TestSetupOverWrappedRing(t *testing.T) {
 		id      string
 		origin  int
 		wrapped bool
-	}{{"c7", 5, true}, {"c8", 4, false}} {
+	}{{"c7", 5, true}, {"c8", 4, false}, {"c9", 3, true}} {
 		out := captureStdout(t, func() {
 			if err := run(append(base, "setup", "-id", tc.id, "-ring", "8",
 				"-origin", strconv.Itoa(tc.origin), "-terminal", "2", "-pcr", "0.01")); err != nil {
@@ -106,6 +107,25 @@ func TestSetupOverWrappedRing(t *testing.T) {
 		if !ok || !reflect.DeepEqual(req.Route, want) {
 			t.Errorf("%s admitted on %v (ok %v), want %v", tc.id, req.Route, ok, want)
 		}
+	}
+	// bound prices the route setup would request: the 13-hop wrap, whose
+	// secondary-ring queues c9 and c7 load, not the healthy 7 hops.
+	wrapped, err := rt.WrappedBroadcastRoute(5, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := rt.Core().RouteBound(wrapped, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("end-to-end computed bound: %.1f cell times", d)
+	out := captureStdout(t, func() {
+		if err := run(append(base, "bound", "-ring", "8", "-origin", "5", "-terminal", "2")); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(wrapped) != 13 || !strings.Contains(out, want) {
+		t.Errorf("bound over the %d-hop wrap printed %q, want %q", len(wrapped), out, want)
 	}
 }
 

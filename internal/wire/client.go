@@ -39,17 +39,25 @@ type Client struct {
 	// coordEpoch, when non-zero, is stamped on every shard 2PC request
 	// (see Request.CoordEpoch). Set by a coordinator after dialing.
 	coordEpoch atomic.Uint64
+	// compact says the hello agreed on compact request payloads.
+	compact bool
 }
 
-// helloTimeout bounds the Dial negotiation round trip, so a peer that
-// never answers the hello fails the dial instead of hanging it.
+// helloTimeout bounds the Dial connect and, separately, the negotiation
+// round trip, so an address that drops SYNs or a peer that never answers
+// the hello fails the dial instead of hanging it.
 const helloTimeout = 3 * time.Second
 
-// Dial connects to a CAC server and negotiates the binary framing. A
-// server that refuses it (unknown-op, unsupported-proto) or does not
-// answer within helloTimeout fails the dial; the connection is closed.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// Dial connects to a CAC server and negotiates the binary framing, with
+// compact payloads when the server offers them. A connect that does not
+// complete within helloTimeout, or a server that refuses the framing
+// (unknown-op, unsupported-proto) or does not answer within helloTimeout,
+// fails the dial; the connection is closed.
+func Dial(addr string) (*Client, error) { return dial(addr, helloTimeout) }
+
+// dial is Dial with the connect bounded by timeout.
+func dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := (&net.Dialer{Timeout: timeout}).Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
@@ -62,10 +70,12 @@ func Dial(addr string) (*Client, error) {
 }
 
 // negotiate sends the hello as one JSON line and, once the server
-// confirms the binary framing, starts the response reader.
+// confirms the binary framing, starts the response reader. The hello
+// offers compact payloads; a server that predates them leaves "compact"
+// out of its answer, and the connection carries JSON payloads.
 func negotiate(conn net.Conn) (*Client, error) {
 	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
-	if err := json.NewEncoder(conn).Encode(Request{Op: OpHello, Proto: ProtoBinary}); err != nil {
+	if err := json.NewEncoder(conn).Encode(Request{Op: OpHello, Proto: ProtoBinary, Compact: true}); err != nil {
 		return nil, fmt.Errorf("hello: send: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -88,6 +98,7 @@ func negotiate(conn net.Conn) (*Client, error) {
 		conn:       conn,
 		pending:    make(map[uint64]chan Response),
 		readerDone: make(chan struct{}),
+		compact:    resp.Compact,
 	}
 	go c.readLoop(br)
 	return c, nil
@@ -151,8 +162,8 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		tag, payload, err := readBinFrame(br)
 		var resp Response
 		if err == nil {
-			if uerr := json.Unmarshal(payload, &resp); uerr != nil {
-				err = fmt.Errorf("%w: %v", ErrProtocol, uerr)
+			if resp, err = decodeResponse(payload); err != nil {
+				err = fmt.Errorf("%w: %v", ErrProtocol, err)
 			}
 		}
 		if err != nil {
@@ -186,7 +197,7 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 	if err := stampDeadline(ctx, &req); err != nil {
 		return Response{}, err
 	}
-	payload, err := json.Marshal(req)
+	frame, err := c.encode(&req)
 	if err != nil {
 		return Response{}, fmt.Errorf("wire: encode: %w", err)
 	}
@@ -200,7 +211,7 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 	}
 	c.pending[tag] = ch
 	c.pmu.Unlock()
-	frame := appendBinFrame(nil, tag, payload)
+	sealBinFrame(frame, tag)
 	c.wmu.Lock()
 	_, werr := c.conn.Write(frame)
 	c.wmu.Unlock()
@@ -227,6 +238,19 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 		c.pmu.Unlock()
 		return Response{}, fmt.Errorf("wire: receive: %w", rerr)
 	}
+}
+
+// encode builds req's frame in the connection's payload encoding, with
+// its header left for sealBinFrame.
+func (c *Client) encode(req *Request) ([]byte, error) {
+	if c.compact {
+		return appendCompactRequest(make([]byte, binHdrSize, 256), req), nil
+	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, binHdrSize, binHdrSize+len(payload)), payload...), nil
 }
 
 // forget abandons a pending tag.

@@ -10,11 +10,15 @@
 //	[4B big-endian payload length][4B IEEE CRC32(payload)][8B tag][payload]
 //
 // — the journal's CRC32 record framing (internal/journal) extended with
-// a tag. The payload stays the same JSON object the line protocol
-// carries; what the framing buys is integrity (CRC), no line-scanning,
-// and above all pipelining: the tag names the request, responses echo
-// it, and may arrive out of order. A peer that never sends a hello (nc,
-// socat, a script) is served JSON lines for the life of the connection.
+// a tag. What the framing buys is integrity (CRC), no line-scanning, and
+// above all pipelining: the tag names the request, responses echo it, and
+// may arrive out of order. The payload is the JSON object the line
+// protocol carries, unless the hello also agreed on compact payloads
+// ("compact":true both ways): then every request and every response
+// without a report struct is the fixed binary layout of compact.go,
+// told apart from JSON by its first byte. A peer that never sends a
+// hello (nc, socat, a script) is served JSON lines for the life of the
+// connection.
 package wire
 
 import (
@@ -61,14 +65,13 @@ const defaultPipelineDepth = 32
 
 var errFrameTooLong = fmt.Errorf("%w: frame exceeds %d bytes", ErrProtocol, MaxLineBytes)
 
-// appendBinFrame appends one binary frame carrying payload under tag.
-func appendBinFrame(dst []byte, tag uint64, payload []byte) []byte {
-	var hdr [binHdrSize]byte
-	binary.BigEndian.PutUint32(hdr[binLenOff:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[binCRCOff:], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint64(hdr[binTagOff:], tag)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// sealBinFrame fills in the header of frame, whose payload follows the
+// binHdrSize bytes reserved at its start.
+func sealBinFrame(frame []byte, tag uint64) {
+	payload := frame[binHdrSize:]
+	binary.BigEndian.PutUint32(frame[binLenOff:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[binCRCOff:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint64(frame[binTagOff:], tag)
 }
 
 // readBinFrame reads one binary frame. A corrupt or oversized frame is a
@@ -156,7 +159,7 @@ func ServeSession(conn net.Conn, handle func(Request) Response, opts SessionOpti
 				}
 				// The bufio.Reader carries over: bytes the client
 				// pipelined behind its hello are already binary frames.
-				serveBinary(conn, br, handle, opts)
+				serveBinary(conn, br, handle, opts, resp.Compact)
 				return
 			}
 		default:
@@ -173,12 +176,13 @@ func ServeSession(conn net.Conn, handle func(Request) Response, opts SessionOpti
 
 // helloResponse answers one hello request and reports whether the
 // connection switches to binary framing after the response is written.
+// A binary hello that offers compact payloads is granted them.
 func helloResponse(req Request) (Response, bool) {
 	switch req.Proto {
 	case "", ProtoJSON:
 		return Response{OK: true, Proto: ProtoJSON}, false
 	case ProtoBinary:
-		return Response{OK: true, Proto: ProtoBinary}, true
+		return Response{OK: true, Proto: ProtoBinary, Compact: req.Compact}, true
 	default:
 		return Response{
 			Error: fmt.Sprintf("unsupported protocol %q", req.Proto),
@@ -231,8 +235,9 @@ type taggedResponse struct {
 // serveBinary runs the pipelined binary loop: this goroutine reads and
 // decodes frames, a bounded pool of handler goroutines executes them
 // concurrently, and one writer goroutine serializes completed responses
-// back in completion order.
-func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response, opts SessionOptions) {
+// back in completion order. compact says the hello agreed on compact
+// payloads.
+func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response, opts SessionOptions, compact bool) {
 	depth := opts.MaxPipeline
 	if depth <= 0 {
 		depth = defaultPipelineDepth
@@ -243,7 +248,8 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 		defer close(writerDone)
 		var frame []byte
 		for tr := range out {
-			payload, err := json.Marshal(tr.resp)
+			var err error
+			frame, err = appendResponse(append(frame[:0], make([]byte, binHdrSize)...), &tr.resp, compact)
 			if err != nil {
 				// An unencodable response kills the connection, exactly
 				// as in the JSON loop; the fuzzer pins that responses
@@ -251,7 +257,7 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 				_ = conn.Close()
 				continue // drain the channel so handlers never block
 			}
-			frame = appendBinFrame(frame[:0], tr.tag, payload)
+			sealBinFrame(frame, tr.tag)
 			if opts.IOTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(opts.IOTimeout))
 			}
@@ -272,8 +278,8 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 		if err != nil {
 			break
 		}
-		var req Request
-		if uerr := json.Unmarshal(payload, &req); uerr != nil {
+		req, uerr := decodeRequest(payload, compact)
+		if uerr != nil {
 			out <- taggedResponse{tag, Response{
 				Error: fmt.Sprintf("malformed request: %v", uerr),
 				Code:  CodeProtocol,
@@ -284,7 +290,7 @@ func serveBinary(conn net.Conn, br *bufio.Reader, handle func(Request) Response,
 			// Re-negotiation inside a binary stream is meaningless;
 			// answer in-band rather than killing the pipeline.
 			resp, _ := helloResponse(req)
-			resp.Proto = ProtoBinary
+			resp.Proto, resp.Compact = ProtoBinary, compact
 			out <- taggedResponse{tag, resp}
 			continue
 		}

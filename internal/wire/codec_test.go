@@ -169,8 +169,9 @@ func TestHelloNegotiatesBinary(t *testing.T) {
 // helloPeer is a server that predates or refuses the binary framing: it
 // answers the first line of one connection with reply (nothing at all
 // when reply is empty), then reads until the client closes, which it
-// reports on closed.
-func helloPeer(t *testing.T, reply string) (addr string, closed <-chan struct{}) {
+// reports on closed. rest holds what it read after the hello; read it
+// only once closed is.
+func helloPeer(t *testing.T, reply string) (addr string, closed <-chan struct{}, rest *bytes.Buffer) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -178,6 +179,7 @@ func helloPeer(t *testing.T, reply string) (addr string, closed <-chan struct{})
 	}
 	t.Cleanup(func() { _ = l.Close() })
 	done := make(chan struct{})
+	rest = new(bytes.Buffer)
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
@@ -193,10 +195,10 @@ func helloPeer(t *testing.T, reply string) (addr string, closed <-chan struct{})
 				return
 			}
 		}
-		_, _ = io.Copy(io.Discard, br)
+		_, _ = io.Copy(rest, br)
 		close(done)
 	}()
-	return l.Addr().String(), done
+	return l.Addr().String(), done, rest
 }
 
 // awaitClosed fails the test unless the client closed its end of the
@@ -221,7 +223,7 @@ func TestDialFailsOnRefusedHello(t *testing.T) {
 		{CodeUnsupportedProto, `{"ok":false,"error":"binary framing disabled","code":"unsupported-proto","proto":"json"}`},
 	} {
 		t.Run(tc.code, func(t *testing.T) {
-			addr, closed := helloPeer(t, tc.reply)
+			addr, closed, _ := helloPeer(t, tc.reply)
 			client, err := Dial(addr)
 			if err == nil {
 				_ = client.Close()
@@ -322,7 +324,7 @@ func TestDialFailsOnSilentServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the hello timeout")
 	}
-	addr, closed := helloPeer(t, "")
+	addr, closed, _ := helloPeer(t, "")
 	start := time.Now()
 	client, err := Dial(addr)
 	if err == nil {
@@ -464,6 +466,14 @@ func TestBinaryOversizedFrameRefused(t *testing.T) {
 	if _, _, err := readBinFrame(br); err == nil {
 		t.Fatal("server accepted an oversized frame header")
 	}
+}
+
+// appendBinFrame appends one binary frame carrying payload under tag.
+func appendBinFrame(dst []byte, tag uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = append(append(dst, make([]byte, binHdrSize)...), payload...)
+	sealBinFrame(dst[start:], tag)
+	return dst
 }
 
 // TestBinFrameRoundTrip pins the frame layout: length, CRC and tag are

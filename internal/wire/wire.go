@@ -171,6 +171,9 @@ type Request struct {
 	Requests []core.ConnRequest `json:"requests,omitempty"`
 	// IDs identifies the connections for batch-teardown.
 	IDs []core.ConnID `json:"ids,omitempty"`
+	// Compact offers the compact binary payload (compact.go) on a hello
+	// that proposes ProtoBinary. Only meaningful with OpHello.
+	Compact bool `json:"compact,omitempty"`
 }
 
 // ReadmitOutcome is the transport form of one re-admission result after a
@@ -296,6 +299,9 @@ type Response struct {
 	// order. The batch carrier itself succeeding (OK true) says nothing
 	// about the items: each result carries its own ok/error/code.
 	Results []BatchResult `json:"results,omitempty"`
+	// Compact confirms, on a hello that switches to ProtoBinary, that
+	// both ends carry compact payloads from then on.
+	Compact bool `json:"compact,omitempty"`
 }
 
 // ViolationReport mirrors core.Violation for transport.
