@@ -3,6 +3,7 @@ package bitstream
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Add implements Algorithm 3.2 (bit stream multiplexing) for two streams:
@@ -115,6 +116,56 @@ func Sub(a, b Stream) (Stream, error) {
 				ErrNotComponent, r, t)
 		}
 		segs = append(segs, Segment{Start: t, Rate: r})
+	}
+	return own(segs)
+}
+
+// Replace swaps one component of an aggregate for another: it returns
+// Sum(Sub(agg, old), new), with the same segments and the same
+// ErrNotComponent, in one merge of three cursors that allocates only its
+// output. A swap that changes nothing — agg is old, or old is new —
+// allocates nothing.
+func Replace(agg, old, new Stream) (Stream, error) {
+	if old.IsZero() {
+		return Sum(agg, new), nil
+	}
+	if agg.IsZero() {
+		return Stream{}, fmt.Errorf("%w: %v from the empty stream", ErrNotComponent, old)
+	}
+	if slices.Equal(agg.segs, old.segs) {
+		return new, nil
+	}
+	// When old is new the merge only checks that old is a component.
+	var segs []Segment
+	keep := slices.Equal(old.segs, new.segs)
+	if !keep {
+		segs = make([]Segment, 0, len(agg.segs)+len(old.segs)+len(new.segs))
+	}
+	ca, co, cn := cursor{segs: agg.segs}, cursor{segs: old.segs}, cursor{segs: new.segs, next: math.Inf(1)}
+	ca.seek(0)
+	co.seek(0)
+	if !new.IsZero() {
+		cn.seek(0)
+	}
+	last := math.Inf(1)
+	for t := 0.0; !math.IsInf(t, 1); t = min(ca.next, co.next, cn.next) {
+		for _, c := range [...]*cursor{&ca, &co, &cn} {
+			if c.next <= t {
+				c.seek(c.i + 1)
+			}
+		}
+		d := ca.rate - co.rate
+		if d < 0 || d > last {
+			return Stream{}, fmt.Errorf("%w: the difference turns negative or rises, to rate %g at t=%g",
+				ErrNotComponent, d, t)
+		}
+		last = d
+		if !keep {
+			segs = append(segs, Segment{Start: t, Rate: d + cn.rate})
+		}
+	}
+	if keep {
+		return agg, nil
 	}
 	return own(segs)
 }

@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -285,6 +286,58 @@ func TestPropSubInvertsSum(t *testing.T) {
 	}
 }
 
+// TestPropReplaceMatchesSubSum: Replace(agg, out, in) is Sum(Sub(agg, out),
+// in) segment for segment, compared with ==, whether in is a new stream,
+// nothing, out itself, or out is all of agg. An out that is not a component
+// of agg — more than agg carries, or a member clumped by more CDV than it
+// joined with — is refused with ErrNotComponent exactly when Sub refuses it.
+func TestPropReplaceMatchesSubSum(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	bad, refused := 0, 0
+	for trial := 0; trial < algebraTrials; trial++ {
+		xs := cellStreams(t, r)
+		member := xs[1+r.Intn(len(xs)-1)]
+		agg, out, in := Sum(xs[1:]...), member, xs[0]
+		switch trial % 4 {
+		case 1:
+			in = Zero()
+		case 2:
+			in = out
+		case 3:
+			out = agg
+		}
+		rest, err := Sub(agg, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Replace(agg, out, in)
+		if err != nil || !slices.Equal(got.Segments(), Sum(rest, in).Segments()) {
+			bad++
+		}
+
+		clumped, err := member.Delayed(1 + 64*r.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, notOut := range []Stream{Add(agg, xs[0]), clumped} {
+			_, subErr := Sub(agg, notOut)
+			_, err := Replace(agg, notOut, in)
+			if (err == nil) != (subErr == nil) || err != nil && !errors.Is(err, ErrNotComponent) {
+				bad++
+			}
+			if err != nil {
+				refused++
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d/%d member sets: Replace differs from Sum(Sub(agg, out), in) or from Sub's refusal", bad, algebraTrials)
+	}
+	if refused < algebraTrials {
+		t.Errorf("only %d refusals over %d sets, each with an out larger than agg", refused, algebraTrials)
+	}
+}
+
 // TestPropSumRateAdditive: the aggregate rate is the sum of component rates
 // at every probe instant (Algorithm 3.2's defining property).
 func TestPropSumRateAdditive(t *testing.T) {
@@ -304,27 +357,39 @@ func TestPropSumRateAdditive(t *testing.T) {
 	}
 }
 
-// TestPropDelayBoundMonotoneInTraffic: adding a connection never decreases
-// the delay bound. This is what lets the CAC admit connections one at a time
-// without revisiting earlier decisions.
+// TestPropDelayBoundMonotoneInTraffic: Algorithm 4.1's D' never falls
+// when a stream, clumped by any CDV, joins Soa, or joins the raw sum of the
+// higher-priority shares that Sof is filtered from. This is what lets the
+// CAC admit connections one at a time without revisiting earlier decisions.
+// A stable bound is compared without tolerance; an unstable one must stay
+// unstable.
 func TestPropDelayBoundMonotoneInTraffic(t *testing.T) {
-	f := func(a randomAggregate, p vbrParams) bool {
-		s := a.stream(t)
-		extra := p.stream(t)
-		d1, err1 := DelayBound(s, Zero())
-		d2, err2 := DelayBound(Add(s, extra), Zero())
-		if err1 != nil {
-			// If the base is already unstable, adding traffic must stay
-			// unstable.
-			return err2 != nil
+	stable := 0
+	f := func(a, h randomAggregate, p vbrParams, cdv float64) bool {
+		soa, raw := a.stream(t), h.stream(t)
+		x, err := p.stream(t).Delayed(64 * math.Abs(math.Mod(cdv, 1)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err2 != nil {
-			return true // became unstable: bound grew past any finite value
+		sof := raw.Filtered()
+		d0, err0 := DelayBound(soa, sof)
+		d1, err1 := DelayBound(Add(soa, x), sof)
+		d2, err2 := DelayBound(soa, Add(raw, x).Filtered())
+		grew := func(d float64, err error) bool {
+			return errors.Is(err, ErrUnstable) || err == nil && err0 == nil && d >= d0
 		}
-		return d2 >= d1-1e-9
+		if err0 == nil {
+			stable++
+		} else if !errors.Is(err0, ErrUnstable) {
+			return false
+		}
+		return grew(d1, err1) && grew(d2, err2)
 	}
-	if err := quick.Check(f, quickCfg()); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
+	}
+	if stable < 200 {
+		t.Errorf("only %d of 2000 draws had a stable bound", stable)
 	}
 }
 

@@ -218,9 +218,32 @@ func TestConstructorsAllocateOnce(t *testing.T) {
 		{"Filtered", func() { _ = agg.Filtered() }},
 		{"Delayed", func() { _, _ = env.Delayed(32) }},
 		{"FromVBR", func() { _, _ = FromVBR(0.5, 0.1, 8) }},
+		{"Replace", func() { _, _ = Replace(agg, in[1], in[5]) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != 1 {
 			t.Errorf("%s: %v allocations, want 1", c.name, got)
+		}
+	}
+}
+
+// TestReplaceWithoutChangeAllocatesNothing: a swap that changes nothing — a
+// port gaining its first stream or losing its last, or a share swapped for
+// an equal one — returns a stream it was given.
+func TestReplaceWithoutChangeAllocatesNothing(t *testing.T) {
+	in := delayedEnvelopes(t, 3)
+	agg := Sum(in...)
+	for _, c := range []struct {
+		name               string
+		agg, old, new, out Stream
+	}{
+		{"first", Zero(), Zero(), in[0], in[0]},
+		{"last", in[0], in[0], Zero(), Zero()},
+		{"equal", agg, in[1], in[1], agg},
+	} {
+		allocs := testing.AllocsPerRun(100, func() { _, _ = Replace(c.agg, c.old, c.new) })
+		got, err := Replace(c.agg, c.old, c.new)
+		if err != nil || allocs != 0 || !slices.Equal(got.Segments(), c.out.Segments()) {
+			t.Errorf("%s: %v allocations, %v (%v), want 0 allocations and %v", c.name, allocs, got, err, c.out)
 		}
 	}
 }

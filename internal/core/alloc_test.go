@@ -9,12 +9,12 @@ import (
 )
 
 // admitResidentAllocs is what one Admit + Release costs on the switch
-// below: the path-copied nodes of the ConnID index, the port, link and
-// cell slices, one stream each for the cell's Sia, its Sif, the link's
-// higher-priority share and the port's Soa and Sof, and the HopResult. Only
-// the index path depends on the number of residents, and none of it on how
-// many connections a cell holds.
-const admitResidentAllocs = 38
+// below: the hop's envelope, its index entry, the port, link and cell
+// slices, one stream each for the cell's Sia, its Sif, the link's
+// higher-priority share and the port's Soa, raw higher-priority sum and
+// Sof, the published state and the HopResult. None of it depends on the
+// number of residents or on how many connections a cell holds.
+const admitResidentAllocs = 27
 
 // admitResidentCost installs n residents on a switch shaped like a loaded
 // ring node (the root BenchmarkAdmitResident): one output port fed by 16
@@ -52,9 +52,9 @@ func TestAdmitResidentAllocs(t *testing.T) {
 	}
 }
 
-// TestAdmitResidentAllocsFlat: sixteen times the residents may deepen the
-// ConnID index by a few nodes and cost nothing else, because a cell's Sia
-// is one stream updated in place of its members.
+// TestAdmitResidentAllocsFlat: sixteen times the residents may cost a few
+// allocations more and nothing else, because a cell's Sia is one stream
+// updated in place of its members and the ConnID index is a map.
 func TestAdmitResidentAllocsFlat(t *testing.T) {
 	small, large := admitResidentCost(t, 1<<10), admitResidentCost(t, 1<<14)
 	if large > small+4 {
@@ -68,8 +68,8 @@ func TestAdmitResidentAllocsFlat(t *testing.T) {
 // three empty switches, the ID bookkeeping, the resolved route and the
 // Admission.
 const (
-	networkSetupAllocs   = 62
-	networkInstallAllocs = 52
+	networkSetupAllocs   = 45
+	networkInstallAllocs = 43
 )
 
 // TestNetworkSetupAllocs pins the allocations of Network.Setup + Teardown

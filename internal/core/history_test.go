@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -59,8 +58,8 @@ func historyRequest(rng *rand.Rand, id ConnID) ConnRequest {
 // lock-free readers run against it; what survives is then loaded into a
 // fresh network by Install in ID order, and into another by Setup from a
 // JSON round trip in the shape the wire state file stores. All three must
-// hold the same index nodes, the same Sia, Sif, Soa and Sof segments and the
-// same bounds, compared with ==.
+// hold the same index entries, the same Sia, Sif, Soa and Sof segments and
+// the same bounds, compared with ==.
 func TestHistoryIndependence(t *testing.T) {
 	churned := historyNetwork(t)
 	routes := []Route{
@@ -206,7 +205,7 @@ func TestHistoryIndependence(t *testing.T) {
 		for _, name := range churned.SwitchNames() {
 			a, _ := churned.Switch(name)
 			b, _ := other.n.Switch(name)
-			sameState(t, other.name+" "+name, a.state.Load(), b.state.Load())
+			sameState(t, other.name+" "+name, a, b)
 			for _, out := range a.OutPorts() {
 				for _, p := range a.Priorities() {
 					da, errA := a.ComputedBound(out, p)
@@ -243,44 +242,33 @@ func sameStream(t *testing.T, what string, a, b bitstream.Stream) {
 	}
 }
 
-// sameTree compares two index trees node by node: keys, ranks, shape, and
-// the values through eq.
-func sameTree(t *testing.T, what string, a, b *node, eq func(what string, a, b hops)) {
+// sameState compares two quiescent switches: their ConnID indexes entry by
+// entry, and every port, link, cell and queue of their published states.
+func sameState(t *testing.T, what string, swA, swB *Switch) {
 	t.Helper()
-	if a == nil || b == nil {
-		if a != b {
-			t.Errorf("%s: one tree ends where the other goes on", what)
-		}
-		return
-	}
-	if a.key != b.key || a.rank != b.rank {
-		t.Errorf("%s: node %q rank %x against %q rank %x", what, a.key, a.rank, b.key, b.rank)
-		return
-	}
-	what += "/" + string(a.key)
-	eq(what, a.val, b.val)
-	sameTree(t, what, a.left, b.left, eq)
-	sameTree(t, what, a.right, b.right, eq)
-}
-
-func sameState(t *testing.T, what string, a, b *switchState) {
-	t.Helper()
+	a, b := swA.state.Load(), swB.state.Load()
 	if a.conns != b.conns || len(a.ports) != len(b.ports) {
 		t.Fatalf("%s: %d connections on %d ports against %d on %d",
 			what, a.conns, len(a.ports), b.conns, len(b.ports))
 	}
-	sameTree(t, what+" index", a.index, b.index, func(what string, ha, hb hops) {
-		if len(ha) != len(hb) {
-			t.Errorf("%s: %d hop entries against %d", what, len(ha), len(hb))
-			return
+	if len(swA.index) != a.conns || len(swB.index) != b.conns {
+		t.Fatalf("%s: indexes hold %d and %d connections, states %d and %d",
+			what, len(swA.index), len(swB.index), a.conns, b.conns)
+	}
+	for id, ha := range swA.index {
+		hb, ok := swB.index[id]
+		where := what + " index/" + string(id)
+		if len(ha) != len(hb) || !ok {
+			t.Errorf("%s: %d hop entries against %d", where, len(ha), len(hb))
+			continue
 		}
 		for i := range ha {
 			if ha[i].in != hb[i].in || ha[i].out != hb[i].out || ha[i].prio != hb[i].prio {
-				t.Errorf("%s: hop %d is %+v against %+v", what, i, ha[i], hb[i])
+				t.Errorf("%s: hop %d is %+v against %+v", where, i, ha[i], hb[i])
 			}
-			sameStream(t, what+" arrival", ha[i].arrival, hb[i].arrival)
+			sameStream(t, where+" arrival", ha[i].arrival, hb[i].arrival)
 		}
-	})
+	}
 	for i, pa := range a.ports {
 		pb := b.ports[i]
 		if pa.out != pb.out || len(pa.links) != len(pb.links) {
@@ -293,6 +281,7 @@ func sameState(t *testing.T, what string, a, b *switchState) {
 				t.Errorf("%s: %d members against %d", where, pa.queues[k].members, pb.queues[k].members)
 			}
 			sameStream(t, where+" Soa", pa.queues[k].soa, pb.queues[k].soa)
+			sameStream(t, where+" higher", pa.queues[k].higher, pb.queues[k].higher)
 			sameStream(t, where+" Sof", pa.queues[k].sof, pb.queues[k].sof)
 		}
 		for j, la := range pa.links {
@@ -307,35 +296,5 @@ func sameState(t *testing.T, what string, a, b *switchState) {
 				sameStream(t, where+" Sia", la.cells[k].sia, lb.cells[k].sia)
 			}
 		}
-	}
-}
-
-// TestTreeStaysShallow: ranks come from a hash of the key, so even IDs that
-// differ only in a trailing counter — what every client generates — must
-// spread well enough to keep the tree logarithmic.
-func TestTreeStaysShallow(t *testing.T) {
-	const n = 1 << 16
-	var root *node
-	for i := 0; i < n; i++ {
-		root = root.insert(ConnID(fmt.Sprintf("conn-%d", i)), nil)
-	}
-	var depth func(*node) int
-	depth = func(t *node) int {
-		if t == nil {
-			return 0
-		}
-		return 1 + max(depth(t.left), depth(t.right))
-	}
-	if d, limit := depth(root), int(3*math.Log2(n)); d > limit {
-		t.Fatalf("depth %d with %d sequential keys, want at most %d", d, n, limit)
-	}
-	for i := 0; i < n; i += 2 {
-		root = root.remove(ConnID(fmt.Sprintf("conn-%d", i)))
-	}
-	if _, ok := root.get("conn-2"); ok {
-		t.Fatal("removed key still found")
-	}
-	if _, ok := root.get("conn-3"); !ok {
-		t.Fatal("kept key not found")
 	}
 }

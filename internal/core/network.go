@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"atmcac/internal/bitstream"
 	"atmcac/internal/obs"
 	"atmcac/internal/traffic"
 )
@@ -439,14 +441,12 @@ func (n *Network) teardown(id ConnID) error {
 // releaseRoute releases the connection's reservations at every switch of
 // the route. A wrapped route may visit the same switch twice; Release
 // removes all of the connection's hop entries at once, so each switch is
-// released exactly once.
+// released exactly once, at the first hop that visits it.
 func (n *Network) releaseRoute(id ConnID, route Route) error {
-	released := make(map[string]bool, len(route))
-	for _, hop := range route {
-		if released[hop.Switch] {
+	for i, hop := range route {
+		if slices.ContainsFunc(route[:i], func(h Hop) bool { return h.Switch == hop.Switch }) {
 			continue
 		}
-		released[hop.Switch] = true
 		sw, swOK := n.Switch(hop.Switch)
 		if !swOK {
 			return fmt.Errorf("%w: %q while tearing down %q", ErrUnknownSwitch, hop.Switch, id)
@@ -512,7 +512,7 @@ func (n *Network) audit() ([]Violation, error) {
 				if err != nil {
 					return nil, err
 				}
-				if d > limit+1e-9 {
+				if d > limit+bitstream.Eps {
 					violations = append(violations, Violation{
 						Switch: sw.Name(), Out: port.out, Priority: p,
 						Bound: d, Limit: limit,

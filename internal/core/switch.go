@@ -162,10 +162,11 @@ type HopResult struct {
 // Check) load it and never block. Writers (Admit, Install, Release)
 // take mu for check + commit: one writer per switch copies the cell it
 // touches, adds the hop's arrival to that cell's Sia (Algorithm 3.2) or
-// subtracts it (Algorithm 3.3), re-sums that port, shares the rest and
-// publishes the successor. Rates lie on the bitstream rate grid, where
-// both updates are exact, so switches holding the same connections hold
-// bit-identical state whatever history built it.
+// subtracts it (Algorithm 3.3), swaps the cell's old Sif and shares for
+// the new ones in the port's aggregates, shares the rest and publishes the
+// successor. Rates lie on the bitstream rate grid, where every update is
+// exact, so switches holding the same connections hold bit-identical state
+// whatever history built it.
 //
 // A connection may traverse the same switch more than once — a wrapped
 // RTnet ring routes traffic through each node in both directions — so a
@@ -175,16 +176,16 @@ type Switch struct {
 	cfg   SwitchConfig
 	prios []Priority // configured levels, highest (1) first
 
-	// mu serializes writers only; readers go through state.
+	// mu serializes writers and guards index; readers go through state.
 	mu    sync.Mutex
+	index map[ConnID]hops
 	state atomic.Pointer[switchState]
 }
 
 // switchState is one immutable version of a switch's admitted set; nothing
 // reachable from it is written after publication.
 type switchState struct {
-	index *node     // ConnID -> hop entries
-	conns int       // keys in index
+	conns int       // keys in Switch.index
 	ports []outPort // ascending out; only ports carrying connections
 }
 
@@ -195,7 +196,7 @@ type entry struct {
 	arrival bitstream.Stream // worst-case arrival after upstream CDV
 }
 
-// hops is the index's value.
+// hops is the index's value; a slice in it is never written once stored.
 type hops []entry
 
 // outPort is the state of one output port j.
@@ -206,11 +207,11 @@ type outPort struct {
 }
 
 // queue holds what Algorithm 4.1 consumes for one (out, priority): Soa(j,p),
-// the links' Sif summed in ascending PortID, and Sof(j)(p), the links'
-// higher-priority shares summed likewise and filtered by the outgoing link.
+// the sum of the links' Sif, and Sof(j)(p), the sum of the links'
+// higher-priority shares, higher, filtered by the outgoing link.
 type queue struct {
-	soa, sof bitstream.Stream
-	members  int // connections of this priority leaving via the port
+	soa, higher, sof bitstream.Stream
+	members          int // connections of this priority leaving via the port
 }
 
 // inLink groups the cells (out, in, ·) of one incoming link.
@@ -247,7 +248,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		}
 		cfg.PortQueueCells = overrides
 	}
-	sw := &Switch{cfg: cfg}
+	sw := &Switch{cfg: cfg, index: make(map[ConnID]hops)}
 	for p := range cfg.QueueCells {
 		sw.prios = append(sw.prios, p)
 	}
@@ -279,7 +280,9 @@ func (sw *Switch) ConnectionCount() int {
 
 // Has reports whether the switch carries the connection.
 func (sw *Switch) Has(id ConnID) bool {
-	_, ok := sw.state.Load().index.get(id)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	_, ok := sw.index[id]
 	return ok
 }
 
@@ -309,67 +312,100 @@ func (sw *Switch) prioIndex(p Priority) (int, error) {
 }
 
 // Check runs the CAC check of Section 4.3 for a new connection without
-// committing it. It evaluates against the current state without blocking
-// writers. It returns a *RejectionError (wrapping ErrRejected) if the
-// connection cannot be accommodated.
+// committing it. It takes the writer lock only to read the connection's
+// admitted hops and the state they belong to, and evaluates without it. It
+// returns a *RejectionError (wrapping ErrRejected) if the connection cannot
+// be accommodated.
 func (sw *Switch) Check(req HopRequest) (HopResult, error) {
-	next, e, err := sw.propose(sw.state.Load(), req)
+	sw.mu.Lock()
+	st, hs := sw.state.Load(), sw.index[req.Conn]
+	sw.mu.Unlock()
+	next, e, err := sw.propose(st, hs, req)
 	if err != nil {
 		return HopResult{}, err
 	}
-	return sw.verify(next, e)
+	var buf [stackPrios]float64
+	bounds := sw.levels(&buf)
+	if _, err := sw.verify(next, e, bounds); err != nil {
+		return HopResult{}, err
+	}
+	return sw.result(req, bounds), nil
 }
 
 // Admit runs the CAC check and, on success, commits the connection. Check
 // and commit happen under the writer lock against the state they extend, so
 // the decision is always valid for the state it is committed into.
-func (sw *Switch) Admit(req HopRequest) (res HopResult, err error) {
-	err = sw.commit(func(st *switchState) (*switchState, error) {
-		next, e, err := sw.propose(st, req)
-		if err == nil {
-			res, err = sw.verify(next, e)
-		}
-		return next, err
-	})
-	return res, err
+func (sw *Switch) Admit(req HopRequest) (HopResult, error) {
+	var buf [stackPrios]float64
+	bounds := sw.levels(&buf)
+	if _, err := sw.admit(req, bounds); err != nil {
+		return HopResult{}, err
+	}
+	return sw.result(req, bounds), nil
 }
 
 // Install commits the connection without running the CAC check. It is used
 // for offline planning (the paper's permanent-connection mode), where a
 // whole connection set is loaded and then validated once with Audit.
 func (sw *Switch) Install(req HopRequest) error {
-	return sw.commit(func(st *switchState) (*switchState, error) {
-		next, _, err := sw.propose(st, req)
-		return next, err
-	})
+	_, err := sw.admit(req, nil)
+	return err
+}
+
+// admit is the writer of Admit and Install: under mu it extends the
+// current state by req, runs the CAC check into bounds unless bounds is nil,
+// and publishes the successor and indexes the hop only if both pass. It
+// returns D'(out, p) at req's priority, 0 when unchecked.
+func (sw *Switch) admit(req HopRequest, bounds []float64) (float64, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	hs := sw.index[req.Conn]
+	next, e, err := sw.propose(sw.state.Load(), hs, req)
+	if err != nil {
+		return 0, err
+	}
+	d := 0.0
+	if bounds != nil {
+		if d, err = sw.verify(next, e, bounds); err != nil {
+			return 0, err
+		}
+	}
+	sw.index[req.Conn] = append(slices.Clip(hs), e)
+	sw.state.Store(next)
+	return d, nil
 }
 
 // Release removes every hop entry of an admitted connection at this
-// switch (a wrapped route may have several).
+// switch (a wrapped route may have several). Its error, other than an
+// unknown id, is a cell whose Sia did not hold the connection's arrival:
+// corrupted state, which is never published.
 func (sw *Switch) Release(id ConnID) error {
-	return sw.commit(func(st *switchState) (*switchState, error) {
-		return sw.drop(st, id)
-	})
-}
-
-// commit is the one writer: under mu, build derives a successor from the
-// current state, and it is published unless build failed.
-func (sw *Switch) commit(build func(*switchState) (*switchState, error)) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	next, err := build(sw.state.Load())
-	if err == nil {
-		sw.state.Store(next)
+	hs, ok := sw.index[id]
+	if !ok {
+		return fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
 	}
-	return err
+	st := sw.state.Load()
+	next := &switchState{conns: st.conns - 1, ports: st.ports}
+	for _, e := range hs {
+		var err error
+		if next.ports, err = sw.editCell(next.ports, e, false); err != nil {
+			return fmt.Errorf("core: releasing %q at switch %q: %w", id, sw.cfg.Name, err)
+		}
+	}
+	delete(sw.index, id)
+	sw.state.Store(next)
+	return nil
 }
 
 // propose validates req and returns the successor of st that carries it,
 // with the hop entry it added: the source envelope of Algorithm 2.1 clumped
-// by the accumulated upstream CDV (Algorithm 3.1). Only an entry with the
-// same port pair is a duplicate; a second traversal of the switch via
-// different ports (a wrapped ring) is legitimate.
-func (sw *Switch) propose(st *switchState, req HopRequest) (*switchState, entry, error) {
+// by the accumulated upstream CDV (Algorithm 3.1). hs are the hops st
+// already holds for req.Conn. Only an entry with the same port pair is a
+// duplicate; a second traversal of the switch via different ports (a
+// wrapped ring) is legitimate.
+func (sw *Switch) propose(st *switchState, hs hops, req HopRequest) (*switchState, entry, error) {
 	if req.Conn == "" {
 		return nil, entry{}, fmt.Errorf("%w: empty connection ID", ErrBadConfig)
 	}
@@ -387,7 +423,6 @@ func (sw *Switch) propose(st *switchState, req HopRequest) (*switchState, entry,
 	if err != nil {
 		return nil, entry{}, err
 	}
-	hs, _ := st.index.get(req.Conn)
 	for _, h := range hs {
 		if h.in == req.In && h.out == req.Out {
 			return nil, entry{}, fmt.Errorf("%w: %q at switch %q ports %d->%d",
@@ -399,65 +434,48 @@ func (sw *Switch) propose(st *switchState, req HopRequest) (*switchState, entry,
 	if err != nil {
 		return nil, entry{}, err
 	}
-	next := &switchState{index: st.index, conns: st.conns + 1, ports: ports}
-	if len(hs) > 0 {
-		next.index, next.conns = st.index.remove(req.Conn), st.conns
+	next := &switchState{conns: st.conns, ports: ports}
+	if len(hs) == 0 {
+		next.conns++
 	}
-	next.index = next.index.insert(req.Conn, append(slices.Clip(hs), e))
 	return next, e, nil
 }
 
-// drop returns the successor of st without connection id. Its error, other
-// than an unknown id, is a cell whose Sia did not hold the connection's
-// arrival: corrupted state, which is never published.
-func (sw *Switch) drop(st *switchState, id ConnID) (*switchState, error) {
-	hs, ok := st.index.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
-	}
-	next := &switchState{index: st.index.remove(id), conns: st.conns - 1, ports: st.ports}
-	for _, e := range hs {
-		var err error
-		if next.ports, err = sw.editCell(next.ports, e, false); err != nil {
-			return nil, fmt.Errorf("core: releasing %q at switch %q: %w", id, sw.cfg.Name, err)
-		}
-	}
-	return next, nil
-}
-
-// editCell gathers the streams it re-sums by appending into stack arrays of
-// these sizes: the priority levels, and the incoming links of a ring node's
-// output port (16 terminal links and the two ring inputs). More cost one
-// allocation; make with a variable length would always escape.
-const (
-	stackPrios = 4
-	stackLinks = 18
-)
+// stackPrios is how many priority levels fit the stack arrays that editCell
+// gathers the Sia above a cell in and that verify's bounds are written to;
+// more levels cost one allocation each.
+const stackPrios = 4
 
 // editCell returns a successor of ports in which hop e has joined e's cell,
 // its arrival added to Sia (Algorithm 3.2), or left it, its arrival
-// subtracted (Algorithm 3.3, the paper's §4.3 update), and everything
-// derived from Sia is re-summed: the cell's Sif, the link's higher-priority
-// shares below e's priority, Soa of e's queue, and Sof of the lower-priority
-// queues only. One port and one link are copied; the rest is shared. A link
-// or port left without connections is dropped, so the result is a function
-// of the member set. A join that would take the cell to maxCellMembers is
-// refused before any sum.
+// subtracted (Algorithm 3.3, the paper's §4.3 update). What is derived from
+// Sia follows: the cell's Sif and the link's higher-priority shares below
+// e's priority are recomputed from the link's cells, and each is swapped
+// for its old value in the port's aggregate, Soa of e's queue and the raw
+// higher-priority sums of the lower queues, whose Sof is that sum filtered.
+// One port and one link are copied; the rest is shared. A link or port left
+// without connections is dropped, so the result is a function of the
+// member set. A join that would take the cell to maxCellMembers is refused
+// before any sum.
 func (sw *Switch) editCell(ports []outPort, e entry, join bool) ([]outPort, error) {
 	nprio, k := len(sw.prios), e.prio
 	pi, ok := slices.BinarySearchFunc(ports, e.out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
-	ports = slices.Clone(ports)
-	if !ok {
-		ports = slices.Insert(ports, pi, outPort{out: e.out, queues: make([]queue, nprio)})
+	if ok {
+		ports = slices.Clone(ports)
+		ports[pi].queues = slices.Clone(ports[pi].queues)
+	} else {
+		ports = slices.Insert(slices.Clip(ports), pi, outPort{out: e.out, queues: make([]queue, nprio)})
 	}
 	port := &ports[pi]
-	port.queues = slices.Clone(port.queues)
 	li, ok := slices.BinarySearchFunc(port.links, e.in, func(l inLink, in PortID) int { return cmp.Compare(l.in, in) })
-	port.links = slices.Clone(port.links)
-	if !ok {
-		port.links = slices.Insert(port.links, li, inLink{in: e.in, cells: make([]cell, nprio)})
+	var cells []cell
+	if ok {
+		port.links = slices.Clone(port.links)
+		cells = slices.Clone(port.links[li].cells)
+	} else {
+		port.links = slices.Insert(slices.Clip(port.links), li, inLink{in: e.in})
+		cells = make([]cell, nprio)
 	}
-	cells := slices.Clone(port.links[li].cells)
 	port.links[li].cells = cells
 
 	if join {
@@ -475,33 +493,31 @@ func (sw *Switch) editCell(ports []outPort, e entry, join bool) ([]outPort, erro
 		cells[k].sia = sia
 		port.queues[k].members--
 	}
+	oldSif := cells[k].sif
 	cells[k].sif = cells[k].sia.Filtered()
+	var err error
+	if port.queues[k].soa, err = bitstream.Replace(port.queues[k].soa, oldSif, cells[k].sif); err != nil {
+		return nil, err
+	}
 	// Sia of the priorities above m, most urgent first.
 	var aboveBuf [stackPrios]bitstream.Stream
 	above := aboveBuf[:0]
 	empty := true
 	for m := range cells {
 		if m > k {
+			oldHigher := cells[m].higher
 			cells[m].higher = bitstream.Sum(above...).Filtered()
+			q := &port.queues[m]
+			if q.higher, err = bitstream.Replace(q.higher, oldHigher, cells[m].higher); err != nil {
+				return nil, err
+			}
+			q.sof = q.higher.Filtered()
 		}
 		above = append(above, cells[m].sia)
 		empty = empty && cells[m].sia.IsZero()
 	}
 	if empty {
 		port.links = slices.Delete(port.links, li, li+1)
-	}
-
-	var partsBuf [stackLinks]bitstream.Stream
-	parts := partsBuf[:0]
-	for _, l := range port.links {
-		parts = append(parts, l.cells[k].sif)
-	}
-	port.queues[k].soa = bitstream.Sum(parts...)
-	for m := k + 1; m < nprio; m++ {
-		for i, l := range port.links {
-			parts[i] = l.cells[m].higher
-		}
-		port.queues[m].sof = bitstream.Sum(parts...).Filtered()
 	}
 	if len(port.links) == 0 {
 		ports = slices.Delete(ports, pi, pi+1)
@@ -532,9 +548,13 @@ func (q queue) bound() (float64, error) {
 // verify performs Steps 1-6 of Section 4.3 on a state that already holds
 // the candidate hop e: Algorithm 4.1 for e's priority and for every lower
 // priority carrying traffic at e's output port (higher priorities are
-// unaffected by the new connection). It takes no locks.
-func (sw *Switch) verify(next *switchState, e entry) (HopResult, error) {
-	bounds := make(map[Priority]float64)
+// unaffected by the new connection). It writes each D'(out, p) into
+// bounds[k], p's index, and NaN where no bound was computed, and returns
+// the one at e's priority. It takes no locks.
+func (sw *Switch) verify(next *switchState, e entry, bounds []float64) (float64, error) {
+	for k := range bounds {
+		bounds[k] = math.NaN()
+	}
 	for k := e.prio; k < len(sw.prios); k++ {
 		q := next.queue(e.out, k)
 		if q.members == 0 {
@@ -545,7 +565,7 @@ func (sw *Switch) verify(next *switchState, e entry) (HopResult, error) {
 		limit, _ := sw.cfg.boundFor(e.out, p)
 		d, err := q.bound()
 		if err != nil {
-			return HopResult{}, err
+			return 0, err
 		}
 		if d > limit+bitstream.Eps {
 			rej := &RejectionError{
@@ -556,12 +576,32 @@ func (sw *Switch) verify(next *switchState, e entry) (HopResult, error) {
 			if math.IsInf(d, 1) {
 				rej.Reason, rej.Kind = "queueing point would become unstable", CodeQueueUnstable
 			}
-			return HopResult{}, rej
+			return 0, rej
 		}
-		bounds[p] = d
+		bounds[k] = d
 	}
-	guaranteed, _ := sw.cfg.boundFor(e.out, sw.prios[e.prio])
-	return HopResult{Bounds: bounds, Guaranteed: guaranteed}, nil
+	return bounds[e.prio], nil
+}
+
+// levels returns one bound slot per configured priority, in buf when the
+// levels fit.
+func (sw *Switch) levels(buf *[stackPrios]float64) []float64 {
+	if len(sw.prios) <= stackPrios {
+		return buf[:len(sw.prios)]
+	}
+	return make([]float64, len(sw.prios))
+}
+
+// result is the HopResult of a checked req whose bounds verify wrote.
+func (sw *Switch) result(req HopRequest, bounds []float64) HopResult {
+	res := HopResult{Bounds: make(map[Priority]float64)}
+	for k, d := range bounds {
+		if !math.IsNaN(d) {
+			res.Bounds[sw.prios[k]] = d
+		}
+	}
+	res.Guaranteed, _ = sw.cfg.boundFor(req.Out, req.Priority)
+	return res
 }
 
 // ComputedBound returns the current worst-case queueing delay D'(out, p)

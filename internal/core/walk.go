@@ -99,16 +99,18 @@ func (w *Walk) hop(i int) HopRequest {
 }
 
 // Admit runs the CAC check of the next hop at that hop's switch and, on
-// success, records its computed bound D'(j,p). A refused hop holds
-// nothing; the walk can then only be unwound and aborted.
-func (w *Walk) Admit() (HopResult, error) {
-	res, err := w.switches[w.held].Admit(w.hop(w.held))
+// success, records and returns its computed bound D'(j,p). A refused hop
+// holds nothing; the walk can then only be unwound and aborted.
+func (w *Walk) Admit() (float64, error) {
+	sw := w.switches[w.held]
+	var buf [stackPrios]float64
+	d, err := sw.admit(w.hop(w.held), sw.levels(&buf))
 	if err != nil {
-		return res, err
+		return 0, err
 	}
 	w.held++
-	w.adm.PerHopComputed = append(w.adm.PerHopComputed, res.Bounds[w.req.Priority])
-	return res, nil
+	w.adm.PerHopComputed = append(w.adm.PerHopComputed, d)
+	return d, nil
 }
 
 // Unwind releases the last admitted hop: the step a REJECT takes on its
@@ -161,7 +163,7 @@ func (w *Walk) admitAll(ctx context.Context, tr obs.Tracer) error {
 			return fmt.Errorf("core: setup of %q abandoned at hop %d: %w", w.req.ID, i, err)
 		}
 		hopStart := time.Now()
-		res, err := w.Admit()
+		d, err := w.Admit()
 		if tr != nil {
 			ev := obs.Event{
 				Kind:     obs.KindHopCheck,
@@ -179,7 +181,7 @@ func (w *Walk) admitAll(ctx context.Context, tr obs.Tracer) error {
 				// Slack is how far the computed bound D'(j,p) sat below
 				// the guarantee D(j,p) at admission, in cell times.
 				ev.Outcome = obs.OutcomeAccepted
-				ev.Slack = w.adm.PerHopGuaranteed[i] - res.Bounds[w.req.Priority]
+				ev.Slack = w.adm.PerHopGuaranteed[i] - d
 			}
 			tr.Trace(ev)
 		}
