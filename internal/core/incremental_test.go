@@ -14,8 +14,9 @@ import (
 
 // resum is the from-scratch reference for queue k of a port: Soa the sum of
 // the links' Sif, and Sof the sum of the links' higher-priority shares,
-// filtered once, in ascending incoming PortID — how editCell computed them
-// before it swapped one cell's old values for its new ones.
+// filtered once, in ascending incoming PortID — what edit computes when
+// several of a queue's components change, and what its swap of one
+// component's old value for its new one must equal.
 func resum(port outPort, k int) (soa, higher, sof bitstream.Stream) {
 	parts := make([]bitstream.Stream, len(port.links))
 	for i, l := range port.links {

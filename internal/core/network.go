@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -250,30 +251,33 @@ func (n *Network) SwitchNames() []string {
 }
 
 // Connections returns the IDs of admitted connections in sorted order.
+// The IDs are copied under the lock and sorted after it, so a long list
+// does not hold up admissions.
 func (n *Network) Connections() []ConnID {
 	n.connMu.Lock()
-	defer n.connMu.Unlock()
 	ids := make([]ConnID, 0, len(n.admitted))
 	for id := range n.admitted {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	n.connMu.Unlock()
+	slices.Sort(ids)
 	return ids
 }
 
 // AdmittedRequests returns copies of the admitted connection requests in
-// ID order — the network's durable state, used for persistence.
+// ID order — the network's durable state, used for persistence. Like
+// Connections it sorts after releasing the lock.
 func (n *Network) AdmittedRequests() []ConnRequest {
 	n.connMu.Lock()
-	defer n.connMu.Unlock()
 	reqs := make([]ConnRequest, 0, len(n.admitted))
 	for _, req := range n.admitted {
-		cp := req
-		cp.Route = make(Route, len(req.Route))
-		copy(cp.Route, req.Route)
-		reqs = append(reqs, cp)
+		reqs = append(reqs, req)
 	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].ID < reqs[j].ID })
+	n.connMu.Unlock()
+	for i := range reqs {
+		reqs[i].Route = slices.Clone(reqs[i].Route)
+	}
+	slices.SortFunc(reqs, func(a, b ConnRequest) int { return cmp.Compare(a.ID, b.ID) })
 	return reqs
 }
 
@@ -313,6 +317,11 @@ func (n *Network) reserveID(id ConnID) error {
 func (n *Network) commitID(req ConnRequest) error {
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
+	return n.commitLocked(req)
+}
+
+// commitLocked is commitID's body; the caller holds connMu.
+func (n *Network) commitLocked(req ConnRequest) error {
 	delete(n.pending, req.ID)
 	if err := n.routeLinkDown(req.Route); err != nil {
 		return fmt.Errorf("%w (failed during setup of %q)", err, req.ID)
@@ -372,25 +381,30 @@ func (n *Network) Setup(ctx context.Context, req ConnRequest) (*Admission, error
 	start := time.Now()
 	adm, err := n.setup(ctx, req, tr)
 	if tr != nil {
-		ev := obs.Event{
-			Kind:     obs.KindSetup,
-			Conn:     string(req.ID),
-			Hops:     len(req.Route),
-			Duration: time.Since(start),
-		}
-		switch {
-		case err == nil:
-			ev.Outcome = obs.OutcomeAccepted
-		case errors.Is(err, ErrRejected):
-			ev.Outcome = obs.OutcomeRejected
-			ev.Code = ErrorCode(err)
-		default:
-			ev.Outcome = obs.OutcomeError
-			ev.Code = ErrorCode(err)
-		}
-		tr.Trace(ev)
+		tr.Trace(setupEvent(req, err, time.Since(start)))
 	}
 	return adm, err
+}
+
+// setupEvent is the trace of one setup decision.
+func setupEvent(req ConnRequest, err error, dur time.Duration) obs.Event {
+	ev := obs.Event{
+		Kind:     obs.KindSetup,
+		Conn:     string(req.ID),
+		Hops:     len(req.Route),
+		Duration: dur,
+	}
+	switch {
+	case err == nil:
+		ev.Outcome = obs.OutcomeAccepted
+	case errors.Is(err, ErrRejected):
+		ev.Outcome = obs.OutcomeRejected
+		ev.Code = ErrorCode(err)
+	default:
+		ev.Outcome = obs.OutcomeError
+		ev.Code = ErrorCode(err)
+	}
+	return ev
 }
 
 // setup runs the walk of req: admitted hop by hop and committed.

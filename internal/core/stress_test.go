@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -420,5 +421,136 @@ func TestStressDuplicateSetupRace(t *testing.T) {
 	}
 	if err := n.Teardown("contested"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStressListDuringChurn: Connections and AdmittedRequests, which sort
+// after releasing the admission lock, run against workers that set up and
+// tear down one at a time, and against workers that admit sets of eight
+// with SetupSet and tear them down. Every list is strictly ascending and
+// names only connections of the script, every listed request carries its
+// own route, and when the churn settles the lists equal what the workers
+// left admitted and Audit is clean. Nothing is timed.
+func TestStressListDuringChurn(t *testing.T) {
+	const (
+		nSwitches = 4
+		workers   = 4
+		rounds    = 40
+	)
+	n := stressTopology(t, nSwitches, 1e6)
+	request := func(g, r, c int) ConnRequest {
+		id := ConnID(fmt.Sprintf("w%d-r%02d-c%d", g, r, c))
+		first := (g + r + c) % (nSwitches - 1)
+		return ConnRequest{
+			ID: id, Spec: traffic.VBR(0.004, 0.0005, 4), Priority: 1,
+			Route: Route{
+				{Switch: fmt.Sprintf("sw%02d", first), In: PortID(1 + g), Out: 0},
+				{Switch: fmt.Sprintf("sw%02d", first+1), In: PortID(1 + g), Out: 0},
+			},
+		}
+	}
+	ctx := context.Background()
+	kept := make([][]ConnID, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				reqs := make([]ConnRequest, 8)
+				for c := range reqs {
+					reqs[c] = request(g, r, c)
+				}
+				var errs []error
+				if g%2 == 0 {
+					_, errs = n.SetupSet(ctx, reqs)
+				} else {
+					errs = make([]error, len(reqs))
+					for c, req := range reqs {
+						_, errs[c] = n.Setup(ctx, req)
+					}
+				}
+				for c, err := range errs {
+					if err != nil {
+						t.Errorf("worker %d round %d: setup %s: %v", g, r, reqs[c].ID, err)
+						return
+					}
+				}
+				for c, req := range reqs {
+					if c%2 == 1 {
+						kept[g] = append(kept[g], req.ID)
+						continue
+					}
+					if err := n.Teardown(req.ID); err != nil {
+						t.Errorf("worker %d: teardown %s: %v", g, req.ID, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	var listers sync.WaitGroup
+	for l := 0; l < 2; l++ {
+		listers.Add(1)
+		go func() {
+			defer listers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ids := n.Connections()
+				for i, id := range ids {
+					var g, r, c int
+					if _, err := fmt.Sscanf(string(id), "w%d-r%d-c%d", &g, &r, &c); err != nil {
+						t.Errorf("Connections lists %q", id)
+						return
+					}
+					if i > 0 && ids[i-1] >= id {
+						t.Errorf("Connections not strictly ascending at %d: %q then %q", i, ids[i-1], id)
+						return
+					}
+				}
+				reqs := n.AdmittedRequests()
+				for i, req := range reqs {
+					var g, r, c int
+					if _, err := fmt.Sscanf(string(req.ID), "w%d-r%d-c%d", &g, &r, &c); err != nil {
+						t.Errorf("AdmittedRequests lists %q", req.ID)
+						return
+					}
+					if want := request(g, r, c); !slices.Equal(req.Route, want.Route) {
+						t.Errorf("AdmittedRequests: %q with route %v, want %v", req.ID, req.Route, want.Route)
+						return
+					}
+					if i > 0 && reqs[i-1].ID >= req.ID {
+						t.Errorf("AdmittedRequests not strictly ascending at %d", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	listers.Wait()
+	if t.Failed() {
+		return
+	}
+	var want []ConnID
+	for _, ids := range kept {
+		want = append(want, ids...)
+	}
+	slices.Sort(want)
+	if got := n.Connections(); !slices.Equal(got, want) {
+		t.Fatalf("settled Connections: %d IDs, workers kept %d", len(got), len(want))
+	}
+	reqs := n.AdmittedRequests()
+	if len(reqs) != len(want) {
+		t.Fatalf("settled AdmittedRequests: %d, workers kept %d", len(reqs), len(want))
+	}
+	if v, err := n.Audit(); err != nil || len(v) != 0 {
+		t.Fatalf("settled audit: %v, %v", v, err)
 	}
 }

@@ -386,16 +386,17 @@ func (sw *Switch) Release(id ConnID) error {
 	if !ok {
 		return fmt.Errorf("%w: %q at switch %q", ErrUnknownConn, id, sw.cfg.Name)
 	}
-	st := sw.state.Load()
-	next := &switchState{conns: st.conns - 1, ports: st.ports}
-	for _, e := range hs {
-		var err error
-		if next.ports, err = sw.editCell(next.ports, e, false); err != nil {
-			return fmt.Errorf("core: releasing %q at switch %q: %w", id, sw.cfg.Name, err)
-		}
+	st, es := sw.state.Load(), hs
+	if len(hs) > 1 {
+		es = slices.Clone(hs)
+		slices.SortFunc(es, compareEntries)
+	}
+	ports, err := sw.edit(st.ports, es, false)
+	if err != nil {
+		return fmt.Errorf("core: releasing %q at switch %q: %w", id, sw.cfg.Name, err)
 	}
 	delete(sw.index, id)
-	sw.state.Store(next)
+	sw.state.Store(&switchState{conns: st.conns - 1, ports: ports})
 	return nil
 }
 
@@ -430,7 +431,7 @@ func (sw *Switch) propose(st *switchState, hs hops, req HopRequest) (*switchStat
 		}
 	}
 	e := entry{in: req.In, out: req.Out, prio: k, arrival: arr}
-	ports, err := sw.editCell(st.ports, e, true)
+	ports, err := sw.edit(st.ports, []entry{e}, true)
 	if err != nil {
 		return nil, entry{}, err
 	}
@@ -441,94 +442,234 @@ func (sw *Switch) propose(st *switchState, hs hops, req HopRequest) (*switchStat
 	return next, e, nil
 }
 
-// stackPrios is how many priority levels fit the stack arrays that editCell
-// gathers the Sia above a cell in and that verify's bounds are written to;
-// more levels cost one allocation each.
+// stackPrios is how many priority levels fit the stack arrays that edit
+// gathers per-queue changes and the Sia above a cell in, and that verify's
+// bounds are written to; more levels cost one allocation each.
 const stackPrios = 4
 
-// editCell returns a successor of ports in which hop e has joined e's cell,
-// its arrival added to Sia (Algorithm 3.2), or left it, its arrival
-// subtracted (Algorithm 3.3, the paper's §4.3 update). What is derived from
-// Sia follows: the cell's Sif and the link's higher-priority shares below
-// e's priority are recomputed from the link's cells, and each is swapped
-// for its old value in the port's aggregate, Soa of e's queue and the raw
-// higher-priority sums of the lower queues, whose Sof is that sum filtered.
-// One port and one link are copied; the rest is shared. A link or port left
-// without connections is dropped, so the result is a function of the
-// member set. A join that would take the cell to maxCellMembers is refused
-// before any sum.
-func (sw *Switch) editCell(ports []outPort, e entry, join bool) ([]outPort, error) {
-	nprio, k := len(sw.prios), e.prio
-	pi, ok := slices.BinarySearchFunc(ports, e.out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
-	if ok {
-		ports = slices.Clone(ports)
-		ports[pi].queues = slices.Clone(ports[pi].queues)
-	} else {
-		ports = slices.Insert(slices.Clip(ports), pi, outPort{out: e.out, queues: make([]queue, nprio)})
-	}
-	port := &ports[pi]
-	li, ok := slices.BinarySearchFunc(port.links, e.in, func(l inLink, in PortID) int { return cmp.Compare(l.in, in) })
-	var cells []cell
-	if ok {
-		port.links = slices.Clone(port.links)
-		cells = slices.Clone(port.links[li].cells)
-	} else {
-		port.links = slices.Insert(slices.Clip(port.links), li, inLink{in: e.in})
-		cells = make([]cell, nprio)
-	}
-	port.links[li].cells = cells
+// compareEntries orders hop entries by output port, then incoming link,
+// then priority: the order edit walks them in.
+func compareEntries(a, b entry) int {
+	return cmp.Or(cmp.Compare(a.out, b.out), cmp.Compare(a.in, b.in), cmp.Compare(a.prio, b.prio))
+}
 
-	if join {
-		if cells[k].sia.PeakRate()+e.arrival.PeakRate() >= maxCellMembers {
-			return nil, fmt.Errorf("%w: cell (in %d, out %d, priority %d) at switch %q would reach %d connections, past exact rate arithmetic",
-				ErrBadConfig, e.in, e.out, sw.prios[k], sw.cfg.Name, maxCellMembers)
+// edit returns a successor of ports in which the hops es have joined their
+// cells, their arrivals added to Sia (Algorithm 3.2), or left them, their
+// arrivals subtracted (Algorithm 3.3, the paper's §4.3 update). es must be
+// sorted by compareEntries. It is the one writer of admitted state: an
+// admission edits with its one hop, a release with a connection's hops at
+// the switch, and a set admission with the set's whole run at the switch.
+// Each touched port and link is copied once; the rest is shared. A link or
+// port left without connections is dropped, so the result is a function of
+// the member set.
+func (sw *Switch) edit(ports []outPort, es []entry, join bool) ([]outPort, error) {
+	fresh := 0 // touched ports not yet in ports
+	for i := range es {
+		if i == 0 || es[i].out != es[i-1].out {
+			if _, ok := findPort(ports, es[i].out); !ok {
+				fresh++
+			}
 		}
-		cells[k].sia = bitstream.Sum(cells[k].sia, e.arrival)
-		port.queues[k].members++
-	} else {
-		sia, err := bitstream.Sub(cells[k].sia, e.arrival)
-		if err != nil {
+	}
+	next := make([]outPort, len(ports), len(ports)+fresh)
+	copy(next, ports)
+	for i := 0; i < len(es); {
+		j := i + 1
+		for j < len(es) && es[j].out == es[i].out {
+			j++
+		}
+		pi, ok := findPort(next, es[i].out)
+		if ok {
+			next[pi].queues = slices.Clone(next[pi].queues)
+		} else {
+			next = slices.Insert(next, pi, outPort{out: es[i].out, queues: make([]queue, len(sw.prios))})
+		}
+		if err := sw.editPort(&next[pi], es[i:j], join); err != nil {
 			return nil, err
 		}
-		cells[k].sia = sia
-		port.queues[k].members--
+		if len(next[pi].links) == 0 {
+			next = slices.Delete(next, pi, pi+1)
+		}
+		i = j
 	}
-	oldSif := cells[k].sif
-	cells[k].sif = cells[k].sia.Filtered()
-	var err error
-	if port.queues[k].soa, err = bitstream.Replace(port.queues[k].soa, oldSif, cells[k].sif); err != nil {
-		return nil, err
+	return next, nil
+}
+
+// editPort applies the hops es, all leaving via port, to a port whose
+// queues the caller already copied. Each touched cell's Sia moves by the
+// k-way sum of its hops' arrivals, and its Sif follows; each touched link's
+// higher-priority shares below its most urgent touched priority are
+// recomputed from the link's cells. Each of a queue's aggregates, Soa and
+// the raw higher-priority sum whose filter is Sof, is re-derived once by
+// one Replace: the sum of its changed components' old values out, the sum
+// of their new values in — for one change, that component's old value for
+// its new one. A join that would take a cell to maxCellMembers is refused
+// before any sum.
+func (sw *Switch) editPort(port *outPort, es []entry, join bool) error {
+	nprio := len(sw.prios)
+	var soaBuf, higherBuf [stackPrios]swap
+	soa, higher := swaps(&soaBuf, nprio), swaps(&higherBuf, nprio)
+	fresh := 0 // touched links not yet in port.links
+	for i := range es {
+		if i == 0 || es[i].in != es[i-1].in {
+			if _, ok := findLink(port.links, es[i].in); !ok {
+				fresh++
+			}
+		}
 	}
-	// Sia of the priorities above m, most urgent first.
-	var aboveBuf [stackPrios]bitstream.Stream
-	above := aboveBuf[:0]
-	empty := true
-	for m := range cells {
-		if m > k {
-			oldHigher := cells[m].higher
-			cells[m].higher = bitstream.Sum(above...).Filtered()
-			q := &port.queues[m]
-			if q.higher, err = bitstream.Replace(q.higher, oldHigher, cells[m].higher); err != nil {
-				return nil, err
+	links := make([]inLink, len(port.links), len(port.links)+fresh)
+	copy(links, port.links)
+	for i := 0; i < len(es); {
+		j := i + 1
+		for j < len(es) && es[j].in == es[i].in {
+			j++
+		}
+		li, ok := findLink(links, es[i].in)
+		var cells []cell
+		if ok {
+			cells = slices.Clone(links[li].cells)
+		} else {
+			links = slices.Insert(links, li, inLink{in: es[i].in})
+			cells = make([]cell, nprio)
+		}
+		links[li].cells = cells
+		top := nprio // the link's most urgent touched priority
+		for a := i; a < j; {
+			b := a + 1
+			for b < j && es[b].prio == es[a].prio {
+				b++
+			}
+			k := es[a].prio
+			top = min(top, k)
+			sia, err := sw.moveCell(cells[k].sia, es[a:b], join)
+			if err != nil {
+				return err
+			}
+			if join {
+				port.queues[k].members += b - a
+			} else {
+				port.queues[k].members -= b - a
+			}
+			old := cells[k].sif
+			cells[k].sia, cells[k].sif = sia, sia.Filtered()
+			soa[k].note(old, cells[k].sif)
+			a = b
+		}
+		// Sia of the priorities above m, most urgent first.
+		var aboveBuf [stackPrios]bitstream.Stream
+		above := aboveBuf[:0]
+		empty := true
+		for m := range cells {
+			if m > top {
+				old := cells[m].higher
+				cells[m].higher = bitstream.Sum(above...).Filtered()
+				higher[m].note(old, cells[m].higher)
+			}
+			above = append(above, cells[m].sia)
+			empty = empty && cells[m].sia.IsZero()
+		}
+		if empty {
+			links = slices.Delete(links, li, li+1)
+		}
+		i = j
+	}
+	port.links = links
+	for k := range port.queues {
+		q := &port.queues[k]
+		var err error
+		if q.soa, err = soa[k].apply(q.soa); err != nil {
+			return err
+		}
+		if higher[k].n > 0 {
+			if q.higher, err = higher[k].apply(q.higher); err != nil {
+				return err
 			}
 			q.sof = q.higher.Filtered()
 		}
-		above = append(above, cells[m].sia)
-		empty = empty && cells[m].sia.IsZero()
 	}
-	if empty {
-		port.links = slices.Delete(port.links, li, li+1)
+	return nil
+}
+
+// moveCell returns Sia with the arrivals of es added (join) or removed.
+func (sw *Switch) moveCell(sia bitstream.Stream, es []entry, join bool) (bitstream.Stream, error) {
+	if !join {
+		for _, e := range es {
+			var err error
+			if sia, err = bitstream.Sub(sia, e.arrival); err != nil {
+				return bitstream.Stream{}, err
+			}
+		}
+		return sia, nil
 	}
-	if len(port.links) == 0 {
-		ports = slices.Delete(ports, pi, pi+1)
+	peak := sia.PeakRate()
+	for _, e := range es {
+		peak += e.arrival.PeakRate()
 	}
-	return ports, nil
+	if peak >= maxCellMembers {
+		e := es[0]
+		return bitstream.Stream{}, fmt.Errorf("%w: cell (in %d, out %d, priority %d) at switch %q would reach %d connections, past exact rate arithmetic",
+			ErrBadConfig, e.in, e.out, sw.prios[e.prio], sw.cfg.Name, maxCellMembers)
+	}
+	if len(es) == 1 {
+		return bitstream.Sum(sia, es[0].arrival), nil
+	}
+	parts := make([]bitstream.Stream, 0, 1+len(es))
+	parts = append(parts, sia)
+	for _, e := range es {
+		parts = append(parts, e.arrival)
+	}
+	return bitstream.Sum(parts...), nil
+}
+
+// swap records the changes to one queue aggregate's components: how many
+// changed, the sum of their old values and the sum of their new ones.
+type swap struct {
+	n        int
+	old, new bitstream.Stream
+}
+
+// swaps returns one zeroed swap per priority, in buf when the levels fit.
+func swaps(buf *[stackPrios]swap, nprio int) []swap {
+	if nprio <= stackPrios {
+		return buf[:nprio]
+	}
+	return make([]swap, nprio)
+}
+
+// note records one component's change.
+func (s *swap) note(old, new bitstream.Stream) {
+	s.n++
+	if s.n == 1 {
+		s.old, s.new = old, new
+		return
+	}
+	s.old, s.new = bitstream.Sum(s.old, old), bitstream.Sum(s.new, new)
+}
+
+// apply returns agg with the changed components' old sum swapped for
+// their new sum. The old values are components of agg, so their sum is
+// too, and on the exact rate grid the result is the re-sum of the new
+// components, segment for segment.
+func (s *swap) apply(agg bitstream.Stream) (bitstream.Stream, error) {
+	if s.n == 0 {
+		return agg, nil
+	}
+	return bitstream.Replace(agg, s.old, s.new)
+}
+
+// findPort and findLink search the ascending port and link lists.
+func findPort(ports []outPort, out PortID) (int, bool) {
+	return slices.BinarySearchFunc(ports, out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
+}
+
+func findLink(links []inLink, in PortID) (int, bool) {
+	return slices.BinarySearchFunc(links, in, func(l inLink, in PortID) int { return cmp.Compare(l.in, in) })
 }
 
 // queue returns the queue of priority index k at an output port; a port
 // that carries nothing has empty queues.
 func (st *switchState) queue(out PortID, k int) queue {
-	i, ok := slices.BinarySearchFunc(st.ports, out, func(p outPort, out PortID) int { return cmp.Compare(p.out, out) })
+	i, ok := findPort(st.ports, out)
 	if !ok {
 		return queue{}
 	}

@@ -41,21 +41,30 @@ func (n *Network) Begin(ctx context.Context, req ConnRequest) (*Walk, error) {
 	if err := n.begin(ctx, req, w); err != nil {
 		return nil, err
 	}
-	e2e := HardCDV{}.Accumulate(w.adm.PerHopGuaranteed)
-	if req.DelayBound > 0 && e2e > req.DelayBound {
+	if err := w.budget(); err != nil {
 		w.Abort()
-		return nil, &RejectionError{
+		return nil, err
+	}
+	w.adm.PerHopComputed = make([]float64, 0, len(w.switches))
+	return w, nil
+}
+
+// budget checks the end-to-end budget of a begun walk and records the
+// end-to-end guarantee.
+func (w *Walk) budget() error {
+	e2e := HardCDV{}.Accumulate(w.adm.PerHopGuaranteed)
+	if w.req.DelayBound > 0 && e2e > w.req.DelayBound {
+		return &RejectionError{
 			Switch:   "(end-to-end)",
-			Priority: req.Priority,
+			Priority: w.req.Priority,
 			Bound:    e2e,
-			Limit:    req.DelayBound,
+			Limit:    w.req.DelayBound,
 			Reason:   "sum of per-hop guarantees exceeds the requested delay bound",
 			Kind:     CodeDelayBound,
 		}
 	}
 	w.adm.EndToEndGuaranteed = e2e
-	w.adm.PerHopComputed = make([]float64, 0, len(w.switches))
-	return w, nil
+	return nil
 }
 
 // begin is Begin without the end-to-end budget check, which Install
@@ -165,25 +174,7 @@ func (w *Walk) admitAll(ctx context.Context, tr obs.Tracer) error {
 		hopStart := time.Now()
 		d, err := w.Admit()
 		if tr != nil {
-			ev := obs.Event{
-				Kind:     obs.KindHopCheck,
-				Conn:     string(w.req.ID),
-				Switch:   w.req.Route[i].Switch,
-				Duration: time.Since(hopStart),
-			}
-			if err != nil {
-				ev.Outcome = obs.OutcomeRejected
-				if !errors.Is(err, ErrRejected) {
-					ev.Outcome = obs.OutcomeError
-				}
-				ev.Code = ErrorCode(err)
-			} else {
-				// Slack is how far the computed bound D'(j,p) sat below
-				// the guarantee D(j,p) at admission, in cell times.
-				ev.Outcome = obs.OutcomeAccepted
-				ev.Slack = w.adm.PerHopGuaranteed[i] - d
-			}
-			tr.Trace(ev)
+			tr.Trace(w.hopEvent(i, d, err, time.Since(hopStart)))
 		}
 		if err != nil {
 			w.Abort()
@@ -191,4 +182,28 @@ func (w *Walk) admitAll(ctx context.Context, tr obs.Tracer) error {
 		}
 	}
 	return nil
+}
+
+// hopEvent is the trace of hop i's check, which returned the computed
+// bound d or err.
+func (w *Walk) hopEvent(i int, d float64, err error, dur time.Duration) obs.Event {
+	ev := obs.Event{
+		Kind:     obs.KindHopCheck,
+		Conn:     string(w.req.ID),
+		Switch:   w.req.Route[i].Switch,
+		Duration: dur,
+	}
+	if err != nil {
+		ev.Outcome = obs.OutcomeRejected
+		if !errors.Is(err, ErrRejected) {
+			ev.Outcome = obs.OutcomeError
+		}
+		ev.Code = ErrorCode(err)
+	} else {
+		// Slack is how far the computed bound D'(j,p) sat below the
+		// guarantee D(j,p) at admission, in cell times.
+		ev.Outcome = obs.OutcomeAccepted
+		ev.Slack = w.adm.PerHopGuaranteed[i] - d
+	}
+	return ev
 }

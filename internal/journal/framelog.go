@@ -254,14 +254,21 @@ func (l *FrameLog) flush(g *group) {
 }
 
 // write appends g's frames with one Write and, when asked, one fsync;
-// the caller holds flushMu. A failed write cuts the file back to its
+// the caller holds flushMu. The write buffer and the stats' frame lengths
+// are each sized once, so a group costs the same allocations whatever its
+// size. A failed write cuts the file back to its
 // length before the write; a failed fsync cuts it back to the durable
 // prefix. Either way a cut that fails, or a failed fsync, takes the log
 // out of service.
 func (l *FrameLog) write(g *group) (st GroupStats) {
-	var buf []byte
+	st.Frames = make([]int, len(g.frames))
+	total := 0
+	for i, f := range g.frames {
+		st.Frames[i] = len(f.frame)
+		total += len(f.frame)
+	}
+	buf := make([]byte, 0, total)
 	for _, f := range g.frames {
-		st.Frames = append(st.Frames, len(f.frame))
 		buf = append(buf, f.frame...)
 	}
 	l.mu.Lock()

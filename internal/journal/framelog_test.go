@@ -498,3 +498,28 @@ func FuzzScanFrames(f *testing.F) {
 		}
 	})
 }
+
+// groupWriteAllocs is what one group write costs, whatever its size: its
+// write buffer and its stats' frame lengths, each sized once.
+const groupWriteAllocs = 2
+
+// TestGroupWriteAllocs pins the allocations of writing a 64-frame group,
+// and of a 1-frame group, to groupWriteAllocs.
+func TestGroupWriteAllocs(t *testing.T) {
+	l := openText(t, OSFS{}, filepath.Join(t.TempDir(), "log"))
+	defer l.Close()
+	for _, size := range []int{1, 64} {
+		g := &group{}
+		for i := 0; i < size; i++ {
+			g.frames = append(g.frames, &Frame{seq: uint64(i + 1), frame: EncodeRawFrame([]byte(fmt.Sprintf(`{"seq":%d}`, i+1)))})
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if st := l.write(g); st.Err != nil || len(st.Frames) != size {
+				t.Fatalf("write of %d frames: %+v", size, st)
+			}
+		})
+		if allocs > groupWriteAllocs {
+			t.Errorf("write of %d frames: %v allocations, want <= %d", size, allocs, groupWriteAllocs)
+		}
+	}
+}

@@ -212,10 +212,11 @@ func (n *Network) BroadcastRequest(origin, t int, spec traffic.Spec, prio core.P
 	}, nil
 }
 
-// InstallAll bulk-loads a workload (offline planning path).
+// InstallAll bulk-loads a workload as one set (offline planning path). It
+// returns the first request's error; every other request is installed.
 func (n *Network) InstallAll(reqs []core.ConnRequest) error {
-	for _, req := range reqs {
-		if err := n.coreN.Install(req); err != nil {
+	for _, err := range n.coreN.InstallSet(reqs) {
+		if err != nil {
 			return err
 		}
 	}

@@ -50,14 +50,14 @@ type batchItem struct {
 	undo        func(perr error) (msg, code string)
 }
 
-// runBatch runs item on each of a batch's n items, then makes the records
-// of the items that mutated durable with one persist pass — one unit, so
-// one group commit. Items whose record persist refused are rolled back and
+// runBatch runs a batch's n items with run, then makes the records of the
+// items that mutated durable with one persist pass — one unit, so one
+// group commit. Items whose record persist refused are rolled back and
 // refused one by one; the rest keep their ack. It holds opMu exclusively:
 // like fail-link, the batch's record set must not interleave with other
 // mutations, and a single exclusive hold also sidesteps ordering the
 // per-ID stripe locks of an arbitrary ID set.
-func (s *Server) runBatch(op string, n int, item func(i int) batchItem) Response {
+func (s *Server) runBatch(op string, n int, run func() []batchItem) Response {
 	if n > MaxBatchOps {
 		return Response{Error: fmt.Sprintf("batch of %d exceeds %d items", n, MaxBatchOps), Code: CodeProtocol}
 	}
@@ -67,12 +67,11 @@ func (s *Server) runBatch(op string, n int, item func(i int) batchItem) Response
 	}
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	items := make([]batchItem, n)
+	items := run()
 	results := make([]BatchResult, n)
 	var mutated []int // the items whose records persist carries, in order
 	var recs, inverts []*journal.Record
 	for i := range items {
-		items[i] = item(i)
 		results[i] = items[i].res
 		if items[i].rec != nil {
 			mutated = append(mutated, i)
@@ -102,26 +101,32 @@ func (s *Server) runBatch(op string, n int, item func(i int) batchItem) Response
 	return Response{OK: true, Warning: warning, Results: results}
 }
 
-// handleBatchSetup admits every item, then makes the admitted subset
-// durable with one persistence pass (see runBatch).
+// handleBatchSetup admits the items as one set (core.Network.SetupSet),
+// then makes the admitted subset durable with one persistence pass (see
+// runBatch).
 func (s *Server) handleBatchSetup(ctx context.Context, req Request) Response {
 	if len(req.Requests) == 0 {
 		return Response{Error: "batch-setup requires a requests list", Code: CodeProtocol}
 	}
-	return s.runBatch(OpBatchSetup, len(req.Requests), func(i int) batchItem {
-		r := &req.Requests[i]
-		adm, err := s.network.Setup(ctx, *r)
-		if err != nil {
-			return batchItem{res: BatchResult{
-				ID: r.ID, Error: err.Error(), Rejected: errors.Is(err, core.ErrRejected), Code: core.ErrorCode(err),
-			}}
+	return s.runBatch(OpBatchSetup, len(req.Requests), func() []batchItem {
+		adms, errs := s.network.SetupSet(ctx, req.Requests)
+		items := make([]batchItem, len(req.Requests))
+		for i := range items {
+			r := &req.Requests[i]
+			if err := errs[i]; err != nil {
+				items[i] = batchItem{res: BatchResult{
+					ID: r.ID, Error: err.Error(), Rejected: errors.Is(err, core.ErrRejected), Code: core.ErrorCode(err),
+				}}
+				continue
+			}
+			rec, invert := setupRecords(r)
+			items[i] = batchItem{
+				res: BatchResult{ID: r.ID, OK: true, Admission: toWireAdmission(adms[i])},
+				rec: rec, invert: invert,
+				undo: func(perr error) (string, string) { return s.rollbackSetup(r.ID, perr) },
+			}
 		}
-		rec, invert := setupRecords(r)
-		return batchItem{
-			res: BatchResult{ID: r.ID, OK: true, Admission: toWireAdmission(adm)},
-			rec: rec, invert: invert,
-			undo: func(perr error) (string, string) { return s.rollbackSetup(r.ID, perr) },
-		}
+		return items
 	})
 }
 
@@ -131,20 +136,24 @@ func (s *Server) handleBatchTeardown(req Request) Response {
 	if len(req.IDs) == 0 {
 		return Response{Error: "batch-teardown requires an ids list", Code: CodeProtocol}
 	}
-	return s.runBatch(OpBatchTeardown, len(req.IDs), func(i int) batchItem {
-		id := req.IDs[i]
-		undo, known := s.network.AdmittedRequest(id)
-		if err := s.network.Teardown(id); err != nil {
-			return batchItem{res: BatchResult{ID: id, Error: err.Error(), Code: core.ErrorCode(err)}}
+	return s.runBatch(OpBatchTeardown, len(req.IDs), func() []batchItem {
+		items := make([]batchItem, len(req.IDs))
+		for i, id := range req.IDs {
+			undo, known := s.network.AdmittedRequest(id)
+			if err := s.network.Teardown(id); err != nil {
+				items[i] = batchItem{res: BatchResult{ID: id, Error: err.Error(), Code: core.ErrorCode(err)}}
+				continue
+			}
+			var u *core.ConnRequest
+			if known {
+				u = &undo
+			}
+			rec, invert := teardownRecords(id, u)
+			items[i] = batchItem{
+				res: BatchResult{ID: id, OK: true}, rec: rec, invert: invert,
+				undo: func(perr error) (string, string) { return s.rollbackTeardown(id, u, perr) },
+			}
 		}
-		var u *core.ConnRequest
-		if known {
-			u = &undo
-		}
-		rec, invert := teardownRecords(id, u)
-		return batchItem{
-			res: BatchResult{ID: id, OK: true}, rec: rec, invert: invert,
-			undo: func(perr error) (string, string) { return s.rollbackTeardown(id, u, perr) },
-		}
+		return items
 	})
 }

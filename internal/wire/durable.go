@@ -174,13 +174,17 @@ type RecoveryReport struct {
 // replay journal records past its watermark, re-fail the recorded links,
 // then re-admit every surviving connection through the full CAC check —
 // recovery must re-earn the paper's guarantees, not assume them. The
+// survivors are admitted as one set (core.Network.SetupSet), which fails
+// exactly the connections one-by-one re-admission in order would. The
 // journal is then open for appending (a missing journal reads as empty,
 // so a snapshot-only state file opens as-is) and the replayed state is
 // immediately compacted into a fresh snapshot, so failed re-admissions
-// are pruned rather than re-persisted forever.
+// are pruned rather than re-persisted forever. A current-format snapshot
+// with no journal record past it, whose every connection and failed link
+// was restored, already is that snapshot and is not rewritten.
 func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
-	st, warning, err := d.store.LoadState()
+	st, warning, current, err := d.store.load()
 	if err != nil {
 		return nil, err
 	}
@@ -228,17 +232,16 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		}
 		rep.FailedLinks = append(rep.FailedLinks, l)
 	}
-	for _, req := range final.Requests {
-		if _, err := network.Setup(context.Background(), req); err != nil {
-			rep.Failed = append(rep.Failed, RestoreFailure{ID: req.ID, Err: err})
+	_, errs := network.SetupSet(context.Background(), final.Requests)
+	for i, err := range errs {
+		if err != nil {
+			rep.Failed = append(rep.Failed, RestoreFailure{ID: final.Requests[i].ID, Err: err})
 			continue
 		}
 		rep.Restored++
 	}
-	// Fold the replayed state into a fresh snapshot: the journal empties,
-	// failed re-admissions are pruned, and legacy snapshots are rewritten
-	// in the current format. Seed the durable view here, the one moment
-	// where memory and disk provably agree (nothing serves yet).
+	// Seed the durable view here, the one moment where memory and disk
+	// provably agree (nothing serves yet).
 	st = PersistentState{
 		Connections: network.AdmittedRequests(),
 		FailedLinks: network.FailedLinks(),
@@ -246,6 +249,14 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		LastSeq:     log.LastSeq(),
 	}
 	d.view = journal.NewView(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks})
+	// Fold the replayed state into a fresh snapshot: the journal empties,
+	// failed re-admissions are pruned, and legacy snapshots are rewritten
+	// in the current format. A current-format snapshot that nothing was
+	// replayed onto and nothing was pruned from already is that snapshot.
+	if current && warning == "" && tornPath == "" && len(scan.Records) == 0 &&
+		len(rep.Failed) == 0 && len(rep.FailedLinks) == len(final.FailedLinks) {
+		return rep, nil
+	}
 	if err := d.fold(st); err != nil {
 		return nil, fmt.Errorf("wire: post-recovery compaction: %w", err)
 	}

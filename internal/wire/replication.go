@@ -274,9 +274,10 @@ func (s *Server) CatchUp(afterSeq uint64, force bool, full func(PersistentState)
 // primary's — the full-resync path when the journal delta is gone (the
 // standby predates a compaction) or the standby diverged (an apply
 // failed, or it rejoins from a lower epoch after a fenced stint as
-// primary). Memory is rebuilt first, then snapshot and journal are reset
-// to the new watermark, so a crash mid-install recovers into the old
-// state and simply resyncs again.
+// primary). Memory is rebuilt first — the primary's connections loaded
+// as one set (core.Network.InstallSet) — then snapshot and journal are
+// reset to the new watermark, so a crash mid-install recovers into the
+// old state and simply resyncs again.
 func (s *Server) InstallState(st PersistentState) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
@@ -298,9 +299,9 @@ func (s *Server) InstallState(st PersistentState) error {
 			return fmt.Errorf("wire: install state: fail link %s: %w", l, err)
 		}
 	}
-	for _, req := range st.Connections {
-		if err := s.network.Install(req); err != nil {
-			return fmt.Errorf("wire: install state: install %q: %w", req.ID, err)
+	for i, err := range s.network.InstallSet(st.Connections) {
+		if err != nil {
+			return fmt.Errorf("wire: install state: install %q: %w", st.Connections[i].ID, err)
 		}
 	}
 	s.epoch.Store(st.Epoch)

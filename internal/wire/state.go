@@ -89,11 +89,19 @@ func (s *StateStore) QuarantinePath() string { return s.path + ".corrupt" }
 // torn or tampered snapshot must never silently restore a wrong admission
 // set.
 func (s *StateStore) LoadState() (PersistentState, string, error) {
-	st, warning, reason, err := s.readState()
-	if reason != "" {
-		return PersistentState{}, "", s.quarantine(reason)
-	}
+	st, warning, _, err := s.load()
 	return st, warning, err
+}
+
+// load is LoadState that also reports whether the file is in the current
+// format: present, with a v2 trailer, holding a state object — a file a
+// rewrite would not change the format of.
+func (s *StateStore) load() (PersistentState, string, bool, error) {
+	st, warning, reason, current, err := s.readState()
+	if reason != "" {
+		return PersistentState{}, "", false, s.quarantine(reason)
+	}
+	return st, warning, current, err
 }
 
 // ReadState is LoadState without the quarantine side effect: a corrupt
@@ -101,7 +109,7 @@ func (s *StateStore) LoadState() (PersistentState, string, error) {
 // Offline inspection (cacctl state verify) uses it so looking at a file
 // never moves it.
 func (s *StateStore) ReadState() (PersistentState, string, error) {
-	st, warning, reason, err := s.readState()
+	st, warning, reason, _, err := s.readState()
 	if reason != "" {
 		return PersistentState{}, "", fmt.Errorf("%w: %s: %s", ErrCorruptState, s.path, reason)
 	}
@@ -110,23 +118,23 @@ func (s *StateStore) ReadState() (PersistentState, string, error) {
 
 // readState parses the file; a non-empty reason marks corruption the
 // caller turns into either a quarantine or a plain error.
-func (s *StateStore) readState() (st PersistentState, warning, reason string, err error) {
+func (s *StateStore) readState() (st PersistentState, warning, reason string, current bool, err error) {
 	data, err := s.fsys.ReadFile(s.path)
 	if errors.Is(err, os.ErrNotExist) {
-		return PersistentState{}, "", "", nil
+		return PersistentState{}, "", "", false, nil
 	}
 	if err != nil {
-		return PersistentState{}, "", "", fmt.Errorf("wire: load state: %w", err)
+		return PersistentState{}, "", "", false, fmt.Errorf("wire: load state: %w", err)
 	}
 	payload, sum, epoch, version := splitTrailer(data)
 	switch version {
 	case 2:
 		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return PersistentState{}, "", fmt.Sprintf("checksum mismatch: file says %08x, content is %08x", sum, got), nil
+			return PersistentState{}, "", fmt.Sprintf("checksum mismatch: file says %08x, content is %08x", sum, got), false, nil
 		}
 	case 1:
 		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return PersistentState{}, "", fmt.Sprintf("checksum mismatch: file says %08x, content is %08x", sum, got), nil
+			return PersistentState{}, "", fmt.Sprintf("checksum mismatch: file says %08x, content is %08x", sum, got), false, nil
 		}
 		warning = fmt.Sprintf("wire: state %s has a legacy v1 crc-only trailer (no epoch field); epoch assumed 0", s.path)
 	default:
@@ -135,17 +143,17 @@ func (s *StateStore) readState() (st PersistentState, warning, reason string, er
 	trimmed := bytes.TrimLeft(payload, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '{' {
 		if jerr := json.Unmarshal(payload, &st); jerr != nil {
-			return PersistentState{}, "", fmt.Sprintf("invalid JSON: %v", jerr), nil
+			return PersistentState{}, "", fmt.Sprintf("invalid JSON: %v", jerr), false, nil
 		}
 		st.Epoch = epoch
-		return st, warning, "", nil
+		return st, warning, "", version == 2, nil
 	}
 	// Legacy layout: a bare array of connection requests.
 	if jerr := json.Unmarshal(payload, &st.Connections); jerr != nil {
-		return PersistentState{}, "", fmt.Sprintf("invalid JSON: %v", jerr), nil
+		return PersistentState{}, "", fmt.Sprintf("invalid JSON: %v", jerr), false, nil
 	}
 	st.Epoch = epoch
-	return st, warning, "", nil
+	return st, warning, "", false, nil
 }
 
 // quarantine moves the corrupt snapshot aside and returns the load error.
