@@ -14,9 +14,10 @@ import (
 
 // resum is the from-scratch reference for queue k of a port: Soa the sum of
 // the links' Sif, and Sof the sum of the links' higher-priority shares,
-// filtered once, in ascending incoming PortID — what edit computes when
-// several of a queue's components change, and what its swap of one
-// component's old value for its new one must equal.
+// filtered once, in ascending incoming PortID. edit never re-sums a port;
+// this is the reference its one swap per queue aggregate (one changed
+// component's old value for its new one, or the sum of several changed
+// components' old values for the sum of their new ones) must equal.
 func resum(port outPort, k int) (soa, higher, sof bitstream.Stream) {
 	parts := make([]bitstream.Stream, len(port.links))
 	for i, l := range port.links {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -26,7 +25,11 @@ import (
 // passes exactly when admitting the members one by one, in request order,
 // would accept every one of them. When it does not, the set publishes
 // nothing and the members are admitted one by one, so every per-member
-// result is what a sequential run returns.
+// result is what a sequential run returns. The one pass therefore pays
+// off only for a set whose every member is admissible, as a populate, a
+// recovery into the configuration that admitted the set or a replicated
+// snapshot is; a set with one inadmissible member costs its build and
+// check on top of the one-by-one admission (BenchmarkRefusedSet in wire).
 
 // SetupSet admits reqs as Setup would, one after another in order, and
 // returns each request's admission or error. Each request first passes
@@ -187,7 +190,6 @@ func (n *Network) admitSet(ctx context.Context, reqs []ConnRequest, check bool) 
 	// as commitID does; a member whose link failed meanwhile is released.
 	var down []int
 	n.connMu.Lock()
-	n.admitted = grown(n.admitted, len(members))
 	for _, i := range members {
 		if errs[i] = n.commitLocked(reqs[i]); errs[i] != nil {
 			down = append(down, i)
@@ -297,22 +299,9 @@ func (sw *Switch) extend(run []setHop, check bool, computed [][]float64) (*switc
 // publish stores a successor extend built and indexes its run's hops; the
 // caller holds mu.
 func (sw *Switch) publish(next *switchState, run []setHop) {
-	sw.index = grown(sw.index, len(run))
 	for i := range run {
 		r := &run[i]
 		sw.index[r.conn] = append(slices.Clip(sw.index[r.conn]), r.e)
 	}
 	sw.state.Store(next)
-}
-
-// grown returns m, or a copy of it sized for more keys when more are
-// coming than it holds: a set that loads an empty or small network then
-// inserts into a map sized once instead of one that doubles its way up.
-func grown[V any](m map[ConnID]V, more int) map[ConnID]V {
-	if more <= len(m) {
-		return m
-	}
-	g := make(map[ConnID]V, len(m)+more)
-	maps.Copy(g, m)
-	return g
 }

@@ -463,16 +463,7 @@ func compareEntries(a, b entry) int {
 // port left without connections is dropped, so the result is a function of
 // the member set.
 func (sw *Switch) edit(ports []outPort, es []entry, join bool) ([]outPort, error) {
-	fresh := 0 // touched ports not yet in ports
-	for i := range es {
-		if i == 0 || es[i].out != es[i-1].out {
-			if _, ok := findPort(ports, es[i].out); !ok {
-				fresh++
-			}
-		}
-	}
-	next := make([]outPort, len(ports), len(ports)+fresh)
-	copy(next, ports)
+	next, own := slices.Clip(ports), false // own: next is this edit's copy
 	for i := 0; i < len(es); {
 		j := i + 1
 		for j < len(es) && es[j].out == es[i].out {
@@ -480,10 +471,14 @@ func (sw *Switch) edit(ports []outPort, es []entry, join bool) ([]outPort, error
 		}
 		pi, ok := findPort(next, es[i].out)
 		if ok {
+			if !own {
+				next = slices.Clone(next)
+			}
 			next[pi].queues = slices.Clone(next[pi].queues)
 		} else {
 			next = slices.Insert(next, pi, outPort{out: es[i].out, queues: make([]queue, len(sw.prios))})
 		}
+		own = true
 		if err := sw.editPort(&next[pi], es[i:j], join); err != nil {
 			return nil, err
 		}
@@ -509,16 +504,7 @@ func (sw *Switch) editPort(port *outPort, es []entry, join bool) error {
 	nprio := len(sw.prios)
 	var soaBuf, higherBuf [stackPrios]swap
 	soa, higher := swaps(&soaBuf, nprio), swaps(&higherBuf, nprio)
-	fresh := 0 // touched links not yet in port.links
-	for i := range es {
-		if i == 0 || es[i].in != es[i-1].in {
-			if _, ok := findLink(port.links, es[i].in); !ok {
-				fresh++
-			}
-		}
-	}
-	links := make([]inLink, len(port.links), len(port.links)+fresh)
-	copy(links, port.links)
+	links, own := slices.Clip(port.links), false // own: links is this edit's copy
 	for i := 0; i < len(es); {
 		j := i + 1
 		for j < len(es) && es[j].in == es[i].in {
@@ -527,11 +513,15 @@ func (sw *Switch) editPort(port *outPort, es []entry, join bool) error {
 		li, ok := findLink(links, es[i].in)
 		var cells []cell
 		if ok {
+			if !own {
+				links = slices.Clone(links)
+			}
 			cells = slices.Clone(links[li].cells)
 		} else {
 			links = slices.Insert(links, li, inLink{in: es[i].in})
 			cells = make([]cell, nprio)
 		}
+		own = true
 		links[li].cells = cells
 		top := nprio // the link's most urgent touched priority
 		for a := i; a < j; {

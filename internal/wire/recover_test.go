@@ -343,3 +343,63 @@ func BenchmarkInstallState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefusedSet times sets that fail as a whole because their last
+// member, a CBR(1.0) beside the residents, would make a queue unstable:
+// SetupSet then admits the members one Setup at a time after its set
+// build and check. The sets are a 32-request batch on a network of 4k
+// residents and a 64k-connection recovery into an empty one. set-ms is
+// SetupSet; seq-ms is one Setup per request, the path batch-setup and
+// recovery took before sets; each arm runs on its own network.
+func BenchmarkRefusedSet(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name      string
+		base, set int
+	}{{"batch32-over-4k", 4 << 10, 32}, {"recover-64k", 0, 64 << 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			base := residents("r", c.base)
+			reqs := residents("s", c.set)
+			reqs[len(reqs)-1].Spec = traffic.CBR(1)
+			check := func(errs []error) {
+				for i, err := range errs {
+					if (err != nil) != (i == len(errs)-1) {
+						b.Fatalf("request %d: %v; want only the last refused", i, err)
+					}
+				}
+			}
+			arms := []func(*core.Network){
+				func(n *core.Network) {
+					_, errs := n.SetupSet(ctx, reqs)
+					check(errs)
+				},
+				func(n *core.Network) {
+					errs := make([]error, len(reqs))
+					for i, req := range reqs {
+						_, errs[i] = n.Setup(ctx, req)
+					}
+					check(errs)
+				},
+			}
+			var took [2]time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for a, arm := range arms {
+					b.StopTimer()
+					network := residentNetwork(b)
+					for _, err := range network.InstallSet(base) {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					start := time.Now()
+					arm(network)
+					took[a] += time.Since(start)
+				}
+			}
+			b.ReportMetric(float64(took[0])/1e6/float64(b.N), "set-ms")
+			b.ReportMetric(float64(took[1])/1e6/float64(b.N), "seq-ms")
+		})
+	}
+}
