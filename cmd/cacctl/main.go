@@ -210,7 +210,7 @@ func stateCmd(args []string) error {
 	}
 
 	if sub == "show" && serr == nil {
-		final := journal.Replay(journal.State{
+		final, _ := journal.Replay(journal.State{
 			Requests:    st.Connections,
 			FailedLinks: st.FailedLinks,
 		}, st.LastSeq, scan.Records)

@@ -53,7 +53,7 @@ func startRingServer(t *testing.T) (string, *rtnet.Network) {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(rt.Core())
-	srv.SetFailoverHandler(failover.Handler(rt, failover.Options{}))
+	srv.SetFailoverHandler(failover.Handler(rt))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -617,7 +617,7 @@ func dumpFinalMetrics(reg *obs.Registry) {
 // failoverHandler is failover.Handler with the daemon's per-connection
 // stdout lines.
 func failoverHandler(rt *rtnet.Network) wire.FailoverHandler {
-	readmit := failover.Handler(rt, failover.Options{})
+	readmit := failover.Handler(rt)
 	return func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
 		outs := readmit(from, to, evicted)
 		_, linkErr := failover.PrimaryFrom(rt, from, to)

@@ -298,8 +298,9 @@ func TestEndToEndConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks},
-		st.LastSeq, scan.Records).Requests
+	replayed, _ := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks},
+		st.LastSeq, scan.Records)
+	stored := replayed.Requests
 	var storedIDs []core.ConnID
 	for _, req := range stored {
 		storedIDs = append(storedIDs, req.ID)

@@ -152,11 +152,14 @@ func (e *Engine) Readmit(evicted []core.ConnRequest, failedFrom int, link core.L
 // Handler adapts the engine to the wire server's fail-link operation:
 // after the server has failed the link from->to and evicted the
 // connections traversing it, each is re-admitted over the wrapped route
-// through the full CAC check. A link that is not a primary ring link has
-// no wrapped route, so every connection it evicted stays down with that
+// through the full CAC check, once. The server runs the handler under
+// its exclusive lock, where nothing can free capacity and admission is
+// deterministic, so a retry could only repeat the refusal while every
+// other operation waits. A link that is not a primary ring link has no
+// wrapped route, so every connection it evicted stays down with that
 // error.
-func Handler(rt *rtnet.Network, opt Options) wire.FailoverHandler {
-	eng := New(rt, opt)
+func Handler(rt *rtnet.Network) wire.FailoverHandler {
+	eng := New(rt, Options{MaxAttempts: 1})
 	return func(from, to string, evicted []core.ConnRequest) []wire.ReadmitOutcome {
 		node, err := PrimaryFrom(rt, from, to)
 		if err != nil {

@@ -287,7 +287,7 @@ func TestHandlerNonPrimaryLinkStaysDown(t *testing.T) {
 		{rtnet.SwitchName(2), rtnet.SwitchName(1)}, // the secondary ring's direction
 		{"sw9", rtnet.SwitchName(3)},               // not a ring node
 	} {
-		outs := Handler(n, Options{Sleep: func(time.Duration) {}})(tc.from, tc.to, evicted)
+		outs := Handler(n)(tc.from, tc.to, evicted)
 		if len(outs) != len(evicted) {
 			t.Fatalf("%s->%s: %d outcomes for %d evictions", tc.from, tc.to, len(outs), len(evicted))
 		}
@@ -312,7 +312,7 @@ func TestHandlerReadmitsWithHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := Handler(n, Options{Sleep: func(time.Duration) {}})(rtnet.SwitchName(2), rtnet.SwitchName(3), evicted)
+	outs := Handler(n)(rtnet.SwitchName(2), rtnet.SwitchName(3), evicted)
 	if len(outs) != len(evicted) {
 		t.Fatalf("%d outcomes for %d evictions", len(outs), len(evicted))
 	}
@@ -327,5 +327,36 @@ func TestHandlerReadmitsWithHops(t *testing.T) {
 		if o.Hops == 0 || o.Hops != hops[o.ID] {
 			t.Errorf("%s reports %d hops, its wrapped route has %d", o.ID, o.Hops, hops[o.ID])
 		}
+	}
+}
+
+// TestHandlerRefusesOnce: through Handler a connection the wrapped ring
+// cannot carry is refused after one attempt, with no sleep: the server
+// holds its exclusive lock across the handler, so nothing could free
+// capacity for a retry.
+func TestHandlerRefusesOnce(t *testing.T) {
+	const failed = 2
+	n := newRing(t, 6)
+	route, err := n.BroadcastRoute(failed+2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The wrapped route's 9 queueing points guarantee 288 cells; the
+	// healthy route's 5 guarantee 160, inside the 200-cell budget.
+	if _, err := n.Core().Setup(context.Background(), core.ConnRequest{
+		ID: "tight", Spec: traffic.CBR(0.01), Priority: 1, Route: route, DelayBound: 200,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	evicted, err := n.FailPrimaryLink(failed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := Handler(n)(rtnet.SwitchName(failed), rtnet.SwitchName(failed+1), evicted)
+	if len(outs) != 1 {
+		t.Fatalf("outcomes = %+v", outs)
+	}
+	if o := outs[0]; o.Readmitted || o.Error == "" || o.Attempts != 1 {
+		t.Fatalf("outcome %+v, want refused after 1 attempt", o)
 	}
 }

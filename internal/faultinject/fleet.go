@@ -108,7 +108,7 @@ func boot(cfg nodeConfig) (*node, error) {
 	n.srv.SetDurable(dur)
 	n.srv.SetCrashPoints(cfg.crash)
 	if n.ring != nil {
-		n.srv.SetFailoverHandler(failover.Handler(n.ring, failover.Options{MaxAttempts: 2, Sleep: func(time.Duration) {}}))
+		n.srv.SetFailoverHandler(failover.Handler(n.ring))
 	}
 	n.obs = newProcObs()
 	if cfg.ship != "" {

@@ -117,7 +117,7 @@ func NewOverload(cfg rtnet.Config, lim overload.LimiterConfig) (*OverloadHarness
 	h.limiter = overload.NewLimiter(lim)
 	h.srv = wire.NewServer(rt.Core())
 	h.srv.SetLimiter(h.limiter)
-	h.srv.SetFailoverHandler(failover.Handler(rt, failover.Options{MaxAttempts: 2, Sleep: func(time.Duration) {}}))
+	h.srv.SetFailoverHandler(failover.Handler(rt))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

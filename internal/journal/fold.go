@@ -110,9 +110,11 @@ type Unfolded struct {
 
 // Replay folds the records past the lastSeq watermark into a fresh View
 // seeded with base — recovery's fold, and cacctl's offline view of a
-// state file. It costs O(1) per record plus one sort of the result. A
-// record Fold refuses is skipped and tallied in the result's Unfolded.
-func Replay(base State, lastSeq uint64, recs []Record) State {
+// state file — and returns the result both read out and as the View
+// itself, which recovery keeps as its durable view. It costs O(1) per
+// record plus one sort of the result. A record Fold refuses is skipped
+// and tallied in the result's Unfolded.
+func Replay(base State, lastSeq uint64, recs []Record) (State, *View) {
 	r := replay{View: NewView(base)}
 	var unfolded []Unfolded
 	for i := range recs {
@@ -132,7 +134,7 @@ func Replay(base State, lastSeq uint64, recs []Record) State {
 	st := r.State()
 	st.ReapedPrepares = r.open.list(nil)
 	st.Unfolded = unfolded
-	return st
+	return st, r.View
 }
 
 // replay is recovery's fold target: a View that also keeps the open

@@ -66,7 +66,7 @@ func runFold(t *testing.T, tc foldCase) {
 		}
 	}
 	t.Run("replay", func(t *testing.T) {
-		st := Replay(tc.base, tc.lastSeq, twice)
+		st, _ := Replay(tc.base, tc.lastSeq, twice)
 		check(t, st, false)
 		if fmt.Sprint(st.ReapedPrepares) != fmt.Sprint(append([]string{}, tc.reaped...)) {
 			t.Errorf("reaped prepares = %v, want %v", st.ReapedPrepares, tc.reaped)
@@ -177,7 +177,7 @@ func TestApplyToNetworkIdempotent(t *testing.T) {
 			t.Fatalf("%s: unknown op = %v, want ErrApply", name, err)
 		}
 	}
-	st := Replay(State{}, 0, []Record{mystery, {Seq: 10, Op: "mystery"}})
+	st, _ := Replay(State{}, 0, []Record{mystery, {Seq: 10, Op: "mystery"}})
 	if want := []Unfolded{{Op: "mystery", FirstSeq: 9, Count: 2}}; !reflect.DeepEqual(st.Unfolded, want) {
 		t.Fatalf("replay unfolded = %+v, want %+v", st.Unfolded, want)
 	}
@@ -290,7 +290,7 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("residents=%d", residents), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if st := Replay(base, 0, recs); len(st.Requests) != residents-len(recs) {
+				if st, _ := Replay(base, 0, recs); len(st.Requests) != residents-len(recs) {
 					b.Fatalf("replayed %d connections", len(st.Requests))
 				}
 			}
@@ -446,7 +446,8 @@ func FuzzFoldAgrees(f *testing.F) {
 		if want := n.FailedLinks(); !reflect.DeepEqual(links, want) {
 			t.Fatalf("view failed links %v, network %v", links, want)
 		}
-		recConns, recLinks := NewView(Replay(base, mark, recs)).Snapshot()
+		_, replayed := Replay(base, mark, recs)
+		recConns, recLinks := replayed.Snapshot()
 		if !reflect.DeepEqual(recConns, conns) || !reflect.DeepEqual(recLinks, links) {
 			t.Fatalf("recovery from the snapshot at seq %d: %v down %v, view %v down %v",
 				mark, ids(recConns), recLinks, ids(conns), links)

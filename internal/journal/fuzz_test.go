@@ -58,7 +58,7 @@ func FuzzJournalReplay(f *testing.F) {
 					again.Torn, len(again.Records), len(res.Records))
 			}
 		}
-		st := Replay(State{}, 0, res.Records)
+		st, _ := Replay(State{}, 0, res.Records)
 		seen := make(map[core.ConnID]bool, len(st.Requests))
 		for _, r := range st.Requests {
 			if seen[r.ID] {

@@ -65,7 +65,7 @@ func TestPrepareReplayThroughCrashedLog(t *testing.T) {
 			if tear && tornPath == "" {
 				t.Fatal("torn commit frame not detected")
 			}
-			st := Replay(State{}, 0, scan.Records)
+			st, _ := Replay(State{}, 0, scan.Records)
 			if len(st.Requests) != 0 {
 				t.Fatalf("crash before commit replayed to admitted connections %v", st.Requests)
 			}

@@ -42,13 +42,35 @@ var ErrRevisitBound = fmt.Errorf("%w: a route revisiting a shard needs an explic
 var ErrCoordFenced = errors.New("shard: coordinator fenced by a higher term")
 
 // endpoint is the coordinator's live view of one shard pair: which
-// member address it currently drives, and the reconnect backoff that
-// keeps a down shard from being hammered by every request.
+// member address it currently drives, the one connection to it that every
+// caller shares (a Client is tagged and pipelined), and the reconnect
+// backoff that keeps a down shard from being hammered by every request.
 type endpoint struct {
 	active    string
 	backoff   overload.Backoff
 	notBefore time.Time
+	// cl is the shared connection, nil until dialled and again after a
+	// drop; used is when it was last handed out.
+	cl   *wire.Client
+	used time.Time
+	// dialing is the single-flight dial in progress while cl is nil.
+	// Callers arriving meanwhile wait for it instead of dialling beside it.
+	dialing *dial
 }
+
+// dial is one in-flight dial other callers wait on.
+type dial struct {
+	done chan struct{}
+	err  error
+}
+
+// A connection idle longer than healthAfter gets a health ping of at
+// most healthTimeout before it is handed out, so a silently dead peer
+// costs a round trip instead of a failed operation.
+const (
+	healthAfter   = 30 * time.Second
+	healthTimeout = time.Second
+)
 
 // errReconnectBackoff marks a dial suppressed by the per-shard backoff
 // window; it is a transport-class error (retried, never definitive).
@@ -97,12 +119,8 @@ type Coordinator struct {
 	// fence itself.
 	epoch uint64
 
-	mu     sync.Mutex
-	fenced bool
-	// pools holds one wire.Pool per shard, pinned to the endpoint's active
-	// member: over the binary framing that is one multiplexed connection
-	// every caller shares. A failover swaps the whole pool.
-	pools   map[string]*wire.Pool
+	mu      sync.Mutex
+	fenced  bool
 	ends    map[string]*endpoint // shard ID -> live endpoint state
 	reg     *obs.Registry        // set by RegisterMetrics; feeds the per-shard series
 	open    []*openTxn           // unresolved transactions from the log scan
@@ -136,7 +154,6 @@ func NewCoordinator(m *Map, fsys journal.FS, logPath string) (*Coordinator, erro
 		OpTimeout:  2 * time.Second,
 		Retries:    3,
 		epoch:      log.term,
-		pools:      make(map[string]*wire.Pool),
 		ends:       make(map[string]*endpoint),
 		inDoubt:    make(map[string]struct{}),
 		lazyDone:   make(map[core.ConnID]*pendingDone),
@@ -237,23 +254,27 @@ func (c *Coordinator) InDoubt() []string {
 // Close closes the shard connections and the intent log, writing out any
 // record still queued on it first.
 func (c *Coordinator) Close() error {
-	c.closePools()
+	c.closeConns()
 	return c.log.Close()
 }
 
 // Kill is Close as a process death would do it: records queued on the
 // intent log but not yet written are lost. Fault injection only.
 func (c *Coordinator) Kill() {
-	c.closePools()
+	c.closeConns()
 	_ = c.log.Drop()
 }
 
-func (c *Coordinator) closePools() {
+// closeConns closes every endpoint's shared connection; a later call
+// dials afresh.
+func (c *Coordinator) closeConns() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, p := range c.pools {
-		p.Close()
-		delete(c.pools, id)
+	for _, ep := range c.ends {
+		if ep.cl != nil {
+			_ = ep.cl.Close()
+			ep.cl = nil
+		}
 	}
 }
 
@@ -311,84 +332,115 @@ func (c *Coordinator) probeStatus(ctx context.Context, addr string) (*wire.Shard
 	}
 }
 
-// newPool builds the pool for a shard, pinned to addr. Its dial wrapper
-// stamps the coordinator term on every new connection and drives the
-// endpoint's reconnect backoff: a failed dial opens the jittered window
-// (so a down shard is not hammered by every request), its gate
-// suppresses dials inside the window (errReconnectBackoff,
-// transport-class — using the live connection is always allowed), and a
-// successful dial clears it and counts in atmcac_coord_shard_dials_total.
-func (c *Coordinator) newPool(info Info, addr string) *wire.Pool {
-	return wire.NewPool(wire.PoolConfig{
-		Addr: addr,
-		DialGate: func() error {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			ep := c.endpointLocked(info)
-			if wait := time.Until(ep.notBefore); wait > 0 {
-				return &backoffWindowError{shard: info.ID, wait: wait}
-			}
-			return nil
-		},
-		Dial: func(a string) (*wire.Client, error) {
-			cl, err := c.dialer()(a)
-			if err != nil {
-				c.mu.Lock()
-				ep := c.endpointLocked(info)
-				ep.notBefore = time.Now().Add(ep.backoff.Next(0))
-				c.mu.Unlock()
-				return nil, fmt.Errorf("shard %s: dial %s: %w", info.ID, a, err)
-			}
-			cl.SetShardCoordEpoch(c.epoch)
-			c.mu.Lock()
-			ep := c.endpointLocked(info)
-			ep.backoff = overload.Backoff{}
-			ep.notBefore = time.Time{}
-			reg := c.reg
+// client returns the shard's shared connection, or else dials it. Dials
+// are single-flight: one caller dials, the rest wait (honouring their
+// ctx) and then share what it got, or fail with its error. c.mu is never
+// held across a dial or a ping. A live connection is always handed out,
+// health-pinged first when it sat idle past healthAfter; the reconnect
+// backoff window gates fresh dials only (errReconnectBackoff,
+// transport-class). A failed dial opens the jittered window, so a down
+// shard is not hammered by every request; a successful one clears it,
+// stamps the coordinator term on the connection and counts in
+// atmcac_coord_shard_dials_total.
+func (c *Coordinator) client(ctx context.Context, info Info) (*wire.Client, error) {
+	for {
+		c.mu.Lock()
+		ep := c.endpointLocked(info)
+		if cl := ep.cl; cl != nil {
+			now := time.Now()
+			stale := now.Sub(ep.used) > healthAfter
+			ep.used = now // concurrent callers skip the ping this one is about to make
 			c.mu.Unlock()
+			if stale && !healthy(ctx, cl) {
+				if err := ctx.Err(); err != nil {
+					return nil, err // the caller gave up; that says nothing of cl
+				}
+				c.drop(info, cl)
+				continue
+			}
+			return cl, nil
+		}
+		if d := ep.dialing; d != nil {
+			c.mu.Unlock()
+			select {
+			case <-d.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if d.err != nil {
+				return nil, d.err
+			}
+			continue
+		}
+		if wait := time.Until(ep.notBefore); wait > 0 {
+			c.mu.Unlock()
+			return nil, &backoffWindowError{shard: info.ID, wait: wait}
+		}
+		d := &dial{done: make(chan struct{})}
+		ep.dialing = d
+		addr := ep.active
+		reg := c.reg
+		c.mu.Unlock()
+
+		cl, err := c.dialer()(addr)
+		if err == nil {
+			cl.SetShardCoordEpoch(c.epoch)
 			if reg != nil {
 				reg.Counter("atmcac_coord_shard_dials_total", obs.L("shard", info.ID)).Inc()
 			}
-			return cl, nil
-		},
-	})
-}
-
-// pool returns (creating on first use) the pool for a shard's active
-// member.
-func (c *Coordinator) pool(info Info) *wire.Pool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pools[info.ID]
-	if !ok {
-		ep := c.endpointLocked(info)
-		p = c.newPool(info, ep.active)
-		c.pools[info.ID] = p
+		}
+		c.mu.Lock()
+		ep.dialing = nil
+		moved := err == nil && (ep.cl != nil || ep.active != addr)
+		switch {
+		case err != nil:
+			ep.notBefore = time.Now().Add(ep.backoff.Next(0))
+			err = fmt.Errorf("shard %s: dial %s: %w", info.ID, addr, err)
+		case !moved:
+			ep.cl, ep.used = cl, time.Now()
+			ep.backoff, ep.notBefore = overload.Backoff{}, time.Time{}
+		}
+		d.err = err
+		close(d.done)
+		c.mu.Unlock()
+		if !moved {
+			return cl, err
+		}
+		// A failover moved the endpoint on while this dial ran; the next
+		// turn hands out the connection it installed.
+		_ = cl.Close()
 	}
-	return p
 }
 
-// dropPool closes a shard's pool — p, or whichever is current when p is
-// nil — so the next attempt re-dials (possibly at a failed-over
-// address). Every caller in flight on a dropped connection reports the
-// same failure; naming the pool it failed on keeps the late ones from
-// closing the replacement the first one's retry already dialled.
-func (c *Coordinator) dropPool(info Info, p *wire.Pool) {
+// healthy pings cl, bounded by healthTimeout.
+func healthy(ctx context.Context, cl *wire.Client) bool {
+	hctx, cancel := context.WithTimeout(ctx, healthTimeout)
+	defer cancel()
+	_, err := cl.Health(hctx)
+	return err == nil
+}
+
+// drop closes cl after a transport error. If cl is the shard's shared
+// connection it goes for everyone: the calls in flight on it fail the
+// same way, each retries, and the next one redials. A drop of a
+// connection that was already replaced leaves its replacement alone, so
+// however many callers report one failure, it costs one redial.
+func (c *Coordinator) drop(info Info, cl *wire.Client) {
 	c.mu.Lock()
-	if cur, ok := c.pools[info.ID]; ok && (p == nil || cur == p) {
-		cur.Close()
-		delete(c.pools, info.ID)
+	if ep := c.ends[info.ID]; ep != nil && ep.cl == cl {
+		ep.cl = nil
 	}
 	c.mu.Unlock()
+	_ = cl.Close()
 }
 
 // failover re-points a shard pair at its surviving member after the
 // active one stopped answering: it probes the other member, promotes it
 // if it is still a standby (the promotion bumps the shard epoch, so the
 // existing stale-prepare fencing shuts the old primary's holds out),
-// and swaps the cached client. The old primary needs no message from
-// here — when it reconnects to the replication stream or a client, the
-// higher epoch it observes fences it. Returns true when the pool now
+// and installs its probe connection as the endpoint's client. The old
+// primary needs no message from here — when it reconnects to the
+// replication stream or a client, the higher epoch it observes fences it. Returns true when the endpoint now
 // points at a live promoted member.
 //
 // A transport error alone does not prove the active member is dead — it
@@ -431,21 +483,18 @@ func (c *Coordinator) failover(info Info) bool {
 		}
 	}
 	cl.SetShardCoordEpoch(c.epoch)
-	// Swap the whole pool: its connection points at the old member, and
-	// the promotion fenced its holds anyway. The promoted member's probe
-	// connection seeds the fresh pool.
+	// The probe connection to the promoted member becomes the shared one;
+	// the old connection points at the old member, whose holds the
+	// promotion fenced anyway.
 	c.mu.Lock()
-	old := c.pools[info.ID]
+	old := ep.cl
 	ep.active = cand
-	ep.backoff = overload.Backoff{}
-	ep.notBefore = time.Time{}
-	np := c.newPool(info, cand)
-	c.pools[info.ID] = np
+	ep.cl, ep.used = cl, time.Now()
+	ep.backoff, ep.notBefore = overload.Backoff{}, time.Time{}
 	c.mu.Unlock()
 	if old != nil {
-		old.Close()
+		_ = old.Close()
 	}
-	np.Put(cl)
 	if c.tracer != nil {
 		c.tracer.Trace(obs.Event{
 			Kind: obs.KindShardFailover, Op: info.ID, Outcome: obs.OutcomeOK, Epoch: rep.Epoch,
@@ -454,7 +503,7 @@ func (c *Coordinator) failover(info Info) bool {
 	return true
 }
 
-// ActiveAddr returns the member address the pool currently drives for a
+// ActiveAddr returns the member address the coordinator currently drives for a
 // shard (the primary until a failover re-points it).
 func (c *Coordinator) ActiveAddr(shardID string) string {
 	c.mu.Lock()
@@ -468,33 +517,34 @@ func (c *Coordinator) ActiveAddr(shardID string) string {
 	return ""
 }
 
-// ResetEndpoint points a shard's pool entry back at addr and clears its
-// backoff — a test and benchmark hook for exercising the failover path
-// repeatedly.
+// ResetEndpoint points a shard's endpoint back at addr, closing its
+// connection and clearing its backoff — a test and benchmark hook for
+// exercising the failover path repeatedly.
 func (c *Coordinator) ResetEndpoint(shardID, addr string) {
 	info, ok := c.m.Lookup(shardID)
 	if !ok {
 		return
 	}
-	c.dropPool(info, nil)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ep := c.endpointLocked(info)
-	ep.active = addr
-	ep.backoff = overload.Backoff{}
-	ep.notBefore = time.Time{}
-	c.mu.Unlock()
+	if ep.cl != nil {
+		_ = ep.cl.Close()
+	}
+	ep.active, ep.cl = addr, nil
+	ep.backoff, ep.notBefore = overload.Backoff{}, time.Time{}
 }
 
 // call runs one shard operation with per-attempt timeout and bounded
-// jittered retry over the shard's connection. A typed server answer
-// (RemoteError) is definitive and never retried — and proves the
-// connection healthy; a transport error discards the connection, which
-// fails every call in flight on it the same way, and each retries.
+// jittered retry over the shard's shared connection. A typed server
+// answer (RemoteError) is definitive and never retried; a transport
+// error drops the connection, which fails every call in flight on it the
+// same way, and each retries. A caller that gives up abandons one tag
+// and leaves the connection, which other callers are using, in place.
 func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ctx context.Context, cl *wire.Client) error) error {
 	var b overload.Backoff
 	for attempt := 0; ; attempt++ {
-		p := c.pool(info)
-		cl, err := p.Get(ctx)
+		cl, err := c.client(ctx, info)
 		if err == nil {
 			opCtx, cancel := ctx, context.CancelFunc(nil)
 			if c.OpTimeout > 0 {
@@ -503,18 +553,6 @@ func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ct
 			err = fn(opCtx, cl)
 			if cancel != nil {
 				cancel()
-			}
-			var re *wire.RemoteError
-			var oe *wire.OverloadError
-			switch {
-			case err == nil || errors.As(err, &re) || errors.As(err, &oe):
-				p.Put(cl) // the server answered; the connection is healthy
-			case ctx.Err() != nil:
-				// The caller gave up. That abandons one tag and leaves the
-				// connection — which other callers are using — in order.
-				p.Put(cl)
-			default:
-				p.Discard(cl)
 			}
 		}
 		if err == nil {
@@ -549,18 +587,22 @@ func (c *Coordinator) call(ctx context.Context, info Info, op string, fn func(ct
 			// budget must buy actual dials, not spins inside the window.
 			retryAfter = bw.wait
 		default:
-			// Transport error, not a definitive refusal: the active member
-			// may be dead. Drop the pool and, for a replicated pair, try the
-			// other member — promoting it if it is still a standby — so
-			// in-flight transactions finish on the survivor.
-			c.dropPool(info, p)
+			// Transport error, not a definitive refusal (a per-attempt
+			// timeout included: a blackholed peer shows no other symptom):
+			// the active member may be dead. Drop the connection and, for a
+			// replicated pair, try the other member — promoting it if it is
+			// still a standby — so in-flight transactions finish on the
+			// survivor.
+			if cl != nil {
+				c.drop(info, cl)
+			}
 			failedOver = c.failover(info)
 		}
 		if attempt >= c.Retries {
 			return fmt.Errorf("shard %s: %s: retries exhausted: %w", info.ID, op, err)
 		}
 		if failedOver {
-			continue // the pool points at a live member; retry immediately
+			continue // the endpoint points at a live member; retry immediately
 		}
 		if serr := overload.Sleep(ctx, b.Next(retryAfter)); serr != nil {
 			return fmt.Errorf("shard %s: %s: %w", info.ID, op, serr)

@@ -239,12 +239,10 @@ func shardList(t *testing.T, c *Coordinator, shardID string) []core.ConnID {
 	if !ok {
 		t.Fatalf("no shard %q", shardID)
 	}
-	p := c.pool(info)
-	cl, err := p.Get(context.Background())
+	cl, err := c.client(context.Background(), info)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Put(cl)
 	ids, err := cl.List(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -522,277 +522,6 @@ func TestPipelinedChurnSoak(t *testing.T) {
 	}
 }
 
-// countingDial wraps a dialer with an attempt counter for the pool tests.
-func countingDial(dials *atomic.Int32, dial func(string) (*Client, error)) func(string) (*Client, error) {
-	return func(addr string) (*Client, error) {
-		dials.Add(1)
-		return dial(addr)
-	}
-}
-
-// TestPoolReusesIdleConnection: Get-Put-Get hands the same connection
-// back instead of redialing, and a discarded one is replaced.
-func TestPoolReusesIdleConnection(t *testing.T) {
-	t.Run(ProtoBinary, func(t *testing.T) {
-		client, _ := startServer(t, nil)
-		var dials atomic.Int32
-		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
-		defer p.Close()
-		cl, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Put(cl)
-		again, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != cl {
-			t.Error("connection not reused")
-		}
-		if dials.Load() != 1 {
-			t.Errorf("dials = %d, want 1", dials.Load())
-		}
-		if _, err := again.List(context.Background()); err != nil {
-			t.Fatalf("pooled connection unusable: %v", err)
-		}
-		p.Discard(again)
-		fresh, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Put(fresh)
-		if dials.Load() != 2 {
-			t.Errorf("dials after discard = %d, want 2", dials.Load())
-		}
-	})
-}
-
-// TestPoolSharesOneBinaryConnection: any number of concurrent callers
-// over the binary framing cost one dial between them — those arriving
-// while it is in flight wait for it — and returning the connection does
-// not give it up.
-func TestPoolSharesOneBinaryConnection(t *testing.T) {
-	client, _ := startServer(t, nil)
-	var dials atomic.Int32
-	p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
-	defer p.Close()
-	const callers = 64
-	got := make([]*Client, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl, err := p.Get(context.Background())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = cl
-			if _, err := cl.List(context.Background()); err != nil {
-				t.Error(err)
-			}
-			p.Put(cl)
-		}(i)
-	}
-	wg.Wait()
-	for i, cl := range got {
-		if cl != got[0] {
-			t.Fatalf("caller %d got its own connection", i)
-		}
-	}
-	if dials.Load() != 1 {
-		t.Errorf("dials = %d, want 1", dials.Load())
-	}
-}
-
-// TestPoolDiscardRedialsOncePerDrop: closing the shared connection under
-// load fails the calls in flight on it with transport errors; however
-// many of them discard it, the next round of callers shares one redial,
-// and a late Discard or Put of the dead connection leaves its
-// replacement alone.
-func TestPoolDiscardRedialsOncePerDrop(t *testing.T) {
-	client, _ := startServer(t, nil)
-	var dials atomic.Int32
-	p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
-	defer p.Close()
-	const callers = 16
-	first, err := p.Get(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var failed atomic.Int32
-	var wg, holding sync.WaitGroup
-	holding.Add(callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := p.Get(context.Background())
-			holding.Done()
-			if err != nil || cl != first {
-				t.Errorf("Get = %p, %v; want the shared connection %p", cl, err, first)
-				return
-			}
-			for {
-				if _, err := cl.List(context.Background()); err != nil {
-					var re *RemoteError
-					if errors.As(err, &re) {
-						t.Errorf("dropped connection answered with a server error: %v", err)
-					}
-					failed.Add(1)
-					p.Discard(cl)
-					return
-				}
-				select {
-				case <-stop:
-					p.Put(cl)
-					return
-				default:
-				}
-			}
-		}()
-	}
-	holding.Wait()
-	_ = first.Close() // the drop
-	wg.Wait()
-	close(stop)
-	if failed.Load() != callers {
-		t.Fatalf("%d of %d in-flight callers saw the drop", failed.Load(), callers)
-	}
-	fresh := make([]*Client, callers)
-	for i := range fresh {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl, err := p.Get(context.Background())
-			if err != nil {
-				t.Error(err)
-			}
-			fresh[i] = cl
-		}(i)
-	}
-	wg.Wait()
-	p.Discard(first) // a straggler reporting the old drop
-	p.Put(first)
-	for i, cl := range fresh {
-		if cl == first || cl != fresh[0] {
-			t.Fatalf("caller %d after the drop got %p, want the one replacement %p", i, cl, fresh[0])
-		}
-	}
-	if _, err := fresh[0].List(context.Background()); err != nil {
-		t.Fatalf("replacement closed by a straggler: %v", err)
-	}
-	if dials.Load() != 2 {
-		t.Errorf("dials = %d, want 2 (one per drop)", dials.Load())
-	}
-}
-
-// TestPoolHealthChecksStaleIdle: a connection that died while unused is
-// detected by the checkout health ping and replaced by a fresh dial —
-// the caller never sees the dead one.
-func TestPoolHealthChecksStaleIdle(t *testing.T) {
-	t.Run(ProtoBinary, func(t *testing.T) {
-		client, _ := startServer(t, nil)
-		var dials atomic.Int32
-		p := NewPool(PoolConfig{
-			Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial),
-			HealthAfter: time.Nanosecond, // every reuse is "stale"
-		})
-		defer p.Close()
-		cl, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Put(cl)
-		_ = cl.conn.Close() // the peer died while the connection sat idle
-		got, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Put(got)
-		if got == cl {
-			t.Fatal("pool handed out the dead connection")
-		}
-		if dials.Load() != 2 {
-			t.Errorf("dials = %d, want 2 (dead connection replaced)", dials.Load())
-		}
-		if _, err := got.List(context.Background()); err != nil {
-			t.Fatalf("replacement connection unusable: %v", err)
-		}
-	})
-}
-
-// TestPoolDialGateOnlyGatesFreshDials: the gate suppresses new dials (the
-// coordinator's reconnect backoff) but a live connection is handed out
-// without consulting it.
-func TestPoolDialGateOnlyGatesFreshDials(t *testing.T) {
-	t.Run(ProtoBinary, func(t *testing.T) {
-		client, _ := startServer(t, nil)
-		errGate := errors.New("backoff window open")
-		var gated atomic.Bool
-		p := NewPool(PoolConfig{
-			Addr: clientAddr(t, client),
-			DialGate: func() error {
-				if gated.Load() {
-					return errGate
-				}
-				return nil
-			},
-		})
-		defer p.Close()
-		cl, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Put(cl)
-		gated.Store(true)
-		reused, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatalf("live connection consulted the dial gate: %v", err)
-		}
-		p.Discard(reused)
-		if _, err := p.Get(context.Background()); !errors.Is(err, errGate) {
-			t.Fatalf("gated fresh dial = %v, want gate error", err)
-		}
-	})
-}
-
-// TestPoolClose: Get fails after Close and Close closes the shared
-// connection; returning it any number of times before that does not.
-func TestPoolClose(t *testing.T) {
-	t.Run(ProtoBinary, func(t *testing.T) {
-		client, _ := startServer(t, nil)
-		var dials atomic.Int32
-		p := NewPool(PoolConfig{Addr: clientAddr(t, client), Dial: countingDial(&dials, Dial)})
-		a, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Get(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b || dials.Load() != 1 {
-			t.Fatalf("two binary callers did not share one connection (dials = %d)", dials.Load())
-		}
-		p.Put(a)
-		p.Put(b) // a second return: still the live shared connection
-		if _, err := b.List(context.Background()); err != nil {
-			t.Errorf("returning the shared connection closed it: %v", err)
-		}
-		p.Close()
-		if _, err := p.Get(context.Background()); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)
-		}
-		if _, err := a.List(context.Background()); err == nil {
-			t.Error("shared connection not closed by Close")
-		}
-	})
-}
-
 // benchDurableServer is startDurableServer without the testing.T-only
 // plumbing, for benchmarks.
 func benchDurableServer(b *testing.B) (*Client, *Server, core.Route) {

@@ -26,8 +26,7 @@ import (
 // arrive out of order) back to their waiters, and concurrent calls share
 // the connection without head-of-line blocking on the server's handling.
 type Client struct {
-	conn   net.Conn
-	closed atomic.Bool
+	conn net.Conn
 
 	tags       atomic.Uint64
 	wmu        sync.Mutex // serializes frame writes
@@ -112,21 +111,7 @@ func (c *Client) Proto() string { return ProtoBinary }
 func (c *Client) SetShardCoordEpoch(e uint64) { c.coordEpoch.Store(e) }
 
 // Close closes the underlying connection.
-func (c *Client) Close() error {
-	c.closed.Store(true)
-	return c.conn.Close()
-}
-
-// dead reports that the connection can serve no further call: it was
-// closed, or its reader hit a transport error.
-func (c *Client) dead() bool {
-	if c.closed.Load() {
-		return true
-	}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return c.readErr != nil
-}
+func (c *Client) Close() error { return c.conn.Close() }
 
 // stampDeadline propagates ctx's remaining deadline into the request.
 func stampDeadline(ctx context.Context, req *Request) error {

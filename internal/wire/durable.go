@@ -181,7 +181,9 @@ type RecoveryReport struct {
 // immediately compacted into a fresh snapshot, so failed re-admissions
 // are pruned rather than re-persisted forever. A current-format snapshot
 // with no journal record past it, whose every connection and failed link
-// was restored, already is that snapshot and is not rewritten.
+// was restored, already is that snapshot and is not rewritten. network
+// must start empty: the view the replay folded into, less what could not
+// be restored, becomes the durable view.
 func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	st, warning, current, err := d.store.load()
@@ -216,7 +218,7 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 			d.recoveredEpoch = rec.Epoch
 		}
 	}
-	final := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks}, st.LastSeq, scan.Records)
+	final, view := journal.Replay(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks}, st.LastSeq, scan.Records)
 	log.SetNextSeq(st.LastSeq + 1)
 	rep.ReapedPrepares = final.ReapedPrepares
 	for _, u := range final.Unfolded {
@@ -228,6 +230,7 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		if _, err := network.FailLink(l.From, l.To); err != nil {
 			rep.Warnings = append(rep.Warnings,
 				fmt.Sprintf("wire: recorded failed link %s could not be restored as failed: %v", l, err))
+			_ = view.RestoreLink(l)
 			continue
 		}
 		rep.FailedLinks = append(rep.FailedLinks, l)
@@ -236,19 +239,14 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 	for i, err := range errs {
 		if err != nil {
 			rep.Failed = append(rep.Failed, RestoreFailure{ID: final.Requests[i].ID, Err: err})
+			_ = view.Remove(final.Requests[i].ID)
 			continue
 		}
 		rep.Restored++
 	}
 	// Seed the durable view here, the one moment where memory and disk
 	// provably agree (nothing serves yet).
-	st = PersistentState{
-		Connections: network.AdmittedRequests(),
-		FailedLinks: network.FailedLinks(),
-		Epoch:       d.recoveredEpoch,
-		LastSeq:     log.LastSeq(),
-	}
-	d.view = journal.NewView(journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks})
+	d.view = view
 	// Fold the replayed state into a fresh snapshot: the journal empties,
 	// failed re-admissions are pruned, and legacy snapshots are rewritten
 	// in the current format. A current-format snapshot that nothing was
@@ -257,6 +255,8 @@ func (d *Durable) Recover(network *core.Network) (*RecoveryReport, error) {
 		len(rep.Failed) == 0 && len(rep.FailedLinks) == len(final.FailedLinks) {
 		return rep, nil
 	}
+	st = PersistentState{Epoch: d.recoveredEpoch, LastSeq: log.LastSeq()}
+	st.Connections, st.FailedLinks = view.Snapshot()
 	if err := d.fold(st); err != nil {
 		return nil, fmt.Errorf("wire: post-recovery compaction: %w", err)
 	}

@@ -325,6 +325,42 @@ func TestRecoverPrunesFailedReadmissions(t *testing.T) {
 	}
 }
 
+// TestRecoverPrunesUnrestorableFailedLink: a recorded failed link the
+// network cannot fail again is reported and left out of the durable view
+// and the post-recovery snapshot, as a connection that no longer fits is.
+func TestRecoverPrunesUnrestorableFailedLink(t *testing.T) {
+	statePath := filepath.Join(t.TempDir(), "state.json")
+	store := NewStateStore(statePath)
+	if err := store.SaveState(PersistentState{
+		FailedLinks: []core.Link{{From: "sw0", To: "no-such-switch"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	network, _ := twoSwitchNetwork(t)
+	dur, err := OpenDurable(DurableConfig{StatePath: statePath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	rep, err := dur.Recover(network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.FailedLinks) != 0 || len(rep.Warnings) == 0 {
+		t.Fatalf("recovery = %+v, want the link reported and not restored", rep)
+	}
+	if _, links := dur.view.Snapshot(); len(links) != 0 {
+		t.Fatalf("durable view keeps failed links %v", links)
+	}
+	st, _, err := store.LoadState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.FailedLinks) != 0 {
+		t.Fatalf("post-recovery snapshot keeps failed links %v", st.FailedLinks)
+	}
+}
+
 // TestSnapshotModeFileOpens pins the upgrade from the retired
 // snapshot-per-op mode: testdata/snapshot-mode.state was written by that
 // mode (v2 trailer, no lastSeq, one failed link, epoch 1, no journal).
@@ -559,7 +595,7 @@ func TestJournalOrderMatchesMutationOrder(t *testing.T) {
 	if scan.Torn {
 		t.Fatal("journal has a torn tail after clean churn")
 	}
-	replayed := journal.Replay(
+	replayed, _ := journal.Replay(
 		journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks},
 		st.LastSeq, scan.Records)
 
@@ -652,7 +688,7 @@ func TestTeardownSetupSameIDOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := journal.Replay(
+	replayed, _ := journal.Replay(
 		journal.State{Requests: st.Connections, FailedLinks: st.FailedLinks},
 		st.LastSeq, scan.Records)
 	if len(replayed.Requests) != 1 || replayed.Requests[0].ID != "dup" {
