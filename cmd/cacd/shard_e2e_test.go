@@ -325,7 +325,7 @@ func TestEndToEndCoordinatorTakeover(t *testing.T) {
 		t.Fatalf("setup through the active coordinator: %v", err)
 	}
 
-	// Kill the active coordinator outright: stream, listener, pool.
+	// Kill the active coordinator outright: stream, listener, shard connections.
 	prim.Close()
 	_ = rln.Close()
 	_ = coord.Close()

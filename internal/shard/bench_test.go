@@ -64,7 +64,7 @@ func BenchmarkShardedSetup(b *testing.B) {
 	}
 	// failover pins the retry-latency bound the HA sweep promises: s0 is
 	// a replicated pair whose primary is a corpse, and every iteration
-	// re-points the pool at it before a cross-shard setup — so the cycle
+	// re-points the endpoint at it before a cross-shard setup — so the cycle
 	// measured is discover-the-death (one refused dial), fail over to the
 	// surviving member, and complete two-phase reserve-commit through it.
 	b.Run("failover", func(b *testing.B) {

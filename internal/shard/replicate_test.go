@@ -138,7 +138,7 @@ func TestSetupFailsOverToShardStandbyMidCommit(t *testing.T) {
 // commit goes in doubt because the shard's primary died, the pair's
 // standby is promoted (higher epoch) while the coordinator is down, and
 // a rebooted coordinator's boot-time Recover must resolve the in-doubt
-// transaction against the promoted member — adopting it into the pool
+// transaction against the promoted member — adopting it as the shard endpoint
 // and re-admitting the leg the dead primary only ever held as a prepare.
 func TestRecoverAgainstPromotedStandbyShard(t *testing.T) {
 	addr0, _ := startShard(t, "s0", "sw0", "sw1")
